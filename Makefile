@@ -33,9 +33,10 @@ staticcheck:
 
 # bench-smoke compiles and runs each pinned benchmark once — enough to catch
 # a benchmark that no longer builds or an allocation-guard regression that
-# panics, without timing noise.
+# panics, without timing noise. EngineHold holds the kernel queue at the
+# figure-6 sweep's measured median and 99th-percentile sizes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
 # bench-json regenerates the committed kernel-performance baseline: the
 # per-network load-point benchmarks, the miniature full sweep (uncached and

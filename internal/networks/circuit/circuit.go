@@ -37,7 +37,7 @@ type Network struct {
 	slots []int
 	// pending is the per-source FIFO of packets waiting for a circuit
 	// engine.
-	pending [][]*core.Packet
+	pending []core.PacketQueue
 	// landing models the destination's aggregate receive bandwidth
 	// (CircuitSlotsPerSite... of the 16 inbound waveguides; see params).
 	landing []*core.Channel
@@ -68,7 +68,7 @@ func New(eng *sim.Engine, p core.Params, stats *core.Stats) *Network {
 		p:       p,
 		stats:   stats,
 		slots:   make([]int, sites),
-		pending: make([][]*core.Packet, sites),
+		pending: make([]core.PacketQueue, sites),
 		landing: make([]*core.Channel, sites),
 	}
 	for s := 0; s < sites; s++ {
@@ -130,7 +130,7 @@ func (n *Network) Inject(p *core.Packet) {
 		n.slots[s]--
 		n.startCircuit(p)
 	} else {
-		n.pending[s] = append(n.pending[s], p)
+		n.pending[s].Push(p)
 	}
 }
 
@@ -179,17 +179,15 @@ func (h *releaseH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 
 // releaseSlot frees a circuit engine and starts the next pending transfer.
 func (n *Network) releaseSlot(s int) {
-	if len(n.pending[s]) > 0 {
-		next := n.pending[s][0]
-		n.pending[s] = n.pending[s][1:]
-		n.startCircuit(next)
+	if n.pending[s].Len() > 0 {
+		n.startCircuit(n.pending[s].Pop())
 		return
 	}
 	n.slots[s]++
 }
 
 // PendingAt reports the queue length at a source gateway (for tests).
-func (n *Network) PendingAt(s int) int { return len(n.pending[s]) }
+func (n *Network) PendingAt(s int) int { return n.pending[s].Len() }
 
 // Instrument implements metrics.Instrumentable: per-site landing-channel
 // utilization/backlog, free circuit engines and pending-transfer gauges, a
@@ -211,7 +209,7 @@ func (n *Network) Instrument(o metrics.Observer) {
 				return float64(n.slots[s])
 			})
 			o.Reg.Gauge(name+"/pending", func(sim.Time) float64 {
-				return float64(len(n.pending[s]))
+				return float64(n.pending[s].Len())
 			})
 		}
 		n.setups = o.Reg.Counter("circuit/path_setups")

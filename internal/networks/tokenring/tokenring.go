@@ -65,7 +65,7 @@ type Network struct {
 
 	// queues[dst][ringPos(src)] is the per-source FIFO of packets bound for
 	// dst.
-	queues [][][]*core.Packet
+	queues [][]core.PacketQueue
 	tokens []*token
 
 	// Optional trace instrumentation (see Instrument).
@@ -89,7 +89,7 @@ func New(eng *sim.Engine, p core.Params, stats *core.Stats) *Network {
 		bundlePsPerByte: 1e3 / p.TokenBundleGBs,
 		minSlot:         p.Cycles(1),
 		ringDelay:       make([]sim.Time, sites),
-		queues:          make([][][]*core.Packet, sites),
+		queues:          make([][]core.PacketQueue, sites),
 		tokens:          make([]*token, sites),
 	}
 	for k := 0; k < sites; k++ {
@@ -97,7 +97,7 @@ func New(eng *sim.Engine, p core.Params, stats *core.Stats) *Network {
 		n.ringDelay[k] = sim.FromNanoseconds(ns)
 	}
 	for d := 0; d < sites; d++ {
-		n.queues[d] = make([][]*core.Packet, sites)
+		n.queues[d] = make([]core.PacketQueue, sites)
 		// The token starts parked at its home site.
 		n.tokens[d] = &token{freeTime: 0, freePos: n.ringPos[d]}
 	}
@@ -120,12 +120,12 @@ func (n *Network) Inject(p *core.Packet) {
 	}
 	d := int(p.Dst)
 	pos := n.ringPos[p.Src]
-	q := n.queues[d][pos]
-	n.queues[d][pos] = append(q, p)
+	q := &n.queues[d][pos]
 	tk := n.tokens[d]
-	if len(q) == 0 {
+	if q.Len() == 0 {
 		tk.waiting++
 	}
+	q.Push(p)
 	n.consider(d, pos)
 }
 
@@ -182,8 +182,8 @@ func (n *Network) grant(d int, epoch uint64) {
 	}
 	now := n.eng.Now()
 	w := tk.grantPos
-	q := n.queues[d][w]
-	if len(q) == 0 {
+	q := &n.queues[d][w]
+	if q.Len() == 0 {
 		// Defensive: should not happen — waiting bookkeeping keeps targets
 		// non-empty.
 		tk.granted = false
@@ -194,12 +194,12 @@ func (n *Network) grant(d int, epoch uint64) {
 	if burst < 1 {
 		burst = 1
 	}
-	if burst > len(q) {
-		burst = len(q)
+	if burst > q.Len() {
+		burst = q.Len()
 	}
 	hold := sim.Time(0)
 	for i := 0; i < burst; i++ {
-		p := q[i]
+		p := q.Pop()
 		ser := sim.Time(float64(p.Bytes)*n.bundlePsPerByte + 0.5)
 		if ser < n.minSlot {
 			ser = n.minSlot
@@ -215,8 +215,7 @@ func (n *Network) grant(d int, epoch uint64) {
 		}
 		n.eng.ScheduleCall(arrive-now, n.stats, sim.EventArg{Ptr: p})
 	}
-	n.queues[d][w] = q[burst:]
-	if len(n.queues[d][w]) == 0 {
+	if q.Len() == 0 {
 		tk.waiting--
 	}
 	n.stats.AddArbMessage() // one token acquisition+release
@@ -238,7 +237,7 @@ func (n *Network) release(d, pos int, t sim.Time) {
 	bestDist := sites + 1
 	best := -1
 	for w := 0; w < sites; w++ {
-		if len(n.queues[d][w]) == 0 {
+		if n.queues[d][w].Len() == 0 {
 			continue
 		}
 		k := n.p.Grid.RingDist(pos, w)
@@ -273,8 +272,8 @@ func (n *Network) Instrument(o metrics.Observer) {
 			d := d
 			o.Reg.Gauge(fmt.Sprintf("tokenring/dst/%d/queued", d), func(sim.Time) float64 {
 				total := 0
-				for _, q := range n.queues[d] {
-					total += len(q)
+				for w := range n.queues[d] {
+					total += n.queues[d][w].Len()
 				}
 				return float64(total)
 			})
@@ -296,5 +295,5 @@ func (n *Network) Instrument(o metrics.Observer) {
 // QueuedFor reports the number of packets waiting at src for dst — used by
 // tests.
 func (n *Network) QueuedFor(src, dst geometry.SiteID) int {
-	return len(n.queues[dst][n.ringPos[src]])
+	return n.queues[dst][n.ringPos[src]].Len()
 }

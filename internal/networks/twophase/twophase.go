@@ -42,7 +42,7 @@ import (
 // out ("contention when a site has multiple packets to send to a single
 // column", §4.3) and the bottleneck the ALT design doubles trees to relax.
 type colQueue struct {
-	queue    []*core.Packet
+	queue    core.PacketQueue
 	inFlight int
 }
 
@@ -164,7 +164,7 @@ func (n *Network) Inject(p *core.Packet) {
 		return
 	}
 	cq := n.cols[p.Src][n.p.Grid.Col(p.Dst)]
-	cq.queue = append(cq.queue, p)
+	cq.queue.Push(p)
 	n.issue(p.Src, n.p.Grid.Col(p.Dst))
 }
 
@@ -172,11 +172,9 @@ func (n *Network) Inject(p *core.Packet) {
 // for the column.
 func (n *Network) issue(src geometry.SiteID, col int) {
 	cq := n.cols[src][col]
-	for cq.inFlight < len(n.trees[src][col]) && len(cq.queue) > 0 {
-		p := cq.queue[0]
-		cq.queue = cq.queue[1:]
+	for cq.inFlight < len(n.trees[src][col]) && cq.queue.Len() > 0 {
 		cq.inFlight++
-		n.request(p)
+		n.request(cq.queue.Pop())
 	}
 }
 
@@ -274,7 +272,7 @@ func (n *Network) Instrument(o metrics.Observer) {
 			o.Reg.Gauge(fmt.Sprintf("twophase/src/%d/queued", s), func(sim.Time) float64 {
 				total := 0
 				for _, cq := range n.cols[s] {
-					total += len(cq.queue)
+					total += cq.queue.Len()
 				}
 				return float64(total)
 			})

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Handler is the closure-free scheduling target: models implement OnEvent on
 // a (usually pointer-shaped) type and schedule it with ScheduleCall, passing
@@ -26,25 +29,56 @@ type EventArg struct {
 	A, B uint64
 }
 
-// event is a scheduled callback, held by value in the queue. Events are
-// compared first by time, then by insertion sequence, which makes execution
-// order fully deterministic and independent of the queue's internal layout.
-// Exactly one of fn (legacy closure path) and h (closure-free path) is set.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	h   Handler
-	arg EventArg
+// funcHandler adapts a closure to Handler, so Schedule and At feed the same
+// queue as ScheduleCall. A func value is pointer-shaped, so the conversion
+// to Handler allocates nothing beyond the closure the caller already built.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(*Engine, EventArg) { f() }
+
+// Queue key packing: a key's id holds the event's sequence number in the
+// high seqBits and its payload slot in the low slotBits. Comparing ids
+// compares sequence numbers first, and those are unique, so ordering keys
+// by (at, id) is exactly the (time, seq) dispatch order.
+const (
+	slotBits = 28
+	seqBits  = 64 - slotBits
+	slotMask = 1<<slotBits - 1
+)
+
+// key is one heap entry. It holds no pointers, so the heap array is
+// allocated without pointer bitmaps: the garbage collector never scans it
+// and sifting keys costs no write barriers.
+type key struct {
+	at Time
+	id uint64
 }
 
-// before reports whether a dispatches ahead of b: (time, seq) order. seq is
-// unique per engine, so the order is total.
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// less reports whether a dispatches ahead of b. It compares (at, id) as one
+// 128-bit unsigned number — at is never negative — with a borrow chain, so
+// the sifts select children without data-dependent branches.
+func (a key) less(b key) bool {
+	_, borrow := bits.Sub64(a.id, b.id, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow != 0
+}
+
+// packID combines a sequence number and a slab slot into a key id. A value
+// that does not fit its field panics: wrapping would silently reorder
+// dispatch.
+func packID(seq, slot uint64) uint64 {
+	if seq>>seqBits|slot>>slotBits != 0 {
+		panic(fmt.Sprintf("sim: event queue overflow (seq %d, slot %d; limits %d events per engine, %d pending)",
+			seq, slot, uint64(1)<<seqBits-1, uint64(1)<<slotBits))
 	}
-	return a.seq < b.seq
+	return seq<<slotBits | slot
+}
+
+// payload is what an event runs. It stays at one slab slot from push to
+// dispatch while its key moves through the heap.
+type payload struct {
+	h   Handler
+	arg EventArg
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -55,17 +89,19 @@ func (a *event) before(b *event) bool {
 // There is no process abstraction — every model in this repository is written
 // in event-callback style, which keeps runs fast and deterministic.
 //
-// The queue is an inline 4-ary min-heap over a value slice: no heap.Interface
-// dispatch, no per-event boxing, no free list — pushing reuses the slice's
-// capacity, so the steady-state schedule/dispatch cycle allocates nothing.
-// A 4-ary layout halves the tree depth of a binary heap, trading slightly
-// wider sift-down scans (four comparisons per level, all within one cache
-// line of siblings) for far fewer levels — the standard shape for
-// dispatch-bound event queues.
+// The queue is an inline 4-ary min-heap of 16-byte pointer-free keys over a
+// slab of payloads (handler and argument) with a free-slot stack. Sifts move
+// only keys, and they move a hole rather than swapping; a payload is written
+// once on push and zeroed once on dispatch. Every array is reused, so the
+// steady-state schedule/dispatch cycle allocates nothing. A 4-ary layout
+// halves the tree depth of a binary heap, trading four comparisons per level
+// (a node's four children are 64 contiguous bytes) for far fewer levels.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  []event
+	keys    []key
+	slab    []payload
+	free    []uint32 // vacated slab slots, reused last-in first-out
 	stopped bool
 	// executed counts events dispatched since construction; useful both in
 	// tests and for reporting simulation effort.
@@ -84,7 +120,7 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.keys) }
 
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -93,10 +129,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // travels backwards in time. Prefer ScheduleCall on hot paths — Schedule
 // typically costs one closure allocation at the call site.
 func (e *Engine) Schedule(delay Duration, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.At(e.deadlineFor(delay), fn)
+	e.ScheduleCall(delay, funcHandler(fn), EventArg{})
 }
 
 // deadlineFor converts a validated non-negative delay into an absolute
@@ -112,13 +145,7 @@ func (e *Engine) deadlineFor(delay Duration) Time {
 }
 
 // At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.CallAt(t, funcHandler(fn), EventArg{}) }
 
 // ScheduleCall runs h.OnEvent(e, arg) after delay, without allocating a
 // closure. A negative delay panics.
@@ -135,57 +162,99 @@ func (e *Engine) CallAt(t Time, h Handler, arg EventArg) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
+	var slot uint64
+	if n := len(e.free); n > 0 {
+		slot = uint64(e.free[n-1])
+		e.free = e.free[:n-1]
+	} else {
+		slot = uint64(len(e.slab))
+		e.slab = append(e.slab, payload{})
+	}
+	// Field-wise stores take the inline write barrier for each pointer; a
+	// whole-struct store would take the slower bulk barrier.
+	p := &e.slab[slot]
+	p.h, p.arg = h, arg
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
+	e.push(key{at: t, id: packID(e.seq, slot)})
 }
 
-// push appends ev and sifts it up to its heap position.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
+// push appends k and sifts the hole it leaves up to k's heap position.
+func (e *Engine) push(k key) {
+	i := len(e.keys)
+	e.keys = append(e.keys, k)
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.events[i].before(&e.events[parent]) {
+		if !k.less(e.keys[parent]) {
 			break
 		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
+		e.keys[i] = e.keys[parent]
 		i = parent
 	}
+	e.keys[i] = k
 }
 
-// popMin removes and returns the root (minimum) event.
-func (e *Engine) popMin() event {
-	min := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	// Zero the vacated tail slot so its fn/h/arg pointers do not pin dead
-	// objects in the slice's spare capacity.
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	// Sift the relocated root down.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.events[c].before(&e.events[best]) {
-				best = c
+// popMin removes the root (minimum) key, frees its slab slot, and returns
+// its time and payload.
+func (e *Engine) popMin() (Time, Handler, EventArg) {
+	min := e.keys[0]
+	n := len(e.keys) - 1
+	last := e.keys[n]
+	e.keys = e.keys[:n]
+	// Walk the hole left at the root down to a leaf along the smaller
+	// children, then sift the former tail key up from there: it usually
+	// belongs near the bottom, so this costs fewer comparisons than testing
+	// it at every level on the way down.
+	keys := e.keys
+	if n > 0 {
+		i := 0
+		for {
+			first := 4*i + 1
+			var best int
+			if first+4 <= n {
+				c := keys[first : first+4 : first+4]
+				m01 := 0
+				if c[1].less(c[0]) {
+					m01 = 1
+				}
+				m23 := 2
+				if c[3].less(c[2]) {
+					m23 = 3
+				}
+				if c[m23].less(c[m01]) {
+					m01 = m23
+				}
+				best = first + m01
+			} else if first < n {
+				best = first
+				for c := first + 1; c < n; c++ {
+					if keys[c].less(keys[best]) {
+						best = c
+					}
+				}
+			} else {
+				break
 			}
+			keys[i] = keys[best]
+			i = best
 		}
-		if !e.events[best].before(&e.events[i]) {
-			break
+		for i > 0 {
+			parent := (i - 1) / 4
+			if !last.less(keys[parent]) {
+				break
+			}
+			keys[i] = keys[parent]
+			i = parent
 		}
-		e.events[i], e.events[best] = e.events[best], e.events[i]
-		i = best
+		keys[i] = last
 	}
-	return min
+	slot := min.id & slotMask
+	p := &e.slab[slot]
+	h, arg := p.h, p.arg
+	// Zero the vacated slot so its handler and argument pointers do not pin
+	// dead objects until the slot is reused.
+	p.h, p.arg = nil, EventArg{}
+	e.free = append(e.free, uint32(slot))
+	return min.at, h, arg
 }
 
 // SetDispatchHook installs (or, with nil, removes) an observer invoked for
@@ -209,17 +278,17 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // sharded engine's coordinator uses it to pick each conservative window's
 // start time.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
+	if len(e.keys) == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.keys[0].at, true
 }
 
 // Run executes events until the queue is empty or Stop is called. It returns
 // the time of the last executed event (or the current time if none ran).
 func (e *Engine) Run() Time {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.keys) > 0 && !e.stopped {
 		e.step()
 	}
 	return e.now
@@ -227,12 +296,12 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (if the deadline is in the future) and returns. It
-// also honors Stop. The loop peeks the queue head — events[0] is always the
+// also honors Stop. The loop peeks the queue head — keys[0] is always the
 // (time, seq) minimum — so an event scheduled past the deadline stays
 // queued untouched.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
+	for len(e.keys) > 0 && !e.stopped && e.keys[0].at <= deadline {
 		e.step()
 	}
 	if !e.stopped && e.now < deadline {
@@ -242,15 +311,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 func (e *Engine) step() {
-	ev := e.popMin()
-	e.now = ev.at
+	at, h, arg := e.popMin()
+	e.now = at
 	e.executed++
 	if e.hook != nil {
 		e.hook(e.now)
 	}
-	if ev.h != nil {
-		ev.h.OnEvent(e, ev.arg)
-	} else {
-		ev.fn()
-	}
+	h.OnEvent(e, arg)
 }

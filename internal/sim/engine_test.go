@@ -192,21 +192,41 @@ func TestEngineEventPoolingAllocationFree(t *testing.T) {
 
 func TestEngineQueueReusesCapacity(t *testing.T) {
 	// White-box: dispatching must shrink the live queue without releasing
-	// its backing array, and the vacated slot must be zeroed so it cannot
-	// pin dead callbacks.
+	// its key array or payload slab, every vacated payload slot must be
+	// zeroed so it cannot pin dead handlers or arguments, and a freed slot
+	// must be the next one reused.
 	e := NewEngine()
+	h := &recordingHandler{}
 	e.Schedule(0, func() {})
-	e.Schedule(1, func() {})
+	e.ScheduleCall(1, h, EventArg{Ptr: &struct{ v int }{}, A: 7, B: 9})
+	e.Schedule(2, func() {})
+	e.RunUntil(1)
+	if len(e.keys) != 1 || len(e.slab) != 3 || len(e.free) != 2 {
+		t.Fatalf("after 2 of 3 dispatches: %d keys, %d slab slots, %d free, want 1/3/2", len(e.keys), len(e.slab), len(e.free))
+	}
+	for _, slot := range e.free {
+		if e.slab[slot] != (payload{}) {
+			t.Fatalf("vacated payload slot %d = %+v, want zero", slot, e.slab[slot])
+		}
+	}
+	if live := e.slab[e.keys[0].id&slotMask]; live.h == nil {
+		t.Fatal("the pending event's payload slot is empty")
+	}
+	reuse := e.free[len(e.free)-1]
+	e.ScheduleCall(5, h, EventArg{A: 11})
+	if got := e.keys[len(e.keys)-1].id & slotMask; len(e.slab) != 3 || got != uint64(reuse) {
+		t.Fatalf("new event took slot %d of a %d-slot slab, want freed slot %d", got, len(e.slab), reuse)
+	}
 	e.Run()
-	if len(e.events) != 0 {
-		t.Fatalf("queue length = %d after Run, want 0", len(e.events))
+	if len(e.keys) != 0 {
+		t.Fatalf("queue length = %d after Run, want 0", len(e.keys))
 	}
-	if cap(e.events) < 2 {
-		t.Fatalf("queue capacity = %d after Run, want >= 2 (backing array retained)", cap(e.events))
+	if cap(e.keys) < 3 || len(e.slab) != 3 || len(e.free) != 3 {
+		t.Fatalf("after Run: key capacity %d, %d slab slots, %d free, want >= 3/3/3 (arrays retained)", cap(e.keys), len(e.slab), len(e.free))
 	}
-	for _, ev := range e.events[:cap(e.events)] {
-		if ev.fn != nil || ev.h != nil || ev.arg.Ptr != nil {
-			t.Fatal("vacated queue slot still holds callback references")
+	for i, p := range e.slab {
+		if p != (payload{}) {
+			t.Fatalf("vacated payload slot %d = %+v, want zero", i, p)
 		}
 	}
 }
