@@ -50,7 +50,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run the golden-pinned quick sweep (one point per graph)")
 	seed := flag.Int64("seed", 1, "random seed")
 	jobs := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "event-kernel shards (reserved: the inference replay always runs the serial kernel; accepted for CLI uniformity)")
 	csvPath := flag.String("csv", "", "also write the sweep as CSV to this file")
 	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
 	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
@@ -97,7 +96,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.PacketBytes = *mtu
 	cfg.JitterFrac = *jitter
-	cfg.Shards = *shards
 	if *nets != "" {
 		for _, s := range strings.Split(*nets, ",") {
 			k := networks.Kind(strings.TrimSpace(s))

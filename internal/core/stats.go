@@ -127,60 +127,6 @@ func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	}
 }
 
-// MergeFrom folds another sink's accumulators into s — the reduction step
-// of the sharded kernel, where each shard records into its own Stats and
-// the harness merges them after the run. Every quantity that reaches a CSV
-// or renderer is an order-independent reduction, so the merged totals equal
-// the serial kernel's bit for bit:
-//
-//   - integer counters and PerClass arrays: sums;
-//   - latencyMax: max;
-//   - the log₂ histogram (P95 source): per-bucket sums;
-//   - latencySum: float64, but every increment is an integer-valued
-//     picosecond latency and the totals of any realistic run sit far below
-//     2^53, so the additions are exact in any order.
-//
-// The one order-dependent accumulator is Welford's (mean, M2) pair, merged
-// here with Chan's parallel formula: mathematically the same variance, not
-// guaranteed bit-identical to the serial fold. That is acceptable because
-// LatencyStdDev feeds no CSV, golden, or renderer (checked by the sharded
-// identity tests pinning every output surface).
-//
-// The measurement windows (WarmupStart/MeasureEnd) must match; packet IDs
-// (nextID) stay per-sink — IDs are only ever used for uniqueness within a
-// sink and never surface in output.
-func (s *Stats) MergeFrom(o *Stats) {
-	if s.WarmupStart != o.WarmupStart || s.MeasureEnd != o.MeasureEnd {
-		panic(fmt.Sprintf("core: merging stats with different windows: [%v,%v] vs [%v,%v]",
-			s.WarmupStart, s.MeasureEnd, o.WarmupStart, o.MeasureEnd))
-	}
-	s.Injected += o.Injected
-	s.Delivered += o.Delivered
-	s.latencySum += o.latencySum
-	if o.MeasuredPkts > 0 {
-		na, nb := float64(s.MeasuredPkts), float64(o.MeasuredPkts)
-		delta := o.welfordMean - s.welfordMean
-		s.welfordMean += delta * nb / (na + nb)
-		s.welfordM2 += o.welfordM2 + delta*delta*na*nb/(na+nb)
-		s.MeasuredPkts += o.MeasuredPkts
-	}
-	if o.latencyMax > s.latencyMax {
-		s.latencyMax = o.latencyMax
-	}
-	s.hist.Merge(&o.hist)
-	s.WindowBytes += o.WindowBytes
-	s.OpticalTraversalBytes += o.OpticalTraversalBytes
-	s.RouterBytes += o.RouterBytes
-	s.ArbMessages += o.ArbMessages
-	s.Dropped += o.Dropped
-	s.Retries += o.Retries
-	s.Aborts += o.Aborts
-	for c := range s.PerClass {
-		s.PerClass[c] += o.PerClass[c]
-		s.injectedPerClass[c] += o.injectedPerClass[c]
-	}
-}
-
 // AddOpticalTraversal charges one optical hop of `bytes` bytes (one
 // modulation + one reception).
 func (s *Stats) AddOpticalTraversal(bytes int) {

@@ -13,48 +13,41 @@
 //	worker → coordinator   {"type":"error","id":7,"error":"..."}   (cell failed)
 //	coordinator → worker   {"type":"shutdown"}
 //
-// Version 2 adds credit-based pipelining: the hello's credits field
-// advertises how many cells the worker is willing to hold in flight at
-// once, and the coordinator may stream up to that many unanswered cell
-// messages before seeing a result. Results may come back in any order —
-// the cell ID is the correlator — and a result for an ID that is not in
-// flight (a credit overflow, a duplicate, or an invented answer) is a
-// protocol violation. A version-1 peer is still admitted and simply runs
-// at one credit, the old stop-and-wait discipline, so mixed fleets keep
-// working across the upgrade.
+// Dispatch is credit-based: the hello's credits field advertises how many
+// cells the worker is willing to hold in flight at once, and the
+// coordinator may stream up to that many unanswered cell messages before
+// seeing a result. Results may come back in any order — the cell ID is the
+// correlator — and a result for an ID that is not in flight (a credit
+// overflow, a duplicate, or an invented answer) is a protocol violation.
 //
 // Every violation of that grammar — a line that is not JSON, a line over the
-// size cap, an unknown type, a message missing its required fields — is
-// reported as a *ProtocolError with a machine-readable Reason, never a bare
-// string: the coordinator's recovery policy (tear the connection down and
-// reassign the in-flight cell) keys off the error type, and the tests pin
-// each reason. Trust is asymmetric: a worker is disposable, so the
-// coordinator treats any protocol error as "this worker is broken" and
-// reassigns; a coordinator is not, so a worker that cannot parse its input
-// exits.
+// size cap, an unknown type, a message missing its required fields, a hello
+// from another protocol version — is reported as a *ProtocolError with a
+// machine-readable Reason, never a bare string: the coordinator's recovery
+// policy (tear the connection down and reassign the in-flight cell) keys
+// off the error type, and the tests pin each reason. Trust is asymmetric:
+// a worker is disposable, so the coordinator treats any protocol error as
+// "this worker is broken" and reassigns; a coordinator is not, so a worker
+// that cannot parse its input exits.
 package distrib
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// Version is the protocol revision spoken by this build; MinVersion is the
-// oldest revision a coordinator still admits. The cell/result grammar is
-// unchanged since v1 — v2 only adds the hello credits field — so a v1
-// worker executes exactly the same cells as a v2 one and byte-identity is
-// preserved; it just runs at a single credit. Anything outside
-// [MinVersion, Version] is rejected: cells are executed by "the same code
-// on another machine", and an unknown future grammar could silently break
-// the byte-identity guarantee the distributed sweep is built on.
-const (
-	Version    = 2
-	MinVersion = 1
-)
+// Version is the protocol revision spoken by this build. Coordinator,
+// workers and daemon all build from one tree, so a hello must carry
+// exactly this version; any other is rejected as ReasonBadVersion. Cells
+// are executed by "the same code on another machine", and a foreign
+// grammar could silently break the byte-identity guarantee the
+// distributed sweep is built on.
+const Version = 2
 
-// DefaultCredits is the in-flight cell window a v2 worker advertises when
+// DefaultCredits is the in-flight cell window a worker advertises when
 // none is configured (-dist-depth). Eight cells keeps a connection busy
 // across a full protocol round trip without letting one slow worker hoard
 // a meaningful fraction of a sweep.
@@ -87,7 +80,6 @@ const (
 	ReasonBadType    = "unknown-type"
 	ReasonIncomplete = "missing-field"
 	ReasonBadVersion = "version-mismatch"
-	ReasonUnexpected = "unexpected-message"
 )
 
 // Msg is the one wire message shape; Type selects which fields are
@@ -95,10 +87,9 @@ const (
 // know cell schemas — the harness owns those.
 type Msg struct {
 	Type string `json:"type"`
-	// Version and Worker identify a hello. Credits (v2+) advertises the
-	// worker's in-flight cell window; the coordinator streams at most that
-	// many unanswered cells on the connection. A v1 hello has no credits
-	// field and is treated as a window of one.
+	// Version and Worker identify a hello. Credits advertises the worker's
+	// in-flight cell window (at least one); the coordinator streams at most
+	// that many unanswered cells on the connection.
 	Version int    `json:"version,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 	Credits int    `json:"credits,omitempty"`
@@ -187,7 +178,7 @@ func (r *Reader) Read() (Msg, error) {
 	if len(line) == 0 {
 		return Msg{}, perr(ReasonMalformed, "empty line")
 	}
-	dec := json.NewDecoder(newByteReader(line))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var m Msg
 	if err := dec.Decode(&m); err != nil {
@@ -211,11 +202,11 @@ func (m Msg) validate() error {
 		if m.Version == 0 {
 			return perr(ReasonIncomplete, "hello without version")
 		}
-		if m.Version >= 2 && m.Credits <= 0 {
-			return perr(ReasonIncomplete, "v%d hello without credits", m.Version)
+		if m.Version != Version {
+			return perr(ReasonBadVersion, "hello version %d, want %d", m.Version, Version)
 		}
-		if m.Credits < 0 {
-			return perr(ReasonIncomplete, "hello with negative credits %d", m.Credits)
+		if m.Credits < 1 {
+			return perr(ReasonIncomplete, "hello with credits %d, want at least 1", m.Credits)
 		}
 	case TypeCell:
 		if m.ID <= 0 {
@@ -259,22 +250,4 @@ func Write(w io.Writer, m Msg) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// byteReader is a minimal io.Reader over a byte slice; it avoids importing
-// bytes just for one decoder source.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }

@@ -75,9 +75,7 @@ const maxBatchKeys = 256
 
 // GetBatch implements BatchRemote over one GET /v1/cache/entries?keys=...
 // per maxBatchKeys chunk. The daemon answers with whichever entries it
-// has; a 404 on the collection route means the daemon predates the batch
-// API, reported as a clean empty answer so the caller falls back to
-// per-key Gets without noise.
+// has; any non-200 answer is an error.
 func (h *HTTPRemote) GetBatch(keys []Key) (map[Key][]byte, error) {
 	out := make(map[Key][]byte, len(keys))
 	for len(keys) > 0 {
@@ -103,13 +101,7 @@ func (h *HTTPRemote) getBatchChunk(chunk []Key, out map[Key][]byte) error {
 		return err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		// An old daemon without the collection route; nothing served.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // draining for keep-alive
-		return nil
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("expcache: remote batch GET: %s", resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(len(chunk))*maxRemoteEntry+1))

@@ -472,27 +472,18 @@ func TestHTTPRemoteGetBatch(t *testing.T) {
 	}
 }
 
-// TestHTTPRemoteGetBatchOldDaemon pins the downgrade path: a daemon without
-// the collection route 404s, which is a clean empty answer — never an
-// error — so mixed-version fleets keep working on per-key Gets.
+// TestHTTPRemoteGetBatchOldDaemon pins that a daemon without the batch
+// route is not special: its 404 is an error like any other non-200 answer
+// (a 500 here), which Cache.Prefetch counts before the per-key Gets run.
 func TestHTTPRemoteGetBatchOldDaemon(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(http.NotFound))
-	defer srv.Close()
-	h := NewHTTPRemote(srv.URL)
-	got, err := h.GetBatch([]Key{testKey(70), testKey(71)})
-	if err != nil {
-		t.Fatalf("404 collection route = %v, want a clean empty answer", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("old daemon served %d entries", len(got))
-	}
-
-	// A genuinely failing daemon is still an error.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "internal", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-	if _, err := NewHTTPRemote(bad.URL).GetBatch([]Key{testKey(70)}); err == nil {
-		t.Fatal("500 collection route did not error")
+	for _, code := range []int{http.StatusNotFound, http.StatusInternalServerError} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, http.StatusText(code), code)
+		}))
+		got, err := NewHTTPRemote(srv.URL).GetBatch([]Key{testKey(70), testKey(71)})
+		srv.Close()
+		if err == nil {
+			t.Errorf("%d collection route = %d entries, nil error; want an error", code, len(got))
+		}
 	}
 }

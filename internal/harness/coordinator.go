@@ -28,14 +28,13 @@ import (
 // to serial at any worker count, any pipeline depth, any interleaving,
 // and any failure pattern.
 //
-// Dispatch is pipelined (protocol v2): each connection holds a window of
-// up to its hello-advertised credit count of unanswered cells, results
-// are matched back to their jobs by cell ID in whatever order they
-// arrive, and a v1 peer simply runs at a window of one. Cells wait in a
-// coordinator-owned pending queue; connections take from the head, and —
-// when LocalSlots phantom workers are configured — local cores steal from
-// the tail, so a slow or dying remote fleet never idles the machine the
-// sweep runs on.
+// Dispatch is pipelined: each connection holds a window of up to its
+// hello-advertised credit count of unanswered cells, and results are
+// matched back to their jobs by cell ID in whatever order they arrive.
+// Cells wait in a coordinator-owned pending queue; connections take from
+// the head, and — when LocalSlots phantom workers are configured — local
+// cores steal from the tail, so a slow or dying remote fleet never idles
+// the machine the sweep runs on.
 //
 // Failure policy, from least to most trusted signal:
 //   - A protocol violation, transport error, reply for an unknown cell ID
@@ -115,7 +114,7 @@ type CoordinatorConfig struct {
 	Addr string
 	// MaxDepth caps the in-flight window granted to any connection,
 	// whatever its hello advertises (default distrib.DefaultCredits,
-	// hard-capped at distrib.MaxCredits). A v1 peer always runs at 1.
+	// hard-capped at distrib.MaxCredits).
 	MaxDepth int
 	// LocalSlots is the number of phantom local workers stealing cells
 	// from the tail of the pending queue for in-process compute; 0
@@ -728,9 +727,9 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 	}
 }
 
-// awaitHello enforces the handshake: exactly one version-negotiated hello
-// before any cell is trusted to this connection. A v2 hello's credits set
-// the window (capped by MaxDepth); a v1 hello runs at one credit.
+// awaitHello enforces the handshake: exactly one hello before any cell is
+// trusted to this connection. The reader has already checked its version
+// and credits; the credits set the window, capped by MaxDepth.
 func (c *Coordinator) awaitHello(cn *distConn) bool {
 	timer := time.NewTimer(c.cfg.CellTimeout)
 	defer timer.Stop()
@@ -740,20 +739,7 @@ func (c *Coordinator) awaitHello(cn *distConn) bool {
 			c.logf("worker %s: first message %q, want hello; dropping", cn.name, m.Type)
 			return false
 		}
-		if m.Version < distrib.MinVersion || m.Version > distrib.Version {
-			c.logf("worker %s: protocol version %d, want %d–%d; dropping", cn.name, m.Version, distrib.MinVersion, distrib.Version)
-			return false
-		}
-		depth := 1
-		if m.Version >= 2 {
-			depth = m.Credits
-			if depth > c.cfg.MaxDepth {
-				depth = c.cfg.MaxDepth
-			}
-			if depth < 1 {
-				depth = 1
-			}
-		}
+		depth := min(m.Credits, c.cfg.MaxDepth)
 		if cn.remote && m.Worker != "" {
 			cn.name = m.Worker
 		}

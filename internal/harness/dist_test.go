@@ -222,9 +222,10 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		}
 		distrib.Write(w, distrib.Msg{Type: distrib.TypeResult, ID: m.ID + 1000, Value: []byte(`{}`)}) //nolint:errcheck
 	})
-	// Skew: wrong protocol version; must be dropped before any cell.
+	// Skew: a well-formed hello from a foreign protocol version; must be
+	// dropped before any cell.
 	attachScripted(t, c, "skew", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew"}) //nolint:errcheck
+		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version + 1, Worker: "skew", Credits: 1}) //nolint:errcheck
 	})
 	// Rude: skips the handshake entirely.
 	attachScripted(t, c, "rude", func(rd *distrib.Reader, w io.Writer) {
@@ -267,6 +268,11 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 	}
 	if st.Completed < 3 {
 		t.Errorf("honest worker completed %d cells, want all 3: %+v", st.Completed, st)
+	}
+	for _, w := range st.Workers {
+		if w.Name == "skew" {
+			t.Errorf("foreign-version worker passed the handshake: %+v", w)
+		}
 	}
 }
 
@@ -337,8 +343,8 @@ func TestDistAllWorkersDeadAutoDrain(t *testing.T) {
 }
 
 // TestDistDepthSweepByteIdentity pins byte-identity across the pipelining
-// axis: every (workers, depth) combination — including depth 1, the v1
-// stop-and-wait discipline — renders the same CSV as serial.
+// axis: every (workers, depth) combination — including depth 1, one cell
+// at a time — renders the same CSV as serial.
 func TestDistDepthSweepByteIdentity(t *testing.T) {
 	cfg := quickCfg()
 	loads := []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03}
@@ -376,9 +382,9 @@ func TestDistDepthSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// TestDistOutOfOrderResults pins the v2 correlator: a worker that holds a
-// full window and answers in reverse dispatch order still resolves every
-// cell to its own caller, and the inversions are counted.
+// TestDistOutOfOrderResults pins the cell-ID correlator: a worker that
+// holds a full window and answers in reverse dispatch order still resolves
+// every cell to its own caller, and the inversions are counted.
 func TestDistOutOfOrderResults(t *testing.T) {
 	const window = 3
 	c := newCoordinator(testFleetConfig())
@@ -527,64 +533,6 @@ func TestDistUnknownCellIDTeardown(t *testing.T) {
 	}
 	if st.Deduped != 0 {
 		t.Errorf("Deduped = %d, want 0 (no duplicate enqueue should ever fire): %+v", st.Deduped, st)
-	}
-}
-
-// TestDistV1WorkerMixedFleet pins the version negotiation: a v1 peer (no
-// credits field) joins a v2 fleet, runs at a window of one, serves correct
-// cells, and the sweep stays byte-identical.
-func TestDistV1WorkerMixedFleet(t *testing.T) {
-	c := newCoordinator(testFleetConfig())
-	attachScripted(t, c, "v1", func(rd *distrib.Reader, w io.Writer) {
-		distrib.Write(w, distrib.Msg{Type: distrib.TypeHello, Version: 1, Worker: "v1-proc"}) //nolint:errcheck
-		r := Runner{Workers: 1}
-		for {
-			m, err := rd.Read()
-			if err != nil || m.Type == distrib.TypeShutdown {
-				return
-			}
-			if m.Type == distrib.TypeCell {
-				distrib.Write(w, executeCell(r, m)) //nolint:errcheck
-			}
-		}
-	})
-	startPipeWorker(t, c, "v2-proc", Runner{Workers: 1}, 8)
-	if err := c.AwaitWorkers(2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := quickCfg()
-	render := func(r Runner) string {
-		panel, err := Figure6PanelWith(r, cfg, "uniform",
-			[]networks.Kind{networks.PointToPoint}, []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := WriteFigure6CSV(&b, panel); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	serial := render(Serial)
-	got := render(Runner{Dist: c})
-	st := c.Stats()
-	c.Close()
-	if got != serial {
-		t.Errorf("mixed v1/v2 fleet CSV differs from serial\nserial:\n%s\ngot:\n%s", serial, got)
-	}
-	if st.LocalFallback != 0 || st.Failed != 0 || st.Retried != 0 {
-		t.Errorf("mixed fleet should be healthy: %+v", st)
-	}
-	depths := map[string]int{}
-	for _, w := range st.Workers {
-		depths[w.Name] = w.Depth
-	}
-	if depths["v1-proc"] != 1 {
-		t.Errorf("v1 worker negotiated depth %d, want 1", depths["v1-proc"])
-	}
-	if depths["v2-proc"] != 8 {
-		t.Errorf("v2 worker negotiated depth %d, want 8", depths["v2-proc"])
 	}
 }
 

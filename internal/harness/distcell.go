@@ -47,7 +47,6 @@ type loadPointSpec struct {
 	WarmupPS    int64         `json:"warmup_ps"`
 	MeasurePS   int64         `json:"measure_ps"`
 	Seed        int64         `json:"seed"`
-	Shards      int           `json:"shards"`
 }
 
 func specForLoadPoint(cfg LoadPointConfig) loadPointSpec {
@@ -60,7 +59,6 @@ func specForLoadPoint(cfg LoadPointConfig) loadPointSpec {
 		WarmupPS:    int64(cfg.Warmup),
 		MeasurePS:   int64(cfg.Measure),
 		Seed:        cfg.Seed,
-		Shards:      cfg.Shards,
 	}
 }
 
@@ -78,7 +76,6 @@ func (s loadPointSpec) config() (LoadPointConfig, error) {
 		Warmup:      sim.Time(s.WarmupPS),
 		Measure:     sim.Time(s.MeasurePS),
 		Seed:        s.Seed,
-		Shards:      s.Shards,
 	}, nil
 }
 

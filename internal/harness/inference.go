@@ -51,13 +51,6 @@ type InferenceConfig struct {
 	// hook a future fault-schedule sweep will layer onto.
 	FaultWrap bool
 	Seed      int64
-
-	// Shards mirrors LoadPointConfig.Shards so -shards means the same thing
-	// on every CLI. Reserved: the replay's dependency scheduler is global
-	// (one DAG state, one site-occupancy table), so inference points always
-	// run the serial reference kernel and every non-negative value produces
-	// byte-identical output; negative values are rejected by validate.
-	Shards int
 }
 
 // DefaultInferenceConfig sweeps every preset on every network at two batch
@@ -194,9 +187,6 @@ func (cfg InferenceConfig) validate() error {
 	if cfg.PacketBytes < 0 {
 		return fmt.Errorf("harness: inference MTU %d is negative (use 0 for the %d-byte default)",
 			cfg.PacketBytes, opgraph.DefaultMTU)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("harness: inference shards %d is negative (0 or 1 = serial kernel)", cfg.Shards)
 	}
 	for _, g := range cfg.graphs() {
 		if cfg.Custom != nil && cfg.Custom.Name == g {

@@ -49,35 +49,6 @@ func BenchmarkRunLoadPoint(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLoadPoint times the ISSUE-8 target point — the 8×8
-// point-to-point fabric near saturation, where the serial kernel is the
-// whole-study bottleneck — on the serial reference (shards=1) and the
-// conservative sharded kernel at 2 and 4 shards. Output is byte-identical
-// across the sub-benchmarks (pinned by TestShardCountInvariance); the
-// events/sec metric isolates kernel dispatch throughput. Note when reading
-// the committed baseline: shard workers run in parallel only when
-// GOMAXPROCS allows — on a single-core host the sharded numbers measure
-// pure coordination overhead (windows, barriers, mailbox drains) with no
-// speedup available, while multi-core hosts see the parallel win.
-func BenchmarkShardedLoadPoint(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		cfg := benchLoadPointConfig(networks.PointToPoint)
-		cfg.Load = 0.95
-		cfg.Shards = shards
-		b.Run("shards-"+strconv.Itoa(shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				pt := RunLoadPoint(cfg)
-				events += pt.Events
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(events)/s, "events/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkLoadSweep times a miniature full sweep — all six networks across
 // a four-point load grid, run serially so the number measures single-run
 // dispatch cost rather than scheduler luck.

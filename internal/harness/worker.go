@@ -14,14 +14,14 @@ import (
 // (forced serial and never redistributed), and write results to out —
 // `macrosim -worker` over stdin/stdout, `macrosim -connect` over TCP.
 //
-// depth is the credit window the worker advertises in its hello (protocol
-// v2): the coordinator may stream up to that many unanswered cells, and
-// the worker computes them on a bounded pool of the same size, replying in
-// completion order — results drain while later cells simulate, so the
-// connection never sits idle across a protocol round trip. Any value
-// below one means distrib.DefaultCredits; depth 1 reproduces the v1
-// stop-and-wait discipline. Every reply goes through one serialized
-// writer, so frames are never interleaved however the pool finishes.
+// depth is the credit window the worker advertises in its hello: the
+// coordinator may stream up to that many unanswered cells, and the worker
+// computes them on a bounded pool of the same size, replying in completion
+// order — results drain while later cells simulate, so the connection
+// never sits idle across a protocol round trip. Any value below one means
+// distrib.DefaultCredits; depth 1 is stop-and-wait, one cell at a time.
+// Every reply goes through one serialized writer, so frames are never
+// interleaved however the pool finishes.
 //
 // Results reach the rendezvous store only through the Runner's cache (the
 // atomic temp-file+rename publish in expcache, plus its optional HTTP

@@ -69,13 +69,6 @@ type ExperimentConfig struct {
 	// MTU is the inference transfer packet size, mirroring cmd/inference
 	// -mtu. Zero means the default (opgraph.DefaultMTU); negative is a 400.
 	MTU int `json:"mtu,omitempty"`
-
-	// Shards selects the figure-6 simulation kernel, mirroring the CLIs'
-	// -shards: >= 2 runs each load point on the sharded engine where the
-	// network supports it, 0 or 1 the serial reference. Output is identical
-	// either way (pinned by the sharded identity tests), so the field never
-	// enters cache keys.
-	Shards int `json:"shards,omitempty"`
 }
 
 // maxWindowNS bounds warmup+measure overrides so one request cannot pin a
@@ -112,9 +105,6 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 	}
 	if cfg.WarmupNS+cfg.MeasureNS > maxWindowNS {
 		return cfg, badField("measure_ns", "warmup+measure window exceeds %g ns", float64(maxWindowNS))
-	}
-	if cfg.Shards < 0 || cfg.Shards > 64 {
-		return cfg, badField("shards", "shards %d outside [0, 64] (0 or 1 = serial kernel)", cfg.Shards)
 	}
 	switch cfg.Kind {
 	case "figure6":
@@ -271,7 +261,6 @@ func isPreset(g string) bool {
 func (cfg ExperimentConfig) runFigure6(r harness.Runner) (*Result, error) {
 	base := harness.DefaultLoadPointConfig()
 	base.Seed = cfg.Seed
-	base.Shards = cfg.Shards
 	if cfg.Quick {
 		base.Warmup = 500 * sim.Nanosecond
 		base.Measure = 1500 * sim.Nanosecond

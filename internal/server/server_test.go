@@ -301,8 +301,11 @@ func TestMalformedConfigs(t *testing.T) {
 		{"bad scale", `{"kind":"study","scale":99}`, "scale"},
 		{"negative mtu", `{"kind":"inference","mtu":-4096}`, "mtu"},
 		{"oversized mtu", `{"kind":"inference","mtu":2097152}`, "mtu"},
-		{"negative shards", `{"kind":"figure6","pattern":"uniform","shards":-2}`, "shards"},
-		{"oversized shards", `{"kind":"figure6","pattern":"uniform","shards":65}`, "shards"},
+		// "shards" is no longer a config field: any value, in range or not,
+		// is a structured 400 from the unknown-field check.
+		{"negative shards", `{"kind":"figure6","pattern":"uniform","shards":-2}`, ""},
+		{"oversized shards", `{"kind":"figure6","pattern":"uniform","shards":65}`, ""},
+		{"in-range shards", `{"kind":"figure6","pattern":"uniform","shards":4}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

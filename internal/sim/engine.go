@@ -267,23 +267,6 @@ func (e *Engine) SetDispatchHook(fn func(at Time)) { e.hook = fn }
 // Pending events are retained, so a stopped engine can be resumed.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether the most recent Run/RunUntil returned because of
-// Stop rather than by exhausting its work. Run and RunUntil clear the flag
-// on entry, so the report always refers to the latest run. The sharded
-// engine uses it to detect a shard that stopped mid-window.
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// NextEventAt peeks the earliest pending event's timestamp without
-// dispatching it. The second result is false when the queue is empty. The
-// sharded engine's coordinator uses it to pick each conservative window's
-// start time.
-func (e *Engine) NextEventAt() (Time, bool) {
-	if len(e.keys) == 0 {
-		return 0, false
-	}
-	return e.keys[0].at, true
-}
-
 // Run executes events until the queue is empty or Stop is called. It returns
 // the time of the last executed event (or the current time if none ran).
 func (e *Engine) Run() Time {

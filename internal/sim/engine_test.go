@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +253,36 @@ func TestEnginePastAtPanics(t *testing.T) {
 		}
 	}()
 	e.At(50, func() {})
+}
+
+// TestScheduleOverflowPanicsExplicitly is the regression test for the
+// Schedule/ScheduleCall overflow bug: a delay that wraps e.now+delay past
+// MaxInt64 used to fall through to At/CallAt and panic with the misleading
+// "schedule at -… before now" message. It must now name the overflow.
+func TestScheduleOverflowPanicsExplicitly(t *testing.T) {
+	for _, closure := range []bool{true, false} {
+		e := NewEngine()
+		// Advance the clock so now+MaxInt64 wraps.
+		e.At(10, func() {})
+		e.Run()
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("closure=%v: overflowing delay did not panic", closure)
+				}
+				msg := fmt.Sprint(r)
+				if want := "overflows the time axis"; !strings.Contains(msg, want) {
+					t.Fatalf("closure=%v: panic %q does not mention %q", closure, msg, want)
+				}
+			}()
+			if closure {
+				e.Schedule(Duration(math.MaxInt64), func() {})
+			} else {
+				e.ScheduleCall(Duration(math.MaxInt64), new(countHandler), EventArg{})
+			}
+		}()
+	}
 }
 
 // The heap must stay consistent under arbitrary interleavings of schedule
