@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck bench-smoke fuzz-smoke bench-json bench-compare serve-smoke dist-smoke check figures report
+.PHONY: build test race vet fmt staticcheck bench-smoke fuzz-smoke serve-smoke dist-smoke check figures report
 
 build:
 	$(GO) build ./...
@@ -38,42 +38,13 @@ staticcheck:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs the distrib frame-decoder fuzz target briefly. Plain
-# `go test` already replays its seed corpus (the round-trip and rejection
-# tables); this target also explores new inputs.
+# fuzz-smoke runs the two decoder fuzz targets briefly: the distrib frame
+# decoder and the worker's cell-spec decoder. Plain `go test` already
+# replays their seed corpora (the round-trip and rejection tables); this
+# target also explores new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/distrib
-
-# bench-json regenerates the committed kernel-performance baseline: the
-# per-network load-point benchmarks, the miniature full sweep (uncached and
-# cold-cache variants), the operator-graph replay benchmarks, and the
-# distributed-sweep benchmark (the same miniature sweep through 1/2/4
-# in-process pipe workers vs serial — the delta is the per-cell
-# distribution tax), captured both in raw `go test -bench` form
-# ($(BENCH_BASELINE).txt, for benchstat) and as JSON ($(BENCH_BASELINE).json,
-# for dashboards and PR-to-PR diffs). BENCH_BASELINE names the committed
-# files; bump it per baseline-refreshing PR so history stays diffable.
-BENCH_COUNT ?= 5
-BENCH_BASELINE ?= BENCH_pr10
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadPoint|BenchmarkLoadSweep|BenchmarkOpGraphReplay|BenchmarkInferenceSweep|BenchmarkDistributedSweep' \
-		-benchmem -count $(BENCH_COUNT) ./internal/harness | tee $(BENCH_BASELINE).txt
-	$(GO) run ./cmd/benchjson < $(BENCH_BASELINE).txt > $(BENCH_BASELINE).json
-
-# bench-compare reruns the load-point benchmarks quickly and benchstats them
-# against the committed baseline. Report-only: it never fails the build, and
-# it skips cleanly when benchstat (golang.org/x/perf/cmd/benchstat) is not
-# installed or no baseline is committed.
-bench-compare:
-	@if ! command -v benchstat >/dev/null 2>&1; then \
-		echo "benchstat not installed; skipping bench-compare (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-	elif [ ! -f $(BENCH_BASELINE).txt ]; then \
-		echo "no $(BENCH_BASELINE).txt baseline; skipping bench-compare (make bench-json)"; \
-	else \
-		$(GO) test -run '^$$' -bench BenchmarkRunLoadPoint -benchmem -count 3 \
-			./internal/harness > /tmp/bench_head.txt 2>&1 || { cat /tmp/bench_head.txt; exit 0; }; \
-		benchstat $(BENCH_BASELINE).txt /tmp/bench_head.txt || true; \
-	fi
+	$(GO) test -run '^$$' -fuzz '^FuzzCellSpec$$' -fuzztime 10s ./internal/harness
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second
@@ -90,8 +61,9 @@ dist-smoke:
 
 # check is the pre-merge gate: vet + formatting + lint + tests + race
 # detector + benchmark smoke + decoder fuzz smoke + daemon smoke +
-# distributed smoke + report-only perf comparison.
-check: vet fmt staticcheck test race bench-smoke fuzz-smoke serve-smoke dist-smoke bench-compare
+# distributed smoke. Performance is measured by the repository benchmark,
+# perfbench (see BENCHMARK.json), not here.
+check: vet fmt staticcheck test race bench-smoke fuzz-smoke serve-smoke dist-smoke
 
 figures:
 	$(GO) run ./cmd/figures -all

@@ -6,7 +6,7 @@
 // in microseconds instead of resimulating in seconds.
 //
 // Addressing: the key is a SHA-256 over a canonical serialization of the
-// full point config plus a model-version salt (see KeyBuilder). The value
+// full point config plus a model-version salt (see Key). The value
 // is the complete result struct, JSON-encoded — Go's JSON float encoding is
 // shortest-round-trip, so decoded results are bit-identical to computed
 // ones and cached CSV output is byte-identical to cold output.
@@ -84,7 +84,7 @@ type flight struct {
 	panicVal any
 }
 
-// DefaultHotBytes is the hot tier's default byte budget. Entries are
+// DefaultHotBytes is the hot tier's byte budget. Entries are
 // small JSON result structs (hundreds of bytes to a few KB), so 64 MiB
 // holds every entry of any realistic sweep; the cap exists to bound a
 // pathological cache, not to force eviction in normal use.
@@ -103,19 +103,6 @@ func Open(dir string) (*Cache, error) {
 	}, nil
 }
 
-// SetHotBytes resizes the hot tier's byte budget (0 disables it), evicting
-// oldest-first if the new cap is already exceeded. A nil *Cache ignores
-// the call.
-func (c *Cache) SetHotBytes(n int) {
-	if c == nil {
-		return
-	}
-	c.hotMu.Lock()
-	defer c.hotMu.Unlock()
-	c.hotCap = n
-	c.hotEvictLocked(0)
-}
-
 // hotGet returns the in-memory bytes for key, if resident. The returned
 // slice is shared and must not be mutated — entries are immutable by
 // construction (content-addressed, published once).
@@ -132,7 +119,7 @@ func (c *Cache) hotGet(key Key) ([]byte, bool) {
 func (c *Cache) hotPut(key Key, data []byte) {
 	c.hotMu.Lock()
 	defer c.hotMu.Unlock()
-	if c.hotCap <= 0 || len(data) > c.hotCap {
+	if len(data) > c.hotCap {
 		return
 	}
 	if _, ok := c.hot[key]; ok {
@@ -499,15 +486,11 @@ func (c *Cache) EntryBytes(key Key) ([]byte, bool) {
 // already resident (hot tier or directory) are skipped; fetched entries
 // are published through the normal atomic path, so they land identically
 // to a write-through from loadRemote, and every later lookup for them is
-// a local hit instead of a remote round trip. Requires a BatchRemote; on
-// anything else — including a nil cache or no remote at all — Prefetch is
-// a no-op, so callers fire it unconditionally before a fan-out.
+// a local hit instead of a remote round trip. With a nil cache or no
+// remote at all Prefetch is a no-op, so callers fire it unconditionally
+// before a fan-out.
 func (c *Cache) Prefetch(keys []Key) {
 	if c == nil || c.remote == nil || len(keys) == 0 {
-		return
-	}
-	br, ok := c.remote.(BatchRemote)
-	if !ok {
 		return
 	}
 	seen := make(map[Key]bool, len(keys))
@@ -528,7 +511,7 @@ func (c *Cache) Prefetch(keys []Key) {
 	if len(need) == 0 {
 		return
 	}
-	entries, err := br.GetBatch(need)
+	entries, err := c.remote.GetBatch(need)
 	if err != nil {
 		c.remoteErrors.Add(1)
 		return

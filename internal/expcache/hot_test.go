@@ -28,7 +28,7 @@ func TestHotTierFIFOEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetHotBytes(2 * size)
+	c.hotCap = 2 * size
 
 	for n := int64(0); n < 3; n++ {
 		Do(c, testKey(1000+n), func() point { return point{Load: 0.5, Mean: 1000 + n} })
@@ -71,7 +71,7 @@ func TestHotTierFIFOEviction(t *testing.T) {
 }
 
 // TestHotTierMemHitsAreHits pins the counter containment: every MemHit is
-// also a Hit, and disabling the tier (cap 0) turns would-be MemHits into
+// also a Hit, and a disabled tier (cap 0) turns would-be MemHits into
 // plain disk hits without changing the values served.
 func TestHotTierMemHitsAreHits(t *testing.T) {
 	c, _ := Open(t.TempDir())
@@ -89,19 +89,18 @@ func TestHotTierMemHitsAreHits(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 hits, all from memory", st)
 	}
 
-	c.SetHotBytes(0)
-	c.hotMu.Lock()
-	resident := len(c.hot)
-	c.hotMu.Unlock()
-	if resident != 0 {
-		t.Fatalf("%d entries resident after disabling the tier", resident)
+	off, _ := Open(c.dir)
+	off.hotCap = 0
+	for i := 0; i < 2; i++ {
+		if got := Do(off, testKey(1100), func() point { t.Fatal("recompute"); return point{} }); got != want {
+			t.Fatalf("disk hit %d with the tier disabled = %+v, want %+v", i, got, want)
+		}
 	}
-	if got := Do(c, testKey(1100), func() point { t.Fatal("recompute"); return point{} }); got != want {
-		t.Fatalf("disk hit after disable = %+v, want %+v", got, want)
-	}
-	st2 := c.Stats()
-	if st2.MemHits != 3 || st2.Hits != 4 || st2.BytesRead == 0 {
-		t.Fatalf("disabled-tier hit should read disk: %+v", st2)
+	off.hotMu.Lock()
+	resident := len(off.hot)
+	off.hotMu.Unlock()
+	if st := off.Stats(); resident != 0 || st.MemHits != 0 || st.Hits != 2 || st.BytesRead == 0 {
+		t.Fatalf("disabled-tier hits should read disk: %d resident, %+v", resident, st)
 	}
 }
 
@@ -110,7 +109,7 @@ func TestHotTierMemHitsAreHits(t *testing.T) {
 // admitted, so one huge entry cannot flush the whole tier.
 func TestHotTierOversizeEntrySkipped(t *testing.T) {
 	c, _ := Open(t.TempDir())
-	c.SetHotBytes(8) // smaller than any encoded point
+	c.hotCap = 8 // smaller than any encoded point
 	Do(c, testKey(1200), func() point { return point{Load: 0.2, Mean: 4} })
 	c.hotMu.Lock()
 	resident, bytes := len(c.hot), c.hotBytes

@@ -73,7 +73,7 @@ func (h *HTTPRemote) Get(key Key) ([]byte, bool, error) {
 // into a handful of round trips.
 const maxBatchKeys = 256
 
-// GetBatch implements BatchRemote over one GET /v1/cache/entries?keys=...
+// GetBatch implements Remote.GetBatch over one GET /v1/cache/entries?keys=...
 // per maxBatchKeys chunk. The daemon answers with whichever entries it
 // has; any non-200 answer is an error.
 func (h *HTTPRemote) GetBatch(keys []Key) (map[Key][]byte, error) {

@@ -4,17 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"math"
-	"strconv"
 )
 
 // Key is the content address of one cached experiment point: a SHA-256 over
-// the canonical serialization of everything that determines the point's
-// result — the full simulation config, the point identity, the derived seed,
-// and a model-version salt. Two configs agree on a Key if and only if they
-// hashed the same (name, value) sequence, so results can never be served
-// across semantically different simulations.
+// a canonical serialization of everything that determines the point's
+// result plus a model-version salt. The caller owns the serialization (the
+// harness hashes each cell's wire spec); two points agree on a Key only if
+// they hashed the same bytes, so results can never be served across
+// semantically different simulations, and bumping the salt makes every
+// earlier entry unreachable.
 type Key [sha256.Size]byte
 
 // Hex returns the key as a lowercase hex string (the cache filename stem).
@@ -33,63 +31,4 @@ func ParseKey(s string) (Key, error) {
 		return Key{}, fmt.Errorf("expcache: key %q: %w", s, err)
 	}
 	return k, nil
-}
-
-// KeyBuilder accumulates labeled fields into a Key. Every field is written
-// as `name=value\n` with the value in a canonical, type-tagged form:
-// strings are quoted (so embedded separators cannot collide), floats are
-// hashed by their IEEE-754 bit pattern (so -0, NaN payloads, and values
-// that print alike stay distinct), and integers print in base 10. Field
-// order matters — callers must write fields in a fixed order.
-type KeyBuilder struct {
-	h hash.Hash
-}
-
-// NewKey starts a builder whose first field is the model-version salt. Bump
-// the salt whenever simulation semantics change: every previously written
-// entry becomes unreachable (a miss), which is exactly the invalidation
-// policy a content-addressed cache needs.
-func NewKey(salt string) *KeyBuilder {
-	b := &KeyBuilder{h: sha256.New()}
-	return b.Str("salt", salt)
-}
-
-func (b *KeyBuilder) field(name, canon string) *KeyBuilder {
-	b.h.Write([]byte(name))
-	b.h.Write([]byte{'='})
-	b.h.Write([]byte(canon))
-	b.h.Write([]byte{'\n'})
-	return b
-}
-
-// Str adds a string field (quoted, so arbitrary content is unambiguous).
-func (b *KeyBuilder) Str(name, v string) *KeyBuilder {
-	return b.field(name, strconv.Quote(v))
-}
-
-// Int adds an integer field.
-func (b *KeyBuilder) Int(name string, v int64) *KeyBuilder {
-	return b.field(name, strconv.FormatInt(v, 10))
-}
-
-// Float adds a float64 field by bit pattern.
-func (b *KeyBuilder) Float(name string, v float64) *KeyBuilder {
-	return b.field(name, "f"+strconv.FormatUint(math.Float64bits(v), 16))
-}
-
-// Struct adds a struct field via Go's `%+v` rendering, which includes field
-// names and prints floats in shortest round-trip form. It is the convenient
-// canonical form for parameter blocks that contain only scalars and nested
-// scalar structs (no maps or pointers): any field addition, rename, or value
-// change alters the rendering and therefore the key — conservative
-// invalidation in exactly the cases where semantics may have moved.
-func (b *KeyBuilder) Struct(name string, v any) *KeyBuilder {
-	return b.field(name, fmt.Sprintf("%+v", v))
-}
-
-// Sum finalizes the key.
-func (b *KeyBuilder) Sum() Key {
-	var k Key
-	copy(k[:], b.h.Sum(nil))
-	return k
 }

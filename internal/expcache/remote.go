@@ -16,22 +16,16 @@ type Remote interface {
 	// Get fetches the entry bytes for key. ok=false with a nil error is a
 	// clean miss; an error means the remote could not answer.
 	Get(key Key) (data []byte, ok bool, err error)
+	// GetBatch answers many keys in one round trip — the transport behind
+	// Cache.Prefetch. It returns whichever of the requested entries the
+	// remote has (absent keys are simply missing from the map — a partial
+	// answer is not an error); an error means the batch as a whole could
+	// not be served.
+	GetBatch(keys []Key) (map[Key][]byte, error)
 	// Put publishes the entry bytes for key. Publishing the same key twice
 	// must be harmless (entries are content-addressed: same key, same
 	// bytes).
 	Put(key Key, data []byte) error
-}
-
-// BatchRemote is a Remote that can answer many keys in one round trip —
-// the transport behind Cache.Prefetch. GetBatch returns whichever of the
-// requested entries the remote has (absent keys are simply missing from
-// the map — a partial answer is not an error); an error means the batch
-// as a whole could not be served. A remote that does not implement
-// BatchRemote still works everywhere else: Prefetch just becomes a no-op
-// and every miss pays its own round trip through Get.
-type BatchRemote interface {
-	Remote
-	GetBatch(keys []Key) (map[Key][]byte, error)
 }
 
 // SetRemote attaches (or, with nil, detaches) the remote tier. Call before

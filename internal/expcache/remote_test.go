@@ -11,14 +11,19 @@ import (
 	"testing"
 )
 
-// fakeRemote is an in-memory Remote with switchable failure injection.
+// fakeRemote is an in-memory Remote with switchable failure injection and
+// call and key accounting, so tests can pin how many round trips a
+// prefetch costs.
 type fakeRemote struct {
-	mu      sync.Mutex
-	entries map[Key][]byte
-	gets    int
-	puts    int
-	getErr  error
-	putErr  error
+	mu         sync.Mutex
+	entries    map[Key][]byte
+	gets       int
+	puts       int
+	batchCalls int
+	batchKeys  int
+	getErr     error
+	putErr     error
+	batchErr   error
 }
 
 func newFakeRemote() *fakeRemote {
@@ -36,27 +41,7 @@ func (f *fakeRemote) Get(key Key) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-func (f *fakeRemote) Put(key Key, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.puts++
-	if f.putErr != nil {
-		return f.putErr
-	}
-	f.entries[key] = append([]byte(nil), data...)
-	return nil
-}
-
-// fakeBatchRemote is fakeRemote plus the batch interface, with call and
-// key accounting so tests can pin how many round trips a prefetch costs.
-type fakeBatchRemote struct {
-	*fakeRemote
-	batchCalls int
-	batchKeys  int
-	batchErr   error
-}
-
-func (f *fakeBatchRemote) GetBatch(keys []Key) (map[Key][]byte, error) {
+func (f *fakeRemote) GetBatch(keys []Key) (map[Key][]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.batchCalls++
@@ -73,12 +58,23 @@ func (f *fakeBatchRemote) GetBatch(keys []Key) (map[Key][]byte, error) {
 	return out, nil
 }
 
+func (f *fakeRemote) Put(key Key, data []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.puts++
+	if f.putErr != nil {
+		return f.putErr
+	}
+	f.entries[key] = append([]byte(nil), data...)
+	return nil
+}
+
 // TestPrefetchBatch pins the hot-tier prefetch path: one batch round trip
 // pulls every absent key, skips resident and duplicate keys, rejects
 // garbage without aborting the wave, and leaves later lookups as pure
 // local hits — zero per-key remote gets.
 func TestPrefetchBatch(t *testing.T) {
-	remote := &fakeBatchRemote{fakeRemote: newFakeRemote()}
+	remote := newFakeRemote()
 	seed, _ := Open(t.TempDir())
 	seed.SetRemote(remote)
 	want := map[int64]point{}
@@ -135,8 +131,8 @@ func TestPrefetchBatch(t *testing.T) {
 }
 
 // TestPrefetchDegradesCleanly pins the no-op edges: nil cache, no remote,
-// a remote without batch support, an empty key list, and a failing batch
-// call — none may panic, fetch per-key, or lose later lookups.
+// an empty key list, and a failing batch call — none may panic, fetch
+// per-key, or lose later lookups.
 func TestPrefetchDegradesCleanly(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Prefetch([]Key{testKey(60)})
@@ -144,26 +140,17 @@ func TestPrefetchDegradesCleanly(t *testing.T) {
 	c, _ := Open(t.TempDir())
 	c.Prefetch([]Key{testKey(60)}) // no remote
 
-	plain := newFakeRemote()
-	plain.entries[testKey(60)] = []byte(`{"Load":1,"Mean":6}`)
-	c.SetRemote(plain)
-	c.Prefetch([]Key{testKey(60)}) // remote lacks GetBatch
-	if plain.gets != 0 {
-		t.Fatalf("non-batch remote was queried per-key by Prefetch: %d gets", plain.gets)
-	}
-	if st := c.Stats(); st.Prefetched != 0 {
-		t.Fatalf("non-batch prefetch claimed entries: %+v", st)
-	}
-
-	failing := &fakeBatchRemote{fakeRemote: newFakeRemote(), batchErr: errors.New("tier down")}
+	failing := newFakeRemote()
+	failing.batchErr = errors.New("tier down")
 	failing.entries[testKey(61)] = []byte(`{"Load":1,"Mean":7}`)
 	c2, _ := Open(t.TempDir())
 	c2.SetRemote(failing)
 	c2.Prefetch(nil)
 	c2.Prefetch([]Key{testKey(61)})
 	st := c2.Stats()
-	if st.RemoteErrors != 1 || st.Prefetched != 0 {
-		t.Fatalf("failed batch should count one remote error and no prefetches: %+v", st)
+	if st.RemoteErrors != 1 || st.Prefetched != 0 || failing.batchCalls != 1 || failing.gets != 0 {
+		t.Fatalf("failed batch should count one remote error, no prefetches and no per-key gets: %+v (%d batches, %d gets)",
+			st, failing.batchCalls, failing.gets)
 	}
 	// The failed prefetch is advisory: the per-key remote path still works.
 	got := Do(c2, testKey(61), func() point { t.Fatal("recomputed despite remote entry"); return point{} })

@@ -4,7 +4,6 @@ import (
 	"macrochip/internal/coherence"
 	"macrochip/internal/core"
 	"macrochip/internal/cpu"
-	"macrochip/internal/expcache"
 	"macrochip/internal/memory"
 	"macrochip/internal/networks"
 	"macrochip/internal/power"
@@ -92,27 +91,16 @@ func RunStudy(benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, see
 // network) cell is an independent simulation seeded by CellSeed, so the
 // study's rows are identical at every worker count.
 func RunStudyWith(r Runner, benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, seed int64) []StudyRow {
-	type cell struct {
-		b cpu.Benchmark
-		k networks.Kind
-	}
-	jobs := make([]cell, 0, len(benches)*len(kinds))
+	cells := make([]cell[BenchResult], 0, len(benches)*len(kinds))
 	for _, b := range benches {
 		for _, k := range kinds {
-			jobs = append(jobs, cell{b, k})
+			cellSeed := CellSeed(seed, b.Name, k)
+			cells = append(cells, newCell(CellBenchCell, specForBenchCell(b, k, p, cellSeed), func() BenchResult {
+				return RunBenchmark(b, k, p, cellSeed)
+			}))
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = benchCellKey(j.b, j.k, p, CellSeed(seed, j.b.Name, j.k))
-		}
-		r.Cache.Prefetch(keys)
-	}
-	results := runIndexed(r, len(jobs), func(i int) BenchResult {
-		j := jobs[i]
-		return cachedBenchCell(r, j.b, j.k, p, CellSeed(seed, j.b.Name, j.k))
-	})
+	results := runCells(r, cells)
 	rows := make([]StudyRow, 0, len(benches))
 	i := 0
 	for _, b := range benches {

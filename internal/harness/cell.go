@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
 	"macrochip/internal/core"
 	"macrochip/internal/cpu"
+	"macrochip/internal/expcache"
 	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
@@ -14,14 +16,29 @@ import (
 	"macrochip/internal/traffic"
 )
 
-// Wire cells: the unit of distributed work is exactly the unit of caching —
-// one (config, derived seed) experiment point. A cell spec is the JSON form
-// of everything the corresponding cached* entry point needs, with the two
-// non-serializable parts of the native configs resolved by name instead of
-// by value: traffic patterns travel as their Name() (round-tripped through
-// traffic.ByName, pinned by TestCellSpecsRoundTrip) and the observability
-// hook does not travel at all (instrumented points are never distributed —
-// their value is the in-process probe series, not the result struct).
+// ModelSalt versions the semantics of every simulation behind the result
+// cache. Bump it whenever a change alters what any cached study point would
+// compute — kernel dispatch order, network timing models, coherence
+// protocol, statistics definitions — and every previously cached entry
+// becomes unreachable. Formatting-only and harness-plumbing changes do not
+// need a bump: the golden-CSV tests pin the actual output bytes either way.
+const ModelSalt = "macrochip-sim-v5"
+
+// Cells: the unit of caching is exactly the unit of distributed work — one
+// pure (config, derived seed) experiment point — and a cell is described
+// once, by its wire spec. A cell spec is the JSON form of everything the
+// point's simulation needs, with the two non-serializable parts of the
+// native configs resolved by name instead of by value: traffic patterns
+// travel as their Name() (round-tripped through traffic.ByName, pinned by
+// TestCellSpecsRoundTrip) and the observability hook does not travel at
+// all (instrumented points are never cached or distributed — their value
+// is the in-process probe series, not the result struct).
+//
+// The spec's bytes are the cell's whole identity: the cache key is a hash
+// of them (cellKey) and, on a miss, the fleet message carries them, so a
+// field cannot reach a worker without also reaching the key, and a worker
+// publishes under exactly the key the coordinator looks up (pinned by
+// TestWorkerPublishesCoordinatorKey).
 //
 // Byte-identity across the wire rests on the same property the cache rests
 // on: every result struct round-trips through encoding/json with
@@ -171,7 +188,8 @@ func (s resilienceSpec) config() (ResilienceConfig, fault.Class, error) {
 
 // inferenceSpec is the wire form of one (network, graph, batch, seq)
 // inference cell. Custom carries a user-supplied DAG by value so a remote
-// worker needs no access to the coordinator's filesystem.
+// worker needs no access to the coordinator's filesystem, and so two
+// different custom DAGs sharing a name can never share a key.
 type inferenceSpec struct {
 	Params         core.Params    `json:"params"`
 	Network        networks.Kind  `json:"network"`
@@ -219,6 +237,17 @@ func (s inferenceSpec) config() InferenceConfig {
 	}
 }
 
+// runInference is RunInferencePoint for a cell. The config is validated
+// before fan-out (InferenceStudyWith), so a run error here is a bug, not
+// bad input; a worker turns the panic into a cell error.
+func runInference(cfg InferenceConfig, k networks.Kind, graph string, batch, seq int) InferencePoint {
+	pt, err := RunInferencePoint(cfg, k, graph, batch, seq)
+	if err != nil {
+		panic(fmt.Sprintf("harness: inference point (%s, %s, %d, %d) failed after validation: %v", k, graph, batch, seq, err))
+	}
+	return pt
+}
+
 // decodeSpec is the worker-side strict decoder: unknown fields are rejected
 // so a coordinator/worker version skew surfaces as a cell error instead of
 // silently simulating a truncated config.
@@ -231,14 +260,91 @@ func decodeSpec(data []byte, out any) error {
 	return nil
 }
 
-// RunCell executes one wire cell through the same cached entry points the
-// in-process studies use — the worker side of the distributed protocol. The
-// Runner is the worker's own (serial, locally cached, never redistributed);
-// the returned value is the result struct, ready for canonical JSON
-// encoding.
+// cellKey addresses one cell in the result cache: a SHA-256 over ModelSalt,
+// the cell kind and the spec's JSON, NUL-separated (neither the salt nor a
+// kind contains a NUL). encoding/json writes struct fields in declaration
+// order, map keys sorted and floats in shortest round-trip form with the
+// sign of −0 kept, so equal specs give equal bytes and any changed field
+// moves the key. A spec carries either a point's derived seed or the base
+// seed it derives from along with the point identity, so the key pins the
+// simulation's RNG streams either way.
+func cellKey(kind string, spec []byte) expcache.Key {
+	h := sha256.New()
+	h.Write([]byte(ModelSalt + "\x00" + kind + "\x00"))
+	h.Write(spec)
+	var k expcache.Key
+	h.Sum(k[:0])
+	return k
+}
+
+// cell is one study point on its way to a result: its kind, its spec
+// marshalled once, and how to compute it in-process.
+type cell[T any] struct {
+	kind  string
+	spec  []byte
+	local func() T
+}
+
+// newCell marshals spec for kind. A spec holding a NaN or ±Inf float has
+// no JSON form; its cell keeps a nil spec and runs locally, uncached.
+func newCell[T any](kind string, spec any, local func() T) cell[T] {
+	data, _ := json.Marshal(spec)
+	return cell[T]{kind: kind, spec: data, local: local}
+}
+
+// run computes the cell behind the cache (nil: uncached) and, on a miss,
+// behind the fleet d (nil: in-process). The lookup key and the worker
+// message are the same spec bytes.
+func (c cell[T]) run(cache *expcache.Cache, d *Coordinator) T {
+	if c.spec == nil {
+		return c.local()
+	}
+	return expcache.Do(cache, cellKey(c.kind, c.spec), func() T {
+		return distCell(d, c.kind, c.spec, c.local)
+	})
+}
+
+// runCells runs one study's cells on the Runner: every key is prefetched
+// from the remote tier in one batch, then the cells fan out with results
+// slotted by index.
+func runCells[T any](r Runner, cells []cell[T]) []T {
+	keys := make([]expcache.Key, 0, len(cells))
+	for _, c := range cells {
+		if c.spec != nil {
+			keys = append(keys, cellKey(c.kind, c.spec))
+		}
+	}
+	r.Cache.Prefetch(keys)
+	return runIndexed(r, len(cells), func(i int) T {
+		return cells[i].run(r.Cache, r.Dist)
+	})
+}
+
+// loadPointCell is one figure-6 load point as a cell. An instrumented
+// point gets no spec, so it never consults the cache or the fleet: a
+// cached or remote LoadPoint carries no probe series or trace spans, and
+// serving one would silently disable observability.
+func loadPointCell(cfg LoadPointConfig) cell[LoadPoint] {
+	local := func() LoadPoint { return RunLoadPoint(cfg) }
+	if cfg.Obs.Enabled() {
+		return cell[LoadPoint]{kind: CellLoadPoint, local: local}
+	}
+	return newCell(CellLoadPoint, specForLoadPoint(cfg), local)
+}
+
+// cachedLoadPoint is RunLoadPoint behind the cache and the Runner's fleet,
+// bypassing both for instrumented configs.
+func cachedLoadPoint(r Runner, cfg LoadPointConfig) LoadPoint {
+	return loadPointCell(cfg).run(r.Cache, r.Dist)
+}
+
+// RunCell executes one wire cell through the same cell path the in-process
+// studies use — the worker side of the distributed protocol. The cell is
+// keyed by the spec it decoded, so the worker publishes under the
+// coordinator's key. The Runner's cache is the worker's own; the cell is
+// never redistributed. The returned value is the result struct, ready for
+// canonical JSON encoding.
 func RunCell(r Runner, kind string, spec []byte) (any, error) {
-	r.Workers = 1
-	r.Dist = nil
 	switch kind {
 	case CellLoadPoint:
 		var s loadPointSpec
@@ -249,7 +355,7 @@ func RunCell(r Runner, kind string, spec []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cachedLoadPoint(r, cfg), nil
+		return newCell(kind, s, func() LoadPoint { return RunLoadPoint(cfg) }).run(r.Cache, nil), nil
 	case CellBenchCell:
 		var s benchCellSpec
 		if err := decodeSpec(spec, &s); err != nil {
@@ -259,7 +365,9 @@ func RunCell(r Runner, kind string, spec []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cachedBenchCell(r, b, s.Network, s.Params, s.Seed), nil
+		return newCell(kind, s, func() BenchResult {
+			return RunBenchmark(b, s.Network, s.Params, s.Seed)
+		}).run(r.Cache, nil), nil
 	case CellResilience:
 		var s resilienceSpec
 		if err := decodeSpec(spec, &s); err != nil {
@@ -269,34 +377,34 @@ func RunCell(r Runner, kind string, spec []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cachedResiliencePoint(r, cfg, s.Network, class, s.Rate), nil
+		return newCell(kind, s, func() ResiliencePoint {
+			return RunResiliencePoint(cfg, s.Network, class, s.Rate)
+		}).run(r.Cache, nil), nil
 	case CellInference:
 		var s inferenceSpec
 		if err := decodeSpec(spec, &s); err != nil {
 			return nil, err
 		}
-		return cachedInferencePoint(r, s.config(), s.Network, s.Graph, s.Batch, s.Seq), nil
+		return newCell(kind, s, func() InferencePoint {
+			return runInference(s.config(), s.Network, s.Graph, s.Batch, s.Seq)
+		}).run(r.Cache, nil), nil
 	default:
 		return nil, fmt.Errorf("harness: unknown cell kind %q", kind)
 	}
 }
 
-// distCell dispatches one typed cell to the coordinator fleet and falls
-// back to local when the fleet cannot serve it — the coordinator is
+// distCell dispatches one marshalled cell to the coordinator fleet and
+// falls back to local when the fleet cannot serve it — the coordinator is
 // absent, draining, out of workers, the cell failed remotely, or the
 // result did not decode; the sweep never depends on remote success for
 // completeness. A steal grant (a phantom local slot claimed the cell from
 // the queue tail) also runs local, holding the slot for the duration so
 // steals stay bounded by what the local cores can absorb.
-func distCell[T any](d *Coordinator, kind string, spec any, local func() T) T {
+func distCell[T any](d *Coordinator, kind string, spec []byte, local func() T) T {
 	if d == nil {
 		return local()
 	}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return local()
-	}
-	out := d.exec(kind, data)
+	out := d.exec(kind, spec)
 	if out.release != nil {
 		defer out.release()
 		return local()

@@ -14,7 +14,6 @@ import (
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
 	"macrochip/internal/traffic"
-	"macrochip/internal/workload"
 )
 
 // pipeWorker is one in-process worker attached to a coordinator over
@@ -593,84 +592,20 @@ func TestDistLocalStealing(t *testing.T) {
 }
 
 // mustMarshal is the test-local canonical encoder.
-func mustMarshal(t *testing.T, v any) []byte {
-	t.Helper()
+func mustMarshal(tb testing.TB, v any) []byte {
+	tb.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return data
-}
-
-// TestCellSpecsRoundTrip pins that every cell kind's wire spec round-trips
-// through JSON into a config whose execution matches the direct in-process
-// call — the worker side of the byte-identity argument. The traffic
-// pattern travels by Name and is rebuilt via traffic.ByName; everything
-// else travels by value.
-func TestCellSpecsRoundTrip(t *testing.T) {
-	run := func(kind string, spec any) []byte {
-		t.Helper()
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := RunCell(Serial, kind, data)
-		if err != nil {
-			t.Fatalf("RunCell(%s): %v", kind, err)
-		}
-		out, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	mustJSON := func(v any) []byte {
-		t.Helper()
-		out, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	lp := quickCfg()
-	lp.Network = networks.PointToPoint
-	lp.Pattern = traffic.Uniform{Grid: lp.Params.Grid}
-	lp.Load = 0.02
-	lp.Seed = PointSeed(1, lp.Network, "uniform", lp.Load)
-	if got, want := run(CellLoadPoint, specForLoadPoint(lp)), mustJSON(RunLoadPoint(lp)); string(got) != string(want) {
-		t.Errorf("loadpoint round-trip: %s != %s", got, want)
-	}
-
-	bench := workload.All(lp.Params.Grid, workload.Scale(0.01))[0]
-	seed := CellSeed(1, bench.Name, networks.PointToPoint)
-	if got, want := run(CellBenchCell, specForBenchCell(bench, networks.PointToPoint, lp.Params, seed)),
-		mustJSON(RunBenchmark(bench, networks.PointToPoint, lp.Params, seed)); string(got) != string(want) {
-		t.Errorf("benchcell round-trip: %s != %s", got, want)
-	}
-
-	rc := quickResilienceCfg()
-	if got, want := run(CellResilience, specForResilience(rc, networks.PointToPoint, fault.DarkLaser, 80)),
-		mustJSON(RunResiliencePoint(rc, networks.PointToPoint, fault.DarkLaser, 80)); string(got) != string(want) {
-		t.Errorf("resilience round-trip: %s != %s", got, want)
-	}
-
-	ic := QuickInferenceConfig()
-	graph := opgraph.PresetNames()[0]
-	wantPt, err := RunInferencePoint(ic, networks.PointToPoint, graph, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := run(CellInference, specForInference(ic, networks.PointToPoint, graph, 1, 16)), mustJSON(wantPt); string(got) != string(want) {
-		t.Errorf("inference round-trip: %s != %s", got, want)
-	}
 }
 
 // TestDistSpecUnknownFieldRejected pins the version-skew guard: a spec with
 // a field this build does not know is a cell error, not a silent partial
 // simulation.
 func TestDistSpecUnknownFieldRejected(t *testing.T) {
-	if _, err := RunCell(Serial, CellLoadPoint, []byte(`{"params":{},"bogus_field":1}`)); err == nil {
+	if _, err := RunCell(Serial, CellLoadPoint, []byte(unknownFieldSpec)); err == nil {
 		t.Fatal("RunCell accepted a spec with an unknown field")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"macrochip/internal/complexity"
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/networks"
 	"macrochip/internal/power"
 	"macrochip/internal/sim"
@@ -56,54 +55,7 @@ func Figure6With(r Runner, base LoadPointConfig) []Figure6Panel {
 	if base.PacketBytes == 0 {
 		base = DefaultLoadPointConfig()
 	}
-	pats := traffic.All(base.Params.Grid)
-	kinds := networks.Five()
-	type job struct {
-		pat  traffic.Pattern
-		kind networks.Kind
-		load float64
-	}
-	jobs := []job{}
-	for _, pat := range pats {
-		for _, k := range kinds {
-			for _, load := range Figure6Loads(pat.Name()) {
-				jobs = append(jobs, job{pat, k, load})
-			}
-		}
-	}
-	cfgAt := func(j job) LoadPointConfig {
-		cfg := base
-		cfg.Network = j.kind
-		cfg.Pattern = j.pat
-		cfg.Load = j.load
-		cfg.Seed = PointSeed(base.Seed, j.kind, j.pat.Name(), j.load)
-		return cfg
-	}
-	if r.Cache != nil && !base.Obs.Enabled() {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = loadPointKey(cfgAt(j))
-		}
-		r.Cache.Prefetch(keys)
-	}
-	points := runIndexed(r, len(jobs), func(i int) LoadPoint {
-		return cachedLoadPoint(r, cfgAt(jobs[i]))
-	})
-	panels := []Figure6Panel{}
-	i := 0
-	for _, pat := range pats {
-		panel := Figure6Panel{Pattern: pat.Name()}
-		for _, k := range kinds {
-			s := SweepSeries{Network: k}
-			for range Figure6Loads(pat.Name()) {
-				s.Points = append(s.Points, points[i])
-				i++
-			}
-			panel.Series = append(panel.Series, s)
-		}
-		panels = append(panels, panel)
-	}
-	return panels
+	return figure6Panels(r, base, traffic.All(base.Params.Grid), networks.Five(), Figure6Loads)
 }
 
 // Figure6PanelWith runs one pattern's figure-6 panel on an explicit Runner,
@@ -126,45 +78,41 @@ func Figure6PanelWith(r Runner, base LoadPointConfig, pattern string, kinds []ne
 	if loads == nil {
 		loads = Figure6Loads(pat.Name())
 	}
-	type job struct {
-		kind networks.Kind
-		load float64
-	}
-	jobs := make([]job, 0, len(kinds)*len(loads))
-	for _, k := range kinds {
-		for _, load := range loads {
-			jobs = append(jobs, job{k, load})
+	return figure6Panels(r, base, []traffic.Pattern{pat}, kinds, func(string) []float64 { return loads })[0], nil
+}
+
+// figure6Panels runs the (pattern, network, load) grid as one flat list of
+// load-point cells and slots the results back into one panel per pattern.
+func figure6Panels(r Runner, base LoadPointConfig, pats []traffic.Pattern, kinds []networks.Kind, loadsFor func(pattern string) []float64) []Figure6Panel {
+	cells := []cell[LoadPoint]{}
+	for _, pat := range pats {
+		for _, k := range kinds {
+			for _, load := range loadsFor(pat.Name()) {
+				cfg := base
+				cfg.Network = k
+				cfg.Pattern = pat
+				cfg.Load = load
+				cfg.Seed = PointSeed(base.Seed, k, pat.Name(), load)
+				cells = append(cells, loadPointCell(cfg))
+			}
 		}
 	}
-	cfgAt := func(j job) LoadPointConfig {
-		cfg := base
-		cfg.Network = j.kind
-		cfg.Pattern = pat
-		cfg.Load = j.load
-		cfg.Seed = PointSeed(base.Seed, j.kind, pat.Name(), j.load)
-		return cfg
-	}
-	if r.Cache != nil && !base.Obs.Enabled() {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = loadPointKey(cfgAt(j))
-		}
-		r.Cache.Prefetch(keys)
-	}
-	points := runIndexed(r, len(jobs), func(i int) LoadPoint {
-		return cachedLoadPoint(r, cfgAt(jobs[i]))
-	})
-	panel := Figure6Panel{Pattern: pat.Name()}
+	points := runCells(r, cells)
+	panels := make([]Figure6Panel, 0, len(pats))
 	i := 0
-	for _, k := range kinds {
-		s := SweepSeries{Network: k}
-		for range loads {
-			s.Points = append(s.Points, points[i])
-			i++
+	for _, pat := range pats {
+		panel := Figure6Panel{Pattern: pat.Name()}
+		for _, k := range kinds {
+			s := SweepSeries{Network: k}
+			for range loadsFor(pat.Name()) {
+				s.Points = append(s.Points, points[i])
+				i++
+			}
+			panel.Series = append(panel.Series, s)
 		}
-		panel.Series = append(panel.Series, s)
+		panels = append(panels, panel)
 	}
-	return panel, nil
+	return panels
 }
 
 // RenderFigure6 renders one panel as an aligned text table (loads as rows,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
@@ -262,32 +261,19 @@ func InferenceStudyWith(r Runner, cfg InferenceConfig) ([]InferencePoint, error)
 		kinds = networks.Six()
 	}
 	graphs, batches, seqs := cfg.graphs(), cfg.batches(), cfg.seqLens()
-	type job struct {
-		k          networks.Kind
-		graph      string
-		batch, seq int
-	}
-	jobs := make([]job, 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
+	cells := make([]cell[InferencePoint], 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
 	for _, k := range kinds {
 		for _, g := range graphs {
 			for _, b := range batches {
 				for _, s := range seqs {
-					jobs = append(jobs, job{k, g, b, s})
+					cells = append(cells, newCell(CellInference, specForInference(cfg, k, g, b, s), func() InferencePoint {
+						return runInference(cfg, k, g, b, s)
+					}))
 				}
 			}
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = inferencePointKey(cfg, j.k, j.graph, j.batch, j.seq)
-		}
-		r.Cache.Prefetch(keys)
-	}
-	return runIndexed(r, len(jobs), func(i int) InferencePoint {
-		j := jobs[i]
-		return cachedInferencePoint(r, cfg, j.k, j.graph, j.batch, j.seq)
-	}), nil
+	return runCells(r, cells), nil
 }
 
 // RenderInference renders the sweep as an aligned text table, one row per

@@ -150,8 +150,8 @@ func TestInferenceCustomGraph(t *testing.T) {
 	}
 	cfgB := cfg
 	cfgB.Custom = other
-	ka := inferencePointKey(cfg, networks.PointToPoint, "custom", 1, 16)
-	kb := inferencePointKey(cfgB, networks.PointToPoint, "custom", 1, 16)
+	ka := cellKey(CellInference, mustMarshal(t, specForInference(cfg, networks.PointToPoint, "custom", 1, 16)))
+	kb := cellKey(CellInference, mustMarshal(t, specForInference(cfgB, networks.PointToPoint, "custom", 1, 16)))
 	if ka == kb {
 		t.Error("cache keys collide for different custom graphs sharing a name")
 	}
@@ -164,9 +164,9 @@ func TestInferenceRetryConfigReachesReplay(t *testing.T) {
 	cfg := QuickInferenceConfig()
 	cfg.Networks = []networks.Kind{networks.PointToPoint}
 	cfg.Graphs = []string{"decode-attention"}
-	base := inferencePointKey(cfg, networks.PointToPoint, "decode-attention", 1, 16)
+	base := cellKey(CellInference, mustMarshal(t, specForInference(cfg, networks.PointToPoint, "decode-attention", 1, 16)))
 	cfg.Retry = traffic.RetryPolicy{Timeout: 2 * sim.Microsecond, MaxRetries: 2}
-	withRetry := inferencePointKey(cfg, networks.PointToPoint, "decode-attention", 1, 16)
+	withRetry := cellKey(CellInference, mustMarshal(t, specForInference(cfg, networks.PointToPoint, "decode-attention", 1, 16)))
 	if base == withRetry {
 		t.Error("retry policy absent from the cache key")
 	}

@@ -29,9 +29,9 @@ func benchLoadPointConfig(kind networks.Kind) LoadPointConfig {
 }
 
 // BenchmarkRunLoadPoint times one load-sweep simulation per network — the
-// inner loop of every figure-6 sweep and saturation search. The committed
-// BENCH_pr4.json baseline pins these numbers; regenerate it with
-// `make bench-json` and compare with `make bench-compare`.
+// inner loop of every figure-6 sweep and saturation search. Run it with
+// `go test -run '^$' -bench BenchmarkRunLoadPoint -benchmem
+// ./internal/harness`; the committed end-to-end benchmark is perfbench.
 func BenchmarkRunLoadPoint(b *testing.B) {
 	for _, k := range networks.Six() {
 		cfg := benchLoadPointConfig(k)

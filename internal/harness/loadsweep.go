@@ -6,7 +6,6 @@ package harness
 
 import (
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/metrics"
 	"macrochip/internal/networks"
 	"macrochip/internal/sim"
@@ -136,16 +135,21 @@ func SaturationSearch(cfg LoadPointConfig, lo, hi, tol float64) float64 {
 // saturationSearch is SaturationSearch on a Runner: the whole search is
 // memoized under (config, bracket, tolerance), and on a partially warm
 // cache each bisection probe is itself a cacheable load point, so a
-// repeated search replays from disk without simulating. Probes go through
-// cachedLoadPoint, so a distributed fleet serves them too — the bisection
-// stays sequential but each probe may execute remotely.
+// repeated search replays from disk without simulating. The search itself
+// is keyed like a cell but never leaves this process; its probes go
+// through cachedLoadPoint, so a distributed fleet serves them — the
+// bisection stays sequential but each probe may execute remotely.
 func saturationSearch(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {
-	if r.Cache == nil {
+	spec := struct {
+		loadPointSpec
+		Lo  float64 `json:"lo"`
+		Hi  float64 `json:"hi"`
+		Tol float64 `json:"tol"`
+	}{specForLoadPoint(cfg), lo, hi, tol}
+	spec.Load = 0 // the search sets each probe's load
+	return newCell("satsearch", spec, func() float64 {
 		return bisectSaturation(r, cfg, lo, hi, tol)
-	}
-	return expcache.Do(r.Cache, saturationKey(cfg, lo, hi, tol), func() float64 {
-		return bisectSaturation(r, cfg, lo, hi, tol)
-	})
+	}).run(r.Cache, nil)
 }
 
 func bisectSaturation(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {

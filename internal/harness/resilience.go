@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/expcache"
 	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/sim"
@@ -153,30 +152,17 @@ func ResilienceStudyWith(r Runner, cfg ResilienceConfig) []ResiliencePoint {
 	if classes == nil {
 		classes = fault.AllClasses()
 	}
-	type job struct {
-		k    networks.Kind
-		c    fault.Class
-		rate float64
-	}
-	jobs := make([]job, 0, len(kinds)*len(classes)*len(cfg.Rates))
+	cells := make([]cell[ResiliencePoint], 0, len(kinds)*len(classes)*len(cfg.Rates))
 	for _, k := range kinds {
 		for _, c := range classes {
 			for _, rate := range cfg.Rates {
-				jobs = append(jobs, job{k, c, rate})
+				cells = append(cells, newCell(CellResilience, specForResilience(cfg, k, c, rate), func() ResiliencePoint {
+					return RunResiliencePoint(cfg, k, c, rate)
+				}))
 			}
 		}
 	}
-	if r.Cache != nil {
-		keys := make([]expcache.Key, len(jobs))
-		for i, j := range jobs {
-			keys[i] = resiliencePointKey(cfg, j.k, j.c, j.rate)
-		}
-		r.Cache.Prefetch(keys)
-	}
-	return runIndexed(r, len(jobs), func(i int) ResiliencePoint {
-		j := jobs[i]
-		return cachedResiliencePoint(r, cfg, j.k, j.c, j.rate)
-	})
+	return runCells(r, cells)
 }
 
 // RenderResilience renders the sweep as an aligned text table, one row per

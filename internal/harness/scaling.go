@@ -57,6 +57,19 @@ func ScalingStudyWith(r Runner, ns []int) []ScalingRow {
 	})
 }
 
+// cachedScalingRow is scalingRow behind the cache. The row is a pure
+// analysis of ScaledParams(n), so n and that parameter block are its whole
+// identity. Scaling rows are closed-form arithmetic — microseconds, no
+// simulation — so they are never worth a network round trip and always
+// compute locally.
+func cachedScalingRow(r Runner, n int) ScalingRow {
+	spec := struct {
+		N      int         `json:"n"`
+		Params core.Params `json:"params"`
+	}{n, ScaledParams(n)}
+	return newCell("scalingrow", spec, func() ScalingRow { return scalingRow(n) }).run(r.Cache, nil)
+}
+
 // scalingRow computes the complexity/power analysis for one grid size.
 func scalingRow(n int) ScalingRow {
 	p := ScaledParams(n)

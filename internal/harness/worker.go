@@ -10,8 +10,8 @@ import (
 )
 
 // ServeWorker runs the worker side of the distributed-sweep protocol: read
-// cells from in, execute each through RunCell on the worker's own Runner
-// (forced serial and never redistributed), and write results to out —
+// cells from in, execute each through RunCell on the worker's own cache
+// (never redistributed), and write results to out —
 // `macrosim -worker` over stdin/stdout, `macrosim -connect` over TCP.
 //
 // depth is the credit window the worker advertises in its hello: the
@@ -41,8 +41,6 @@ func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, 
 	if depth <= 0 {
 		depth = distrib.DefaultCredits
 	}
-	r.Workers = 1
-	r.Dist = nil
 	if logw == nil {
 		logw = io.Discard
 	}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -11,8 +13,9 @@ import (
 	"macrochip/internal/harness"
 )
 
+// entryKey mints a distinct key per n by hashing a labelled string.
 func entryKey(n int64) expcache.Key {
-	return expcache.NewKey("entries-test-v1").Int("n", n).Sum()
+	return expcache.Key(sha256.Sum256([]byte(fmt.Sprintf("entries-test-v1 n=%d", n))))
 }
 
 func putEntry(t *testing.T, url string, body []byte) (int, []byte) {
