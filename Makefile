@@ -38,13 +38,15 @@ staticcheck:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs the two decoder fuzz targets briefly: the distrib frame
-# decoder and the worker's cell-spec decoder. Plain `go test` already
-# replays their seed corpora (the round-trip and rejection tables); this
-# target also explores new inputs.
+# fuzz-smoke runs three fuzz targets briefly: the distrib frame decoder,
+# the worker's cell-spec decoder, and the event queue (random schedules
+# checked against the (time, insertion order) reference). Plain `go test`
+# already replays their seed corpora (the round-trip and rejection tables,
+# the dispatch-order property shapes); this target also explores new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzCellSpec$$' -fuzztime 10s ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second

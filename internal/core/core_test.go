@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"macrochip/internal/sim"
 )
@@ -265,16 +266,26 @@ func TestStatsThroughput(t *testing.T) {
 func TestStatsOnDeliverCallback(t *testing.T) {
 	s := NewStats(0)
 	called := false
-	p := &Packet{Bytes: 1, OnDeliver: func(pp *Packet, at sim.Time) {
+	p := &Packet{Bytes: 1, Deliver: DeliverFunc(func(pp *Packet, at sim.Time) {
 		called = true
 		if at != 7*sim.Nanosecond {
 			t.Errorf("callback at %v, want 7ns", at)
 		}
-	}}
+	})}
 	s.StampInjection(p, 0)
 	s.RecordDelivery(p, 7*sim.Nanosecond)
 	if !called {
 		t.Fatal("OnDeliver not called")
+	}
+}
+
+// TestPacketSize pins Packet at 64 bytes, the runtime's 64-byte allocation
+// size class: saturated figure-6 points hold hundreds of thousands of
+// packets in flight, and one more field would move every packet to the
+// 80-byte class.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d bytes, want 64", got)
 	}
 }
 

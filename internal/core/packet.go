@@ -57,12 +57,12 @@ func (c MsgClass) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// DeliverHandler is the closure-free delivery callback, mirroring the
-// sim.Handler contract: implement OnDeliver on a (usually pointer-shaped)
-// type and set Packet.Deliver instead of allocating an OnDeliver closure
-// per packet. Converting a pointer to a DeliverHandler allocates nothing,
-// so the per-packet delivery chain of a hot loop (coherence request/data
-// trackers, the open-loop generator's packet recycler) runs allocation-free.
+// DeliverHandler is the delivery callback, mirroring the sim.Handler
+// contract: implement OnDeliver on a (usually pointer-shaped) type and set
+// Packet.Deliver. Converting a pointer to a DeliverHandler allocates
+// nothing, so the per-packet delivery chain of a hot loop (coherence
+// request/data trackers, the open-loop generator's packet recycler) runs
+// allocation-free.
 //
 // Contract: OnDeliver runs exactly once per delivered packet, at delivery
 // time, after statistics are recorded, inside the engine's dispatch thread.
@@ -71,9 +71,20 @@ type DeliverHandler interface {
 	OnDeliver(p *Packet, at sim.Time)
 }
 
+// DeliverFunc adapts a function to DeliverHandler, as sim's funcHandler
+// adapts a closure to sim.Handler. It suits paths off the per-packet hot
+// loop (retransmit chains, barriers): building the closure typically costs
+// one allocation.
+type DeliverFunc func(p *Packet, at sim.Time)
+
+// OnDeliver implements DeliverHandler.
+func (f DeliverFunc) OnDeliver(p *Packet, at sim.Time) { f(p, at) }
+
 // Packet is one network message. Packets are created by traffic generators
 // or the coherence engine and handed to a Network via Inject; the network
-// calls Deliver/OnDeliver exactly once when the last byte arrives at Dst.
+// calls Deliver exactly once when the last byte arrives at Dst. The fields
+// fill 64 bytes, one allocation size class (pinned by a test): saturated
+// load points hold hundreds of thousands of packets in flight.
 type Packet struct {
 	// ID is unique within a run (assigned by the Stats sink at injection).
 	ID uint64
@@ -84,19 +95,14 @@ type Packet struct {
 	Bytes int
 	// Class labels the packet for statistics.
 	Class MsgClass
-	// Born is the injection time, set by the network front-end.
-	Born sim.Time
 	// Hops counts electronic forwarding hops taken (limited point-to-point
 	// only); used for router energy accounting.
-	Hops int
-	// Deliver, if non-nil, runs at delivery time (after statistics are
-	// recorded) without the per-packet closure allocation of OnDeliver.
-	// The coherence engine and the open-loop packet free list use it.
+	Hops int32
+	// Born is the injection time, set by the network front-end.
+	Born sim.Time
+	// Deliver, if non-nil, runs at delivery time, after statistics are
+	// recorded.
 	Deliver DeliverHandler
-	// OnDeliver is the closure-based compatibility path, also invoked at
-	// delivery time (after Deliver when both are set). Prefer Deliver on
-	// hot paths; a closure here typically costs one allocation per packet.
-	OnDeliver func(p *Packet, at sim.Time)
 }
 
 // Network is one of the five macrochip interconnect models. A Network is

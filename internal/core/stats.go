@@ -99,8 +99,7 @@ func (s *Stats) OnEvent(e *sim.Engine, arg sim.EventArg) {
 }
 
 // RecordDelivery notes a completed delivery at time `at` and invokes the
-// packet's delivery callbacks (the closure-free Deliver handler first, then
-// the OnDeliver compatibility closure).
+// packet's Deliver callback.
 func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	s.Delivered++
 	s.PerClass[p.Class]++
@@ -121,9 +120,6 @@ func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	}
 	if p.Deliver != nil {
 		p.Deliver.OnDeliver(p, at)
-	}
-	if p.OnDeliver != nil {
-		p.OnDeliver(p, at)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestZeroFaultWrapTransparent(t *testing.T) {
 	var lat sim.Time
 	eng.Schedule(0, func() {
 		fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
 	})
 	eng.Run()
 	if st.Delivered != 1 || st.Dropped != 0 || lat == 0 {
@@ -114,7 +114,7 @@ func TestDarkLaserDropsSourcedPackets(t *testing.T) {
 		for i, pair := range [][2]geometry.SiteID{{5, 9}, {9, 5}, {1, 2}} {
 			i := i
 			fnet.Inject(&core.Packet{Src: pair[0], Dst: pair[1], Bytes: 64,
-				OnDeliver: func(_ *core.Packet, _ sim.Time) { delivered[i] = true }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
 		}
 	})
 	eng.Run()
@@ -134,7 +134,7 @@ func TestDarkLaserDropsSourcedPackets(t *testing.T) {
 	fnet.RepairLaser(5)
 	eng.Schedule(0, func() {
 		fnet.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, _ sim.Time) { delivered[3] = true }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[3] = true })})
 	})
 	eng.Run()
 	if !delivered[3] {
@@ -150,7 +150,7 @@ func TestStuckSwitchDropsOnlyThatPath(t *testing.T) {
 		for i, pair := range [][2]geometry.SiteID{{2, 7}, {7, 2}, {2, 8}} {
 			i := i
 			fnet.Inject(&core.Packet{Src: pair[0], Dst: pair[1], Bytes: 64,
-				OnDeliver: func(_ *core.Packet, _ sim.Time) { delivered[i] = true }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
 		}
 	})
 	eng.Run()
@@ -176,7 +176,7 @@ func TestDetuneDelaysAndCorrupts(t *testing.T) {
 		var lat sim.Time
 		eng.Schedule(0, func() {
 			fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 4096,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
 		})
 		eng.Run()
 		if lat == 0 {
@@ -219,7 +219,7 @@ func TestLoopbackImmuneToFaults(t *testing.T) {
 	var lat sim.Time
 	eng.Schedule(0, func() {
 		fnet.Inject(&core.Packet{Src: 4, Dst: 4, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
 	})
 	eng.Run()
 	if lat != p.Cycles(1) {

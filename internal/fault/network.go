@@ -14,7 +14,7 @@ import (
 // drops, corrupts, or delays packets according to the fault semantics:
 //
 //   - DarkLaser at the source site: the packet is lost (stamped as injected,
-//     counted in Stats.Dropped, OnDeliver never fires).
+//     counted in Stats.Dropped, Deliver never fires).
 //   - StuckSwitch on the (src, dst) path: likewise lost.
 //   - RingDetune at the source site: with CorruptProb the packet is
 //     corrupted and discarded at the receiver; survivors first serialize

@@ -1,7 +1,7 @@
 package harness
 
-// Cross-network determinism pins for the kernel overhaul: the value-typed
-// 4-ary queue and closure-free scheduling must not change dispatch order, so
+// Cross-network determinism pins for the kernel overhauls: the event queue's
+// layout and closure-free scheduling must not change dispatch order, so
 // every network must produce byte-identical CSVs run over run, and the
 // metrics time series must match its pre-overhaul golden.
 

@@ -136,17 +136,17 @@ func (r *Runner) exchange(i int) {
 		r.iteration(i + 1)
 		return
 	}
-	done := func(_ *core.Packet, _ sim.Time) {
+	done := core.DeliverFunc(func(*core.Packet, sim.Time) {
 		remaining--
 		if remaining == 0 {
 			r.iteration(i + 1)
 		}
-	}
+	})
 	for _, pr := range pairs {
 		r.bytes += uint64(r.cfg.MessageBytes)
 		r.net.Inject(&core.Packet{
 			Src: pr[0], Dst: pr[1],
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, OnDeliver: done,
+			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: done,
 		})
 	}
 }
@@ -159,17 +159,17 @@ func (r *Runner) allReduceStage(i, stride int) {
 		return
 	}
 	remaining := sites
-	done := func(_ *core.Packet, _ sim.Time) {
+	done := core.DeliverFunc(func(*core.Packet, sim.Time) {
 		remaining--
 		if remaining == 0 {
 			r.allReduceStage(i, stride*2)
 		}
-	}
+	})
 	for s := 0; s < sites; s++ {
 		r.bytes += uint64(r.cfg.MessageBytes)
 		r.net.Inject(&core.Packet{
 			Src: geometry.SiteID(s), Dst: geometry.SiteID(s ^ stride),
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, OnDeliver: done,
+			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: done,
 		})
 	}
 }

@@ -31,7 +31,7 @@ func TestUnloadedLatency(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	// Setup out + ack back (2 × ctrlHop) + data 64 B at 20 GB/s (3.2 ns) +
@@ -47,9 +47,9 @@ func TestSetupScalesWithTorusHops(t *testing.T) {
 	var near, far sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { near = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { near = tt })})
 		n.Inject(&core.Packet{Src: p.Grid.Site(4, 0), Dst: p.Grid.Site(0, 4), Bytes: 64, // 8 hops
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { far = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { far = tt })})
 	})
 	eng.Run()
 	// 8 hops vs 1: setup difference 14 × ctrlHop, prop difference 7 hops.
@@ -65,10 +65,10 @@ func TestTorusWraparoundShortensPath(t *testing.T) {
 	eng.Schedule(0, func() {
 		// (0,0)→(0,7) is 1 hop via wraparound.
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 7), Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { wrap = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { wrap = tt })})
 		// (1,0)→(1,3) is 3 hops.
 		n.Inject(&core.Packet{Src: p.Grid.Site(1, 0), Dst: p.Grid.Site(1, 3), Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { inner = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { inner = tt })})
 	})
 	eng.Run()
 	if wrap >= inner {
@@ -106,7 +106,7 @@ func TestSlotThroughputSerialization(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < N; i++ {
 			n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { last = tt }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { last = tt })})
 		}
 	})
 	eng.Run()
@@ -138,7 +138,7 @@ func TestLoopback(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: 2, Dst: 2, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	if at != p.Cycles(1) {
@@ -171,11 +171,11 @@ func TestHotspotLandingContention(t *testing.T) {
 				}
 				n.Inject(&core.Packet{Src: core.DefaultParams().Grid.Site(s/8, s%8),
 					Dst: core.DefaultParams().Grid.Site(dst/8, dst%8), Bytes: 16384,
-					OnDeliver: func(_ *core.Packet, at sim.Time) {
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
 						if at > last {
 							last = at
 						}
-					}})
+					})})
 			}
 		})
 		eng.Run()

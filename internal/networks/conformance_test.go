@@ -63,7 +63,7 @@ func TestConformanceLatencyFloor(t *testing.T) {
 		eng.Schedule(0, func() {
 			net.Inject(&core.Packet{
 				Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at },
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at }),
 			})
 		})
 		eng.Run()
@@ -114,7 +114,7 @@ func TestConformanceLoopback(t *testing.T) {
 		var lat sim.Time
 		eng.Schedule(0, func() {
 			net.Inject(&core.Packet{Src: 13, Dst: 13, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { lat = at }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
 		})
 		eng.Run()
 		if lat != p.Cycles(1) {
@@ -156,7 +156,7 @@ func TestConformanceFIFOPerFlow(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				seq := uint64(i)
 				net.Inject(&core.Packet{Src: 3, Dst: 42, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, _ sim.Time) { order = append(order, seq) }})
+					Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { order = append(order, seq) })})
 			}
 		})
 		eng.Run()
@@ -262,7 +262,7 @@ func TestConformanceMessageSizes(t *testing.T) {
 			var small, big sim.Time
 			eng.Schedule(0, func() {
 				net.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 16,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { small = at }})
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { small = at })})
 			})
 			eng.Run()
 			eng2 := sim.NewEngine()
@@ -271,7 +271,7 @@ func TestConformanceMessageSizes(t *testing.T) {
 			b := bytes
 			eng2.Schedule(0, func() {
 				net2.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: b,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { big = at }})
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { big = at })})
 			})
 			eng2.Run()
 			if bytes > 16 && big < small {

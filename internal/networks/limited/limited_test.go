@@ -19,7 +19,7 @@ func setup() (*sim.Engine, core.Params, *core.Stats, *limited.Network) {
 func send(eng *sim.Engine, n *limited.Network, src, dst geometry.SiteID, bytes int) (*sim.Time, *core.Packet) {
 	var at sim.Time = -1
 	pkt := &core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-		OnDeliver: func(_ *core.Packet, t sim.Time) { at = t }}
+		Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })}
 	eng.Schedule(0, func() { n.Inject(pkt) })
 	return &at, pkt
 }
@@ -153,7 +153,7 @@ func TestForwarderLoadBalancing(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(1, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	// Via the idle column-first leg the packet needs ~8 ns; behind the jam

@@ -20,7 +20,7 @@ func send(eng *sim.Engine, n *ptp.Network, src, dst geometry.SiteID, bytes int) 
 	var at sim.Time = -1
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-			OnDeliver: func(_ *core.Packet, t sim.Time) { at = t }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })})
 	})
 	return &at
 }
@@ -104,7 +104,7 @@ func TestSingleFlowThroughputCap(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < 100; i++ {
 			n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64, Class: core.ClassData,
-				OnDeliver: func(_ *core.Packet, at sim.Time) { last = at }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
 		}
 	})
 	eng.Run()

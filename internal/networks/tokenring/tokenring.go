@@ -20,6 +20,7 @@ package tokenring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
@@ -39,8 +40,6 @@ type token struct {
 	grantTime sim.Time
 	// epoch invalidates superseded grant events.
 	epoch uint64
-	// waiting counts sites with queued packets.
-	waiting int
 }
 
 // Network is the token-ring crossbar fabric.
@@ -64,8 +63,9 @@ type Network struct {
 	ringDelay       []sim.Time
 
 	// queues[dst][ringPos(src)] is the per-source FIFO of packets bound for
-	// dst.
+	// dst, and busy[dst] has bit w set while queues[dst][w] is non-empty.
 	queues [][]core.PacketQueue
+	busy   [][]uint64
 	tokens []*token
 
 	// Optional trace instrumentation (see Instrument).
@@ -90,6 +90,7 @@ func New(eng *sim.Engine, p core.Params, stats *core.Stats) *Network {
 		minSlot:         p.Cycles(1),
 		ringDelay:       make([]sim.Time, sites),
 		queues:          make([][]core.PacketQueue, sites),
+		busy:            make([][]uint64, sites),
 		tokens:          make([]*token, sites),
 	}
 	for k := 0; k < sites; k++ {
@@ -98,6 +99,7 @@ func New(eng *sim.Engine, p core.Params, stats *core.Stats) *Network {
 	}
 	for d := 0; d < sites; d++ {
 		n.queues[d] = make([]core.PacketQueue, sites)
+		n.busy[d] = make([]uint64, (sites+63)/64)
 		// The token starts parked at its home site.
 		n.tokens[d] = &token{freeTime: 0, freePos: n.ringPos[d]}
 	}
@@ -121,9 +123,8 @@ func (n *Network) Inject(p *core.Packet) {
 	d := int(p.Dst)
 	pos := n.ringPos[p.Src]
 	q := &n.queues[d][pos]
-	tk := n.tokens[d]
 	if q.Len() == 0 {
-		tk.waiting++
+		n.busy[d][pos/64] |= 1 << (pos % 64)
 	}
 	q.Push(p)
 	n.consider(d, pos)
@@ -184,7 +185,7 @@ func (n *Network) grant(d int, epoch uint64) {
 	w := tk.grantPos
 	q := &n.queues[d][w]
 	if q.Len() == 0 {
-		// Defensive: should not happen — waiting bookkeeping keeps targets
+		// Defensive: should not happen — the busy mask keeps targets
 		// non-empty.
 		tk.granted = false
 		n.release(d, w, now)
@@ -216,7 +217,7 @@ func (n *Network) grant(d int, epoch uint64) {
 		n.eng.ScheduleCall(arrive-now, n.stats, sim.EventArg{Ptr: p})
 	}
 	if q.Len() == 0 {
-		tk.waiting--
+		n.busy[d][w/64] &^= 1 << (w % 64)
 	}
 	n.stats.AddArbMessage() // one token acquisition+release
 	n.grants.Inc()
@@ -230,28 +231,34 @@ func (n *Network) release(d, pos int, t sim.Time) {
 	tk := n.tokens[d]
 	tk.freeTime = t
 	tk.freePos = pos
-	if tk.waiting == 0 {
-		return
+	if w := nextWaiter(n.busy[d], pos); w >= 0 {
+		n.consider(d, w)
 	}
-	sites := len(n.ringOrder)
-	bestDist := sites + 1
-	best := -1
-	for w := 0; w < sites; w++ {
-		if n.queues[d][w].Len() == 0 {
-			continue
+}
+
+// nextWaiter returns the first set bit of busy cyclically after ring
+// position pos, with pos itself last, or -1 if no bit is set. Because
+// RingDist(pos, w) = (w−pos) mod sites, that is the waiter nearest
+// downstream of pos, with pos itself a full circulation away.
+func nextWaiter(busy []uint64, pos int) int {
+	if w := firstSet(busy, pos+1); w >= 0 {
+		return w
+	}
+	return firstSet(busy, 0)
+}
+
+// firstSet returns the lowest set bit of busy at or above from, or -1.
+func firstSet(busy []uint64, from int) int {
+	for i := from / 64; i < len(busy); i++ {
+		m := busy[i]
+		if i == from/64 {
+			m = m >> (from % 64) << (from % 64)
 		}
-		k := n.p.Grid.RingDist(pos, w)
-		if k == 0 {
-			k = sites
-		}
-		if k < bestDist {
-			bestDist = k
-			best = w
+		if m != 0 {
+			return 64*i + bits.TrailingZeros64(m)
 		}
 	}
-	if best >= 0 {
-		n.consider(d, best)
-	}
+	return -1
 }
 
 // ringPropDelay is the data propagation time from ring position a to b along
@@ -278,7 +285,11 @@ func (n *Network) Instrument(o metrics.Observer) {
 				return float64(total)
 			})
 			o.Reg.Gauge(fmt.Sprintf("tokenring/dst/%d/waiting_srcs", d), func(sim.Time) float64 {
-				return float64(n.tokens[d].waiting)
+				waiting := 0
+				for _, m := range n.busy[d] {
+					waiting += bits.OnesCount64(m)
+				}
+				return float64(waiting)
 			})
 		}
 		n.grants = o.Reg.Counter("tokenring/token_grants")

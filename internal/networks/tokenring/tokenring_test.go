@@ -30,7 +30,7 @@ func TestLoopback(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: 3, Dst: 3, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	if at != p.Cycles(1) {
@@ -48,7 +48,7 @@ func TestFirstAcquisitionWaitsForToken(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	hop := p.Cycles(p.TokenRoundTripCycles) / sim.Time(p.Grid.Sites())
@@ -69,7 +69,7 @@ func TestReacquisitionCostsFullRoundTrip(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
 	})
 	eng.Run()
@@ -121,13 +121,13 @@ func TestTokenDivertsToNearerWaiter(t *testing.T) {
 	var farAt, nearAt sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: far, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { farAt = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { farAt = tt })})
 	})
 	// The near waiter requests shortly after, while the token (released at
 	// position 0 at t=0) is still upstream of position 10.
 	eng.Schedule(100*sim.Picosecond, func() {
 		n.Inject(&core.Packet{Src: near, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { nearAt = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { nearAt = tt })})
 	})
 	eng.Run()
 	if nearAt == 0 || farAt == 0 {
@@ -197,7 +197,7 @@ func TestBurstGrabPolicy(t *testing.T) {
 		eng.Schedule(0, func() {
 			for i := 0; i < 32; i++ {
 				n.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, at sim.Time) { last = at }})
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
 			}
 		})
 		eng.Run()

@@ -32,7 +32,7 @@ func TestUnloadedLatency(t *testing.T) {
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	// arbLead + retune gap (cold switch) + 64 B at 40 GB/s rounded to slots
@@ -49,14 +49,14 @@ func TestSlotRounding(t *testing.T) {
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 16,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at16 = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at16 = tt })})
 	})
 	eng.Run()
 	eng2 := sim.NewEngine()
 	n2 := twophase.New(eng2, p, core.NewStats(0))
 	eng2.Schedule(0, func() {
 		n2.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at64 = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at64 = tt })})
 	})
 	eng2.Run()
 	// 16 B = 0.4 ns = exactly one slot; 64 B = 4 slots. The difference in
@@ -73,7 +73,7 @@ func TestBackToBackSameFlowSerializesPerColumn(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
 	})
 	eng.Run()
@@ -102,7 +102,7 @@ func TestAlternatingSendersPayRetuneGap(t *testing.T) {
 				src = b
 			}
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				OnDeliver: func(_ *core.Packet, tt sim.Time) { times = append(times, tt) }})
+				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
 	})
 	eng.Run()
@@ -141,11 +141,11 @@ func TestSwitchTreeSerializesColumn(t *testing.T) {
 					dst = g.Site(4, 4)
 				}
 				n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: dst, Bytes: 64,
-					OnDeliver: func(_ *core.Packet, at sim.Time) {
+					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
 						if at > last {
 							last = at
 						}
-					}})
+					})})
 			}
 		})
 		eng.Run()
@@ -176,11 +176,11 @@ func TestALTHasMoreTrees(t *testing.T) {
 			for r := 0; r < g.N; r++ {
 				for i := 0; i < 4; i++ {
 					n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: g.Site(r, 3), Bytes: 64,
-						OnDeliver: func(_ *core.Packet, at sim.Time) {
+						Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
 							if at > last {
 								last = at
 							}
-						}})
+						})})
 				}
 			}
 		})
@@ -224,7 +224,7 @@ func TestLoopback(t *testing.T) {
 	var at sim.Time
 	eng.Schedule(0, func() {
 		n.Inject(&core.Packet{Src: 7, Dst: 7, Bytes: 64,
-			OnDeliver: func(_ *core.Packet, tt sim.Time) { at = tt }})
+			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
 	})
 	eng.Run()
 	if at != p.Cycles(1) {

@@ -264,14 +264,14 @@ func (r *Replay) sendPacket(t *transfer, bytes, attempt int, settled *bool) {
 		settled = new(bool)
 	}
 	p := &core.Packet{Src: t.src, Dst: t.dst, Bytes: bytes, Class: t.class}
-	p.OnDeliver = func(p *core.Packet, at sim.Time) {
+	p.Deliver = core.DeliverFunc(func(p *core.Packet, at sim.Time) {
 		if *settled {
 			return
 		}
 		*settled = true
 		r.bytesMoved += uint64(p.Bytes)
 		t.settle(at)
-	}
+	})
 	r.Net.Inject(p)
 	r.Eng.Schedule(r.backoff(attempt), func() {
 		if *settled {

@@ -46,21 +46,34 @@ const (
 	slotMask = 1<<slotBits - 1
 )
 
-// key is one heap entry. It holds no pointers, so the heap array is
-// allocated without pointer bitmaps: the garbage collector never scans it
-// and sifting keys costs no write barriers.
+// key is one queue entry. It holds no pointers, so bucket arrays are
+// allocated without pointer bitmaps: the garbage collector never scans them
+// and moving keys costs no write barriers.
 type key struct {
 	at Time
 	id uint64
 }
 
 // less reports whether a dispatches ahead of b. It compares (at, id) as one
-// 128-bit unsigned number — at is never negative — with a borrow chain, so
-// the sifts select children without data-dependent branches.
+// 128-bit unsigned number — at is never negative — with a borrow chain
+// rather than a branch on at.
 func (a key) less(b key) bool {
 	_, borrow := bits.Sub64(a.id, b.id, 0)
 	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
 	return borrow != 0
+}
+
+// numBuckets covers every 128-bit key: bucket 1+i holds the keys whose
+// highest bit differing from the last dispatched key is bit i, and bucket 0
+// (a key equal to the last one) stays empty because keys are unique.
+const numBuckets = 129
+
+// bucket returns k's radix-heap bucket relative to last.
+func bucket(k, last key) int {
+	if d := uint64(k.at ^ last.at); d != 0 {
+		return 64 + bits.Len64(d)
+	}
+	return bits.Len64(k.id ^ last.id)
 }
 
 // packID combines a sequence number and a slab slot into a key id. A value
@@ -75,7 +88,7 @@ func packID(seq, slot uint64) uint64 {
 }
 
 // payload is what an event runs. It stays at one slab slot from push to
-// dispatch while its key moves through the heap.
+// dispatch while its key moves between buckets.
 type payload struct {
 	h   Handler
 	arg EventArg
@@ -89,17 +102,26 @@ type payload struct {
 // There is no process abstraction — every model in this repository is written
 // in event-callback style, which keeps runs fast and deterministic.
 //
-// The queue is an inline 4-ary min-heap of 16-byte pointer-free keys over a
-// slab of payloads (handler and argument) with a free-slot stack. Sifts move
-// only keys, and they move a hole rather than swapping; a payload is written
-// once on push and zeroed once on dispatch. Every array is reused, so the
-// steady-state schedule/dispatch cycle allocates nothing. A 4-ary layout
-// halves the tree depth of a binary heap, trading four comparisons per level
-// (a node's four children are 64 contiguous bytes) for far fewer levels.
+// The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990)
+// of 16-byte pointer-free keys over a slab of payloads (handler and argument)
+// with a free-slot stack. It rests on one invariant: every queued key is
+// greater than last, the key most recently dispatched. CallAt refuses a time
+// before now, sequence numbers strictly increase, and RunUntil only moves now
+// forward, so no push can break it. A key waits in the bucket numbered one
+// plus the highest bit in which it differs from last, and a 3-word mask marks
+// the non-empty buckets. A push appends to one bucket. A dispatch takes the
+// minimum of the lowest non-empty bucket, makes it last, and refiles that
+// bucket's other keys into lower buckets, so a key moves at most 128 times
+// however long it waits. A payload is written once on push and zeroed once on
+// dispatch. Buckets keep their capacity across dispatches, so the
+// steady-state schedule/dispatch cycle allocates nothing.
 type Engine struct {
 	now     Time
 	seq     uint64
-	keys    []key
+	last    key
+	pending int
+	mask    [(numBuckets + 63) / 64]uint64
+	buckets [numBuckets][]key
 	slab    []payload
 	free    []uint32 // vacated slab slots, reused last-in first-out
 	stopped bool
@@ -120,7 +142,7 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.keys) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -175,77 +197,49 @@ func (e *Engine) CallAt(t Time, h Handler, arg EventArg) {
 	p := &e.slab[slot]
 	p.h, p.arg = h, arg
 	e.seq++
-	e.push(key{at: t, id: packID(e.seq, slot)})
+	e.file(key{at: t, id: packID(e.seq, slot)})
+	e.pending++
 }
 
-// push appends k and sifts the hole it leaves up to k's heap position.
-func (e *Engine) push(k key) {
-	i := len(e.keys)
-	e.keys = append(e.keys, k)
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.less(e.keys[parent]) {
-			break
-		}
-		e.keys[i] = e.keys[parent]
-		i = parent
+// file appends k to its bucket relative to last.
+func (e *Engine) file(k key) {
+	b := bucket(k, e.last)
+	e.buckets[b] = append(e.buckets[b], k)
+	e.mask[b/64] |= 1 << (b % 64)
+}
+
+// head locates the minimum key: its bucket, the lowest non-empty one, and
+// its index there. The queue must not be empty.
+func (e *Engine) head() (b, i int) {
+	w := 0
+	for e.mask[w] == 0 {
+		w++
 	}
-	e.keys[i] = k
+	b = 64*w + bits.TrailingZeros64(e.mask[w])
+	ks := e.buckets[b]
+	for j := 1; j < len(ks); j++ {
+		if ks[j].less(ks[i]) {
+			i = j
+		}
+	}
+	return b, i
 }
 
-// popMin removes the root (minimum) key, frees its slab slot, and returns
-// its time and payload.
-func (e *Engine) popMin() (Time, Handler, EventArg) {
-	min := e.keys[0]
-	n := len(e.keys) - 1
-	last := e.keys[n]
-	e.keys = e.keys[:n]
-	// Walk the hole left at the root down to a leaf along the smaller
-	// children, then sift the former tail key up from there: it usually
-	// belongs near the bottom, so this costs fewer comparisons than testing
-	// it at every level on the way down.
-	keys := e.keys
-	if n > 0 {
-		i := 0
-		for {
-			first := 4*i + 1
-			var best int
-			if first+4 <= n {
-				c := keys[first : first+4 : first+4]
-				m01 := 0
-				if c[1].less(c[0]) {
-					m01 = 1
-				}
-				m23 := 2
-				if c[3].less(c[2]) {
-					m23 = 3
-				}
-				if c[m23].less(c[m01]) {
-					m01 = m23
-				}
-				best = first + m01
-			} else if first < n {
-				best = first
-				for c := first + 1; c < n; c++ {
-					if keys[c].less(keys[best]) {
-						best = c
-					}
-				}
-			} else {
-				break
-			}
-			keys[i] = keys[best]
-			i = best
+// popMin removes key i of bucket b, the minimum found by head, and makes it
+// last. The bucket's other keys agree with it above their bucket's bit, so
+// each refiles into a lower bucket. It frees the key's slab slot and
+// returns its time and payload.
+func (e *Engine) popMin(b, i int) (Time, Handler, EventArg) {
+	ks := e.buckets[b]
+	min := ks[i]
+	e.last = min
+	e.pending--
+	e.buckets[b] = ks[:0]
+	e.mask[b/64] &^= 1 << (b % 64)
+	for j, k := range ks {
+		if j != i {
+			e.file(k)
 		}
-		for i > 0 {
-			parent := (i - 1) / 4
-			if !last.less(keys[parent]) {
-				break
-			}
-			keys[i] = keys[parent]
-			i = parent
-		}
-		keys[i] = last
 	}
 	slot := min.id & slotMask
 	p := &e.slab[slot]
@@ -271,21 +265,25 @@ func (e *Engine) Stop() { e.stopped = true }
 // the time of the last executed event (or the current time if none ran).
 func (e *Engine) Run() Time {
 	e.stopped = false
-	for len(e.keys) > 0 && !e.stopped {
-		e.step()
+	for e.pending > 0 && !e.stopped {
+		e.step(e.head())
 	}
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (if the deadline is in the future) and returns. It
-// also honors Stop. The loop peeks the queue head — keys[0] is always the
-// (time, seq) minimum — so an event scheduled past the deadline stays
-// queued untouched.
+// also honors Stop. The loop peeks the minimum before dispatching it, so an
+// event scheduled past the deadline stays queued untouched and last stays
+// at or before now.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.keys) > 0 && !e.stopped && e.keys[0].at <= deadline {
-		e.step()
+	for e.pending > 0 && !e.stopped {
+		b, i := e.head()
+		if e.buckets[b][i].at > deadline {
+			break
+		}
+		e.step(b, i)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -293,8 +291,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-func (e *Engine) step() {
-	at, h, arg := e.popMin()
+func (e *Engine) step(b, i int) {
+	at, h, arg := e.popMin(b, i)
 	e.now = at
 	e.executed++
 	if e.hook != nil {

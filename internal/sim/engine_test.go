@@ -195,7 +195,7 @@ func TestEngineEventPoolingAllocationFree(t *testing.T) {
 
 func TestEngineQueueReusesCapacity(t *testing.T) {
 	// White-box: dispatching must shrink the live queue without releasing
-	// its key array or payload slab, every vacated payload slot must be
+	// its bucket arrays or payload slab, every vacated payload slot must be
 	// zeroed so it cannot pin dead handlers or arguments, and a freed slot
 	// must be the next one reused.
 	e := NewEngine()
@@ -203,35 +203,60 @@ func TestEngineQueueReusesCapacity(t *testing.T) {
 	e.Schedule(0, func() {})
 	e.ScheduleCall(1, h, EventArg{Ptr: &struct{ v int }{}, A: 7, B: 9})
 	e.Schedule(2, func() {})
+	_, capacity := queuedKeys(e)
 	e.RunUntil(1)
-	if len(e.keys) != 1 || len(e.slab) != 3 || len(e.free) != 2 {
-		t.Fatalf("after 2 of 3 dispatches: %d keys, %d slab slots, %d free, want 1/3/2", len(e.keys), len(e.slab), len(e.free))
+	keys, after := queuedKeys(e)
+	if len(keys) != 1 || e.Pending() != 1 || len(e.slab) != 3 || len(e.free) != 2 {
+		t.Fatalf("after 2 of 3 dispatches: %d keys (Pending %d), %d slab slots, %d free, want 1/1/3/2",
+			len(keys), e.Pending(), len(e.slab), len(e.free))
+	}
+	if after < capacity {
+		t.Fatalf("bucket capacity fell from %d to %d keys during dispatch, want it retained", capacity, after)
 	}
 	for _, slot := range e.free {
 		if e.slab[slot] != (payload{}) {
 			t.Fatalf("vacated payload slot %d = %+v, want zero", slot, e.slab[slot])
 		}
 	}
-	if live := e.slab[e.keys[0].id&slotMask]; live.h == nil {
+	if live := e.slab[keys[0].id&slotMask]; live.h == nil {
 		t.Fatal("the pending event's payload slot is empty")
 	}
 	reuse := e.free[len(e.free)-1]
 	e.ScheduleCall(5, h, EventArg{A: 11})
-	if got := e.keys[len(e.keys)-1].id & slotMask; len(e.slab) != 3 || got != uint64(reuse) {
+	keys, capacity = queuedKeys(e)
+	newest := keys[0]
+	for _, k := range keys {
+		if newest.id < k.id {
+			newest = k
+		}
+	}
+	if got := newest.id & slotMask; len(e.slab) != 3 || got != uint64(reuse) {
 		t.Fatalf("new event took slot %d of a %d-slot slab, want freed slot %d", got, len(e.slab), reuse)
 	}
 	e.Run()
-	if len(e.keys) != 0 {
-		t.Fatalf("queue length = %d after Run, want 0", len(e.keys))
+	keys, after = queuedKeys(e)
+	if len(keys) != 0 || e.Pending() != 0 || e.mask != [len(e.mask)]uint64{} {
+		t.Fatalf("after Run: %d keys, Pending %d, mask %x, want an empty queue", len(keys), e.Pending(), e.mask)
 	}
-	if cap(e.keys) < 3 || len(e.slab) != 3 || len(e.free) != 3 {
-		t.Fatalf("after Run: key capacity %d, %d slab slots, %d free, want >= 3/3/3 (arrays retained)", cap(e.keys), len(e.slab), len(e.free))
+	if after < capacity || len(e.slab) != 3 || len(e.free) != 3 {
+		t.Fatalf("after Run: bucket capacity %d (was %d), %d slab slots, %d free, want >= %d/3/3 (arrays retained)",
+			after, capacity, len(e.slab), len(e.free), capacity)
 	}
 	for i, p := range e.slab {
 		if p != (payload{}) {
 			t.Fatalf("vacated payload slot %d = %+v, want zero", i, p)
 		}
 	}
+}
+
+// queuedKeys returns the keys waiting in e's buckets and the buckets' total
+// capacity in keys.
+func queuedKeys(e *Engine) (keys []key, capacity int) {
+	for _, b := range e.buckets {
+		keys = append(keys, b...)
+		capacity += cap(b)
+	}
+	return keys, capacity
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -285,7 +310,7 @@ func TestScheduleOverflowPanicsExplicitly(t *testing.T) {
 	}
 }
 
-// The heap must stay consistent under arbitrary interleavings of schedule
+// The queue must stay consistent under arbitrary interleavings of schedule
 // times: events always run in non-decreasing time order.
 func TestEngineMonotonicProperty(t *testing.T) {
 	f := func(delays []uint16) bool {

@@ -20,7 +20,8 @@ type refEvent struct {
 // timestamps included — through the engine and checks the dispatch sequence
 // against a stable sort on (time, insertion order). Roughly half the events
 // also schedule a follow-up from inside their own dispatch, covering the
-// schedule-during-dispatch path where the 4-ary sift interleaves with pops.
+// schedule-during-dispatch path where pushes interleave with the bucket
+// refiling of pops.
 func TestQueueDispatchOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -66,6 +67,7 @@ func TestQueueDispatchOrderProperty(t *testing.T) {
 		}
 	}
 	t.Run("300K-pending", testDispatchOrderAtSweepScale)
+	t.Run("wide-keys", testDispatchOrderWideKeys)
 }
 
 // orderProbe schedules events whose arguments name them — A is the event's
@@ -77,8 +79,9 @@ type orderProbe struct {
 	cells []int // Ptr targets, one per event id
 	want  []refEvent
 	got   []refEvent
-	bad   int // dispatches whose argument fields disagree
-	spawn int // children still to schedule from inside dispatches
+	bad   int                   // dispatches whose argument fields disagree
+	spawn int                   // children still to schedule from inside dispatches
+	delay func(*rand.Rand) Time // a child's delay after its parent
 }
 
 func (p *orderProbe) add(e *Engine, at Time) {
@@ -97,7 +100,7 @@ func (p *orderProbe) OnEvent(e *Engine, arg EventArg) {
 		// A child scheduled from inside a dispatch takes the slot that
 		// dispatch just freed.
 		p.spawn--
-		p.add(e, e.Now()+Time(p.rng.Intn(64)))
+		p.add(e, e.Now()+p.delay(p.rng))
 	}
 }
 
@@ -112,7 +115,8 @@ func testDispatchOrderAtSweepScale(t *testing.T) {
 	const spawn = 200_000
 	const outside = 100_000
 	e := NewEngine()
-	p := &orderProbe{rng: rand.New(rand.NewSource(2)), cells: make([]int, pending+spawn+outside), spawn: spawn}
+	p := &orderProbe{rng: rand.New(rand.NewSource(2)), cells: make([]int, pending+spawn+outside), spawn: spawn,
+		delay: func(r *rand.Rand) Time { return Time(r.Intn(64)) }}
 	for i := 0; i < pending; i++ {
 		p.add(e, Time(p.rng.Intn(1<<18)))
 	}
@@ -140,6 +144,97 @@ func testDispatchOrderAtSweepScale(t *testing.T) {
 		if p.got[i] != p.want[i] {
 			t.Fatalf("dispatch[%d] = %+v, want %+v", i, p.got[i], p.want[i])
 		}
+	}
+}
+
+// testDispatchOrderWideKeys repeats the dispatch-order property over the
+// radix heap's whole key range: delays of every magnitude up to 2^61 ps, so
+// keys land in buckets for every bit of at; long runs of equal at, which
+// order by sequence number alone; and RunUntil deadlines chosen inside the
+// lowest non-empty bucket, so each window stops with that bucket's keys on
+// both sides of the deadline and the next pushes are filed against a last
+// key from the middle of a bucket.
+func testDispatchOrderWideKeys(t *testing.T) {
+	const initial, outside, spawn = 30_000, 20_000, 10_000
+	e := NewEngine()
+	p := &orderProbe{rng: rand.New(rand.NewSource(3)), cells: make([]int, initial+outside+spawn), spawn: spawn, delay: wideDelay}
+	schedule := func(n int) {
+		for n > 0 {
+			at := e.Now() + wideDelay(p.rng)
+			run := 1 + p.rng.Intn(8)
+			if p.rng.Intn(16) == 0 {
+				run = 1 + p.rng.Intn(2000)
+			}
+			for ; run > 0 && n > 0; run-- {
+				p.add(e, at)
+				n--
+			}
+		}
+	}
+	schedule(initial)
+	left := outside
+	for window := 0; e.Pending() > 0; window++ {
+		if window%64 == 0 {
+			checkQueue(t, e)
+		}
+		b, _ := e.head()
+		lo, hi := e.buckets[b][0].at, e.buckets[b][0].at
+		for _, k := range e.buckets[b] {
+			lo, hi = min(lo, k.at), max(hi, k.at)
+		}
+		deadline := lo + (hi-lo)/2
+		e.RunUntil(deadline)
+		if n := len(p.got); n == 0 || p.got[n-1].at > deadline {
+			t.Fatalf("window %d: RunUntil(%d) dispatched through %+v", window, deadline, p.got[max(n-1, 0):])
+		}
+		if e.Pending() > 0 {
+			if b, i := e.head(); e.buckets[b][i].at <= deadline {
+				t.Fatalf("window %d: RunUntil(%d) left %+v queued", window, deadline, e.buckets[b][i])
+			}
+		}
+		if left > 0 {
+			schedule(min(left, 500))
+			left -= 500
+		}
+	}
+	if p.bad != 0 {
+		t.Fatalf("%d dispatches carried another event's argument", p.bad)
+	}
+	sort.SliceStable(p.want, func(i, j int) bool { return p.want[i].at < p.want[j].at })
+	if len(p.got) != len(p.want) {
+		t.Fatalf("dispatched %d events, want %d", len(p.got), len(p.want))
+	}
+	for i := range p.want {
+		if p.got[i] != p.want[i] {
+			t.Fatalf("dispatch[%d] = %+v, want %+v", i, p.got[i], p.want[i])
+		}
+	}
+}
+
+// wideDelay draws a delay below 2^k ps for k uniform over 0..61 (k = 0
+// gives zero), so delays of every magnitude are equally common.
+func wideDelay(r *rand.Rand) Time { return Time(r.Int63n(1 << r.Intn(62))) }
+
+// checkQueue verifies the radix-heap invariant: every queued key exceeds
+// last and sits in the bucket its highest bit differing from last names,
+// the mask marks exactly the non-empty buckets, and the buckets hold
+// Pending keys.
+func checkQueue(t *testing.T, e *Engine) {
+	t.Helper()
+	n := 0
+	for b, ks := range e.buckets {
+		if marked := e.mask[b/64]>>(b%64)&1 == 1; marked != (len(ks) > 0) {
+			t.Fatalf("bucket %d holds %d keys but its mask bit is %v", b, len(ks), marked)
+		}
+		for _, k := range ks {
+			if !e.last.less(k) || bucket(k, e.last) != b {
+				t.Fatalf("key %+v in bucket %d (last %+v): want a key above last, in bucket %d", k, b, e.last, bucket(k, e.last))
+			}
+		}
+		n += len(ks)
+	}
+	if n != e.Pending() {
+		t.Fatalf("buckets hold %d keys, Pending = %d", n, e.Pending())
 	}
 }
 
@@ -202,8 +297,8 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	if ran != 1 || e.Pending() != 1 {
 		t.Fatalf("ran=%d pending=%d after RunUntil(100), want 1/1", ran, e.Pending())
 	}
-	if e.keys[0].at != 200 {
-		t.Fatalf("queue head at %v, want 200 (future event must stay queued)", e.keys[0].at)
+	if b, i := e.head(); e.buckets[b][i].at != 200 {
+		t.Fatalf("queue head at %v, want 200 (future event must stay queued)", e.buckets[b][i].at)
 	}
 	e.RunUntil(300)
 	if ran != 2 || e.Pending() != 0 {

@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel is a single-threaded event heap with picosecond resolution.
+// The kernel is a single-threaded event queue (a radix heap) with
+// picosecond resolution.
 // All network, processor, and coherence models in this repository are built
 // on top of it. Determinism is guaranteed by breaking timestamp ties with a
 // monotonically increasing sequence number, so two runs with the same seed

@@ -118,7 +118,7 @@ func (o *OpenLoop) send(src, dst geometry.SiteID, attempt int) {
 	}
 	p := &core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData}
 	delivered := false
-	p.OnDeliver = func(_ *core.Packet, _ sim.Time) { delivered = true }
+	p.Deliver = core.DeliverFunc(func(*core.Packet, sim.Time) { delivered = true })
 	o.Net.Inject(p)
 	o.Eng.Schedule(o.backoff(attempt), func() {
 		if delivered {
