@@ -34,19 +34,26 @@ staticcheck:
 # bench-smoke compiles and runs each pinned benchmark once — enough to catch
 # a benchmark that no longer builds or an allocation-guard regression that
 # panics, without timing noise. EngineHold holds the kernel queue at the
-# figure-6 sweep's measured median and 99th-percentile sizes.
+# figure-6 sweep's measured median and 99th-percentile sizes; NewRNG and
+# RNGDraw give one random stream's cost, from creation through the steady
+# state, beside math/rand's.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs three fuzz targets briefly: the distrib frame decoder,
-# the worker's cell-spec decoder, and the event queue (random schedules
-# checked against the (time, insertion order) reference). Plain `go test`
-# already replays their seed corpora (the round-trip and rejection tables,
-# the dispatch-order property shapes); this target also explores new inputs.
+# fuzz-smoke runs five fuzz targets briefly: the distrib frame decoder,
+# the worker's cell-spec decoder, the event queue (random schedules checked
+# against the (time, insertion order) reference), the random streams
+# (random call sequences checked against math/rand), and the operator-graph
+# JSON loader. Plain `go test` already replays their seed corpora (the
+# round-trip and rejection tables, the dispatch-order property shapes, the
+# edge seeds, the loader's accept and reject tables); this target also
+# explores new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzCellSpec$$' -fuzztime 10s ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 10s ./internal/opgraph
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second

@@ -171,18 +171,31 @@ func TestPresetErrors(t *testing.T) {
 	}
 }
 
+// loadJSONAccept and loadJSONReject are TestLoadJSON's accept and reject
+// tables; they also seed FuzzLoadJSON's corpus.
+const loadJSONAccept = `{
+	"name": "tiny",
+	"mtu": 8192,
+	"ops": [
+		{"kind": "attention", "site": 0, "compute_ps": 200},
+		{"kind": "all-reduce", "site": 1, "compute_ps": 100}
+	],
+	"edges": [{"from": 0, "to": 1, "bytes": 4096}]
+}`
+
+var loadJSONReject = []struct{ name, src string }{
+	{"unknown field", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1,"flops":9}]}`},
+	{"unknown kind", `{"name":"x","ops":[{"kind":"softmax","site":0,"compute_ps":1}]}`},
+	{"missing name", `{"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
+	{"invalid site", `{"name":"x","ops":[{"kind":"ffn","site":99,"compute_ps":1}]}`},
+	{"cycle", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":1},{"from":1,"to":0,"bytes":1}]}`},
+	{"negative mtu", `{"name":"x","mtu":-4096,"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
+	{"not json", `{"name":`},
+}
+
 func TestLoadJSON(t *testing.T) {
 	grid := testGrid()
-	src := `{
-		"name": "tiny",
-		"mtu": 8192,
-		"ops": [
-			{"kind": "attention", "site": 0, "compute_ps": 200},
-			{"kind": "all-reduce", "site": 1, "compute_ps": 100}
-		],
-		"edges": [{"from": 0, "to": 1, "bytes": 4096}]
-	}`
-	g, err := opgraph.LoadJSON(strings.NewReader(src), grid)
+	g, err := opgraph.LoadJSON(strings.NewReader(loadJSONAccept), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +212,7 @@ func TestLoadJSON(t *testing.T) {
 		t.Errorf("MTU = %d, want 8192", g.MTU)
 	}
 
-	bad := []struct{ name, src string }{
-		{"unknown field", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1,"flops":9}]}`},
-		{"unknown kind", `{"name":"x","ops":[{"kind":"softmax","site":0,"compute_ps":1}]}`},
-		{"missing name", `{"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
-		{"invalid site", `{"name":"x","ops":[{"kind":"ffn","site":99,"compute_ps":1}]}`},
-		{"cycle", `{"name":"x","ops":[{"kind":"ffn","site":0,"compute_ps":1},{"kind":"ffn","site":1,"compute_ps":1}],"edges":[{"from":0,"to":1,"bytes":1},{"from":1,"to":0,"bytes":1}]}`},
-		{"negative mtu", `{"name":"x","mtu":-4096,"ops":[{"kind":"ffn","site":0,"compute_ps":1}]}`},
-		{"not json", `{"name":`},
-	}
-	for _, tc := range bad {
+	for _, tc := range loadJSONReject {
 		if _, err := opgraph.LoadJSON(strings.NewReader(tc.src), grid); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

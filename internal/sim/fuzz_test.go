@@ -173,3 +173,31 @@ func fuzzSeeds() [][]byte {
 	}
 	return [][]byte{nil, ties, sweep, wide}
 }
+
+// FuzzRNGMatchesMathRand checks a stream against math/rand's for the same
+// seed under any sequence of calls. Each op byte picks one of rngMethods
+// with its low three bits and calls it 1+4·(op>>3) times, 1 to 125, so
+// short inputs cross draw 273, where the register is built, and draw 607.
+// A run stops after fuzzRNGCalls calls.
+func FuzzRNGMatchesMathRand(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, seed := range rngEdgeSeeds() {
+		ops := make([]byte, 24)
+		rng.Read(ops)
+		f.Add(seed, ops)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		got, want := NewRNG(seed), mathRandRNG(seed)
+		calls := 0
+		for _, op := range ops {
+			for r := 0; r <= 4*int(op>>3) && calls < fuzzRNGCalls; r++ {
+				sameCall(t, got, want, int(op&7), calls)
+				calls++
+			}
+		}
+	})
+}
+
+// fuzzRNGCalls bounds one FuzzRNGMatchesMathRand run: a few times past
+// draw 607, and short enough to keep the fuzzer's throughput up.
+const fuzzRNGCalls = 4000

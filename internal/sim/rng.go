@@ -6,14 +6,30 @@ import "math/rand"
 // needs randomness (traffic generators, workload models, sharer selection)
 // owns its own stream, derived from the run seed and a component label, so
 // adding randomness to one component never perturbs another.
+//
+// A stream returns exactly what rand.New(rand.NewSource(seed)) returns.
+// So only seed mod (2³¹−1) selects a stream, and residues 0 and 89482311
+// share one: DeriveSeed's 63 bits choose among 2³¹−2 streams. That is kept
+// because every stream stays byte-identical; another generator would change
+// every stream and need a harness.ModelSalt bump.
+//
+// An RNG is used only by pointer: its source repoints r when the stream's
+// state is built (see prefixSource).
 type RNG struct {
 	seed int64
 	r    *rand.Rand
+	src  prefixSource
 }
 
-// NewRNG returns a stream seeded with seed.
+// NewRNG returns the stream of rand.NewSource(seed), which only
+// seed mod (2³¹−1) selects. It allocates 96 bytes; the stream's 274th value
+// builds the 4.9 KB state, so a stream that draws at most 273 values never
+// pays for it.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	g := &RNG{seed: seed}
+	g.src = prefixSource{x: reduceSeed(seed), owner: &g.r}
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Seed returns the seed the stream was created with.
