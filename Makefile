@@ -40,20 +40,23 @@ staticcheck:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs five fuzz targets briefly: the distrib frame decoder,
+# fuzz-smoke runs six fuzz targets briefly: the distrib frame decoder,
 # the worker's cell-spec decoder, the event queue (random schedules checked
 # against the (time, insertion order) reference), the random streams
-# (random call sequences checked against math/rand), and the operator-graph
-# JSON loader. Plain `go test` already replays their seed corpora (the
-# round-trip and rejection tables, the dispatch-order property shapes, the
-# edge seeds, the loader's accept and reject tables); this target also
-# explores new inputs.
+# (random call sequences checked against math/rand), the operator-graph
+# JSON loader, and the daemon's experiment-config decoder (accepted configs
+# normalize to themselves and keep every list within its cap). Plain
+# `go test` already replays their seed corpora (the round-trip and
+# rejection tables, the dispatch-order property shapes, the edge seeds, the
+# loader's accept and reject tables, the daemon's validation tables); this
+# target also explores new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzCellSpec$$' -fuzztime 10s ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 10s ./internal/opgraph
+	$(GO) test -run '^$$' -fuzz '^FuzzExperimentConfig$$' -fuzztime 10s ./internal/server
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second

@@ -61,7 +61,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), "result cache directory (worker mode)")
 	noCache := flag.Bool("no-cache", false, "disable the result cache (worker mode)")
 	cacheURL := flag.String("cache-url", "", "rendezvous daemon base URL for the shared cache tier, e.g. http://host:8080 (worker mode)")
-	distDepth := flag.Int("dist-depth", distrib.DefaultCredits, "in-flight cell window advertised to the coordinator (worker mode)")
+	distDepth := flag.Int("dist-depth", distrib.DefaultCredits, "cells the coordinator may queue at this worker, which simulates one at a time (worker mode; 1 = stop-and-wait)")
 	flag.Parse()
 
 	// Worker mode must come before anything prints: in -worker mode stdout

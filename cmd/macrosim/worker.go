@@ -18,11 +18,12 @@ import (
 // transport is stdin/stdout (the coordinator spawned this process); with a
 // host:port it is a TCP dial-out to a coordinator listening via
 // -dist-addr. depth is the credit window advertised in the hello
-// (-dist-depth): up to that many cells compute concurrently while earlier
-// results drain back. Either way the worker's own result cache —
-// optionally backed by a daemon's shared tier via -cache-url — is the only
-// place results are persisted, through the same atomic temp-file+rename
-// publish every local run uses.
+// (-dist-depth): the coordinator queues up to that many cells here, and
+// the worker simulates them one at a time, answering in dispatch order, so
+// a many-core host runs one `macrosim -connect` per core. Either way the
+// worker's own result cache — optionally backed by a daemon's shared tier
+// via -cache-url — is the only place results are persisted, through the
+// same atomic temp-file+rename publish every local run uses.
 func runWorker(connect, cacheDir string, noCache bool, cacheURL string, depth int) int {
 	cache, err := expcache.OpenOrDisable(cacheDir, noCache)
 	if err != nil {

@@ -39,7 +39,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.exec, "dist-exec", "macrosim", "worker binary spawned for -dist-workers (resolved via PATH)")
 	fs.IntVar(&f.wait, "dist-wait", 0, "wait for this many attached workers before sweeping (0 = start immediately)")
 	fs.DurationVar(&f.waitFor, "dist-wait-timeout", time.Minute, "how long -dist-wait waits before giving up")
-	fs.IntVar(&f.depth, "dist-depth", distrib.DefaultCredits, "per-worker in-flight cell window (pipelining depth; 1 = stop-and-wait)")
+	fs.IntVar(&f.depth, "dist-depth", distrib.DefaultCredits, "cells queued per worker; each worker simulates one at a time (1 = stop-and-wait)")
 	fs.IntVar(&f.local, "dist-local", 0, "local steal slots computing cells alongside the fleet (0 = auto: GOMAXPROCS when remote-only, else off; -1 = off)")
 	fs.StringVar(&f.cacheURL, "cache-url", "", "macrochipd base URL for the shared cache tier, e.g. http://host:8080")
 	return f

@@ -278,18 +278,24 @@ func cellKey(kind string, spec []byte) expcache.Key {
 }
 
 // cell is one study point on its way to a result: its kind, its spec
-// marshalled once, and how to compute it in-process.
+// marshalled once, the cache key hashed from it once, and how to compute
+// it in-process.
 type cell[T any] struct {
 	kind  string
 	spec  []byte
+	key   expcache.Key
 	local func() T
 }
 
-// newCell marshals spec for kind. A spec holding a NaN or ±Inf float has
-// no JSON form; its cell keeps a nil spec and runs locally, uncached.
+// newCell marshals spec for kind and derives its key. A spec holding a NaN
+// or ±Inf float has no JSON form; its cell keeps a nil spec and runs
+// locally, uncached.
 func newCell[T any](kind string, spec any, local func() T) cell[T] {
-	data, _ := json.Marshal(spec)
-	return cell[T]{kind: kind, spec: data, local: local}
+	c := cell[T]{kind: kind, local: local}
+	if data, err := json.Marshal(spec); err == nil {
+		c.spec, c.key = data, cellKey(kind, data)
+	}
+	return c
 }
 
 // run computes the cell behind the cache (nil: uncached) and, on a miss,
@@ -299,7 +305,7 @@ func (c cell[T]) run(cache *expcache.Cache, d *Coordinator) T {
 	if c.spec == nil {
 		return c.local()
 	}
-	return expcache.Do(cache, cellKey(c.kind, c.spec), func() T {
+	return expcache.Do(cache, c.key, func() T {
 		return distCell(d, c.kind, c.spec, c.local)
 	})
 }
@@ -311,7 +317,7 @@ func runCells[T any](r Runner, cells []cell[T]) []T {
 	keys := make([]expcache.Key, 0, len(cells))
 	for _, c := range cells {
 		if c.spec != nil {
-			keys = append(keys, cellKey(c.kind, c.spec))
+			keys = append(keys, c.key)
 		}
 	}
 	r.Cache.Prefetch(keys)

@@ -279,7 +279,6 @@ func BenchmarkCellKey(b *testing.B) {
 	cfg := benchLoadPointConfig(networks.PointToPoint)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := loadPointCell(cfg)
-		keySink = cellKey(c.kind, c.spec)
+		keySink = loadPointCell(cfg).key
 	}
 }

@@ -1,8 +1,9 @@
 package harness
 
 import (
-	"strconv"
+	"fmt"
 	"testing"
+	"time"
 
 	"macrochip/internal/networks"
 )
@@ -45,30 +46,33 @@ func benchDistSweep(b *testing.B, r Runner) {
 // serial in-process reference. The delta against serial is the whole
 // distribution tax: spec marshal, NDJSON framing, the coordinator's
 // dispatch bookkeeping, and the result's decode-and-remarshal — paid per
-// cell, amortized over that cell's simulation. The depth axis isolates the
-// pipelining win: depth 1 is stop-and-wait (one protocol round trip of
-// dead air per cell), depth 8 keeps the window full so the round trip
-// overlaps the next cell's simulation. Read the committed
-// baseline knowing the workers here share the host's cores with the
-// coordinator (pipe transport, no second machine), so on a single-core
-// host every worker count measures pure coordination overhead with no
-// parallel win available.
+// cell, amortized over that cell's simulation. The depth axis prices the
+// credit window: depth 1 is stop-and-wait (one protocol round trip of dead
+// air per cell), depth 2 and up keep the next cell queued at the worker so
+// the round trip overlaps the current cell's simulation. The rtt axis runs
+// each fleet over plain pipes and again over delayPipe links with a 1 ms
+// round trip, a stand-in for a LAN. Read the results knowing the workers
+// here share the host's cores with the coordinator (no second machine), so
+// on a single-core host every worker count measures pure coordination
+// overhead with no parallel win available.
 func BenchmarkDistributedSweep(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		benchDistSweep(b, Serial)
 	})
 	for _, n := range []int{1, 2, 4} {
-		for _, depth := range []int{1, 8} {
-			b.Run("workers-"+strconv.Itoa(n)+"/depth-"+strconv.Itoa(depth), func(b *testing.B) {
-				c, _ := pipeFleetDepth(b, n, depth, testFleetConfig())
-				defer c.Close()
-				b.ResetTimer()
-				benchDistSweep(b, Runner{Dist: c})
-				b.StopTimer()
-				if st := c.Stats(); st.Completed == 0 || st.LocalFallback != 0 {
-					b.Fatalf("fleet did not serve the sweep: %+v", st)
-				}
-			})
+		for _, depth := range []int{1, 2, 8} {
+			for _, rtt := range []time.Duration{0, time.Millisecond} {
+				b.Run(fmt.Sprintf("workers-%d/depth-%d/rtt-%v", n, depth, rtt), func(b *testing.B) {
+					c, _ := pipeFleetDepth(b, n, depth, rtt/2, testFleetConfig())
+					defer c.Close()
+					b.ResetTimer()
+					benchDistSweep(b, Runner{Dist: c})
+					b.StopTimer()
+					if st := c.Stats(); st.Completed == 0 || st.LocalFallback != 0 {
+						b.Fatalf("fleet did not serve the sweep: %+v", st)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,11 +27,12 @@ type pipeWorker struct {
 // startPipeWorker runs ServeWorker in-process and attaches it to c. The
 // connection is registered as remote so its capacity unit is surrendered on
 // detach (matching a TCP worker's lifecycle, which has no respawn). depth
-// is the credit window the worker advertises (<=0 means the default).
-func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner, depth int) *pipeWorker {
+// is the credit window the worker advertises (<=0 means the default);
+// delay is each direction's one-way latency (0: none, as over plain pipes).
+func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner, depth int, delay time.Duration) *pipeWorker {
 	tb.Helper()
-	cellR, cellW := io.Pipe()     // coordinator → worker
-	resultR, resultW := io.Pipe() // worker → coordinator
+	cellR, cellW := delayPipe(delay)     // coordinator → worker
+	resultR, resultW := delayPipe(delay) // worker → coordinator
 	quit := make(chan struct{})
 	go func() {
 		ServeWorker(cellR, resultW, r, name, depth, quit, io.Discard) //nolint:errcheck // pipe teardown errors are expected
@@ -48,20 +50,97 @@ func startPipeWorker(tb testing.TB, c *Coordinator, name string, r Runner, depth
 	return &pipeWorker{crash: kill}
 }
 
+// delayPipe is io.Pipe with a one-way latency: every write reaches the
+// reader d after it was made, and the writer does not wait for it, as a
+// frame on a network link. One each way gives a pipe worker a 2d round
+// trip. d <= 0 returns a plain io.Pipe.
+func delayPipe(d time.Duration) (*io.PipeReader, io.WriteCloser) {
+	r, w := io.Pipe()
+	if d <= 0 {
+		return r, w
+	}
+	dw := &delayWriter{d: d}
+	dw.ready = sync.NewCond(&dw.mu)
+	go dw.deliver(w)
+	return r, dw
+}
+
+type delayedFrame struct {
+	at time.Time
+	b  []byte
+}
+
+// delayWriter is delayPipe's write end: it stamps each write with its
+// delivery time and queues it for deliver. The queue is unbounded; the
+// protocol's credit window bounds it in practice.
+type delayWriter struct {
+	d      time.Duration
+	mu     sync.Mutex
+	ready  *sync.Cond
+	queue  []delayedFrame
+	closed bool
+}
+
+func (w *delayWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return 0, io.ErrClosedPipe
+	}
+	w.queue = append(w.queue, delayedFrame{at: time.Now().Add(w.d), b: bytes.Clone(p)})
+	w.ready.Signal()
+	return len(p), nil
+}
+
+// Close refuses further writes; frames already written are still
+// delivered before the pipe closes, as data sent ahead of a socket's FIN.
+func (w *delayWriter) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closed = true
+	w.ready.Signal()
+	return nil
+}
+
+// deliver writes each frame into the pipe at its delivery time, in order,
+// and closes the pipe after the last one once w is closed. A failed pipe
+// write (the reader closed) ends delivery.
+func (w *delayWriter) deliver(pw *io.PipeWriter) {
+	defer pw.Close()
+	for {
+		w.mu.Lock()
+		for len(w.queue) == 0 && !w.closed {
+			w.ready.Wait()
+		}
+		if len(w.queue) == 0 {
+			w.mu.Unlock()
+			return
+		}
+		f := w.queue[0]
+		w.queue = w.queue[1:]
+		w.mu.Unlock()
+		time.Sleep(time.Until(f.at))
+		if _, err := pw.Write(f.b); err != nil {
+			return
+		}
+	}
+}
+
 // pipeFleet builds a transport-free coordinator with n in-process workers,
 // each advertising the default credit window.
 func pipeFleet(tb testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, []*pipeWorker) {
 	tb.Helper()
-	return pipeFleetDepth(tb, n, 0, cfg)
+	return pipeFleetDepth(tb, n, 0, 0, cfg)
 }
 
-// pipeFleetDepth is pipeFleet with an explicit per-worker credit window.
-func pipeFleetDepth(tb testing.TB, n, depth int, cfg CoordinatorConfig) (*Coordinator, []*pipeWorker) {
+// pipeFleetDepth is pipeFleet with an explicit per-worker credit window
+// and one-way link delay.
+func pipeFleetDepth(tb testing.TB, n, depth int, delay time.Duration, cfg CoordinatorConfig) (*Coordinator, []*pipeWorker) {
 	tb.Helper()
 	c := newCoordinator(cfg)
 	workers := make([]*pipeWorker, n)
 	for i := range workers {
-		workers[i] = startPipeWorker(tb, c, fmt.Sprintf("pipe-%d", i), Runner{Workers: 1}, depth)
+		workers[i] = startPipeWorker(tb, c, fmt.Sprintf("pipe-%d", i), Runner{Workers: 1}, depth, delay)
 	}
 	if err := c.AwaitWorkers(n, 10*time.Second); err != nil {
 		tb.Fatal(err)
@@ -237,7 +316,7 @@ func TestDistChaosMisbehavingWorkers(t *testing.T) {
 		select {} //nolint:staticcheck // deliberately wedged
 	})
 	// One honest worker keeps the fleet alive.
-	startPipeWorker(t, c, "honest", Runner{Workers: 1}, 0)
+	startPipeWorker(t, c, "honest", Runner{Workers: 1}, 0, 0)
 
 	cfgPt := quickCfg()
 	cfgPt.Network = networks.PointToPoint
@@ -362,7 +441,7 @@ func TestDistDepthSweepByteIdentity(t *testing.T) {
 	serial := render(Serial)
 	for _, n := range []int{1, 2, 4} {
 		for _, depth := range []int{1, 4, 8} {
-			c, _ := pipeFleetDepth(t, n, depth, testFleetConfig())
+			c, _ := pipeFleetDepth(t, n, depth, 0, testFleetConfig())
 			got := render(Runner{Dist: c})
 			st := c.Stats()
 			c.Close()
@@ -451,6 +530,124 @@ func TestDistOutOfOrderResults(t *testing.T) {
 	if st.OutOfOrder != window-1 {
 		t.Errorf("OutOfOrder = %d, want %d (reverse order inverts all but the last reply): %+v",
 			st.OutOfOrder, window-1, st)
+	}
+}
+
+// serveRaw runs ServeWorker with the given window and quit over io.Pipe,
+// reads its hello, and returns the worker's cell input, a reader of its
+// replies, and ServeWorker's result once it returns.
+func serveRaw(t *testing.T, window int, quit <-chan struct{}) (io.WriteCloser, *distrib.Reader, <-chan error) {
+	t.Helper()
+	cellR, cellW := io.Pipe()
+	resultR, resultW := io.Pipe()
+	t.Cleanup(func() { cellW.Close(); resultR.Close() })
+	done := make(chan error, 1)
+	go func() {
+		err := ServeWorker(cellR, resultW, Runner{Workers: 1}, "raw", window, quit, io.Discard)
+		resultW.Close()
+		done <- err
+	}()
+	rd := distrib.NewReader(resultR)
+	if m, err := rd.Read(); err != nil || m.Type != distrib.TypeHello || m.Credits != window {
+		t.Fatalf("hello = %+v, %v; want a hello advertising %d credits", m, err, window)
+	}
+	return cellW, rd, done
+}
+
+// windowCells builds n point-to-point load-point cells with IDs 1..n; the
+// cell at index slow simulates a measure window 20× longer than the rest.
+func windowCells(t *testing.T, n, slow int) ([]LoadPointConfig, []distrib.Msg) {
+	t.Helper()
+	base := quickCfg()
+	base.Network = networks.PointToPoint
+	base.Pattern = traffic.Uniform{Grid: base.Params.Grid}
+	cfgs := make([]LoadPointConfig, n)
+	cells := make([]distrib.Msg, n)
+	for i := range cfgs {
+		cfg := base
+		cfg.Load = 0.01 * float64(i+1)
+		cfg.Seed = PointSeed(1, cfg.Network, "uniform", cfg.Load)
+		if i == slow {
+			cfg.Measure *= 20
+		}
+		cfgs[i] = cfg
+		cells[i] = distrib.Msg{Type: distrib.TypeCell, ID: int64(i + 1), Kind: CellLoadPoint, Spec: mustMarshal(t, specForLoadPoint(cfg))}
+	}
+	return cfgs, cells
+}
+
+// writeCells writes cells to w from its own goroutine, so a test can read
+// replies while the window is still being sent, then closes w when eof is
+// set. The returned channel closes once every write has returned.
+func writeCells(w io.WriteCloser, cells []distrib.Msg, eof bool) <-chan struct{} {
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for _, m := range cells {
+			if distrib.Write(w, m) != nil {
+				return
+			}
+		}
+		if eof {
+			w.Close()
+		}
+	}()
+	return sent
+}
+
+// TestWorkerAnswersInDispatchOrder pins the worker's one-cell-at-a-time
+// contract: fed a full window whose first cell is by far the slowest,
+// ServeWorker answers every cell in dispatch order, each with the value a
+// local run computes. A worker that simulated its window concurrently
+// would answer the fast cells first.
+func TestWorkerAnswersInDispatchOrder(t *testing.T) {
+	const window = 4
+	cellW, rd, done := serveRaw(t, window, nil)
+	cfgs, cells := windowCells(t, window, 0)
+	writeCells(cellW, cells, true)
+	for i, cfg := range cfgs {
+		m, err := rd.Read()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i+1, err)
+		}
+		if m.Type != distrib.TypeResult || m.ID != cells[i].ID {
+			t.Fatalf("reply %d is a %s for cell %d, want the result for cell %d (dispatch order)", i+1, m.Type, m.ID, cells[i].ID)
+		}
+		if want := mustMarshal(t, RunLoadPoint(cfg)); string(m.Value) != string(want) {
+			t.Errorf("cell %d: %s != %s", m.ID, m.Value, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ServeWorker after EOF: %v", err)
+	}
+}
+
+// TestWorkerQuitAnswersOnlyCurrentCell pins the worker's quit: with a
+// window of cells queued, closing quit lets the cell being simulated
+// finish and be answered, then ServeWorker returns nil without taking
+// another queued cell (the coordinator requeues those, as on any worker
+// exit). No reply is read before quit closes, so the worker cannot have
+// moved past the first cell: at most that cell may be answered.
+func TestWorkerQuitAnswersOnlyCurrentCell(t *testing.T) {
+	const window = 4
+	quit := make(chan struct{})
+	cellW, rd, done := serveRaw(t, window, quit)
+	_, cells := windowCells(t, window, 0)
+	<-writeCells(cellW, cells, false)
+	close(quit)
+	var replies []int64
+	for {
+		m, err := rd.Read()
+		if err != nil {
+			break
+		}
+		replies = append(replies, m.ID)
+	}
+	if len(replies) > 1 || len(replies) == 1 && replies[0] != cells[0].ID {
+		t.Fatalf("replies after quit = %v, want at most cell %d's", replies, cells[0].ID)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ServeWorker after quit: %v", err)
 	}
 }
 

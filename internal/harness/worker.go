@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"macrochip/internal/distrib"
 )
@@ -15,13 +14,13 @@ import (
 // `macrosim -worker` over stdin/stdout, `macrosim -connect` over TCP.
 //
 // depth is the credit window the worker advertises in its hello: the
-// coordinator may stream up to that many unanswered cells, and the worker
-// computes them on a bounded pool of the same size, replying in completion
-// order — results drain while later cells simulate, so the connection
+// coordinator may queue up to that many unanswered cells, so the next cell
+// is already waiting here while a reply travels back and the connection
 // never sits idle across a protocol round trip. Any value below one means
-// distrib.DefaultCredits; depth 1 is stop-and-wait, one cell at a time.
-// Every reply goes through one serialized writer, so frames are never
-// interleaved however the pool finishes.
+// distrib.DefaultCredits; depth 1 is stop-and-wait. The window queues
+// cells, it does not run them: the worker simulates one cell at a time, in
+// arrival order, and answers in dispatch order, so a worker uses one core
+// and a many-core host runs one worker per core.
 //
 // Results reach the rendezvous store only through the Runner's cache (the
 // atomic temp-file+rename publish in expcache, plus its optional HTTP
@@ -33,10 +32,11 @@ import (
 // A cell that fails — bad spec, unknown kind, or a panicking simulation —
 // answers with an error message and the worker keeps serving; only a
 // protocol violation from the coordinator (who is trusted) or a transport
-// error ends the session. Closing quit drains gracefully: every in-flight
+// error ends the session. Closing quit ends it gracefully: the current
 // cell finishes and is answered, then ServeWorker returns nil before
-// taking another (the SIGTERM path of cmd/macrosim). A clean EOF or a
-// shutdown message also drains the in-flight cells and returns nil.
+// taking another, and the coordinator requeues the cells still queued, as
+// on any worker exit (the SIGTERM path of cmd/macrosim). A clean EOF or a
+// shutdown message also returns nil.
 func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, quit <-chan struct{}, logw io.Writer) error {
 	if depth <= 0 {
 		depth = distrib.DefaultCredits
@@ -45,46 +45,20 @@ func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, 
 		logw = io.Discard
 	}
 
-	// One writer, many computing goroutines: replies are serialized by
-	// writeMu and the first transport error is latched so the session can
-	// end with it once the in-flight cells have settled. The latch lives
-	// under its own mutex — never writeMu — because the serve loop polls
-	// failed() between cells: if that poll had to wait for an in-flight
-	// reply frame, a full window could close a blocking cycle through the
-	// coordinator (reply write → pump → serve's cell write → reader →
-	// this loop) and wedge both sides.
-	var (
-		writeMu  sync.Mutex
-		errMu    sync.Mutex
-		writeErr error
-	)
-	failed := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return writeErr
-	}
-	write := func(m distrib.Msg) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if failed() != nil {
-			return
-		}
-		if err := distrib.Write(out, m); err != nil {
-			errMu.Lock()
-			writeErr = err
-			errMu.Unlock()
-		}
-	}
-
 	if err := distrib.Write(out, distrib.Msg{Type: distrib.TypeHello, Version: distrib.Version, Worker: name, Credits: depth}); err != nil {
 		return fmt.Errorf("harness: worker hello: %w", err)
 	}
 
+	// The reader buffers a full window. While this loop simulates or
+	// writes a reply, the coordinator may still be writing queued cells;
+	// over a synchronous transport (io.Pipe) an unbuffered hand-off would
+	// block those writes, the coordinator would stop reading replies, and
+	// both sides would wedge.
 	type incoming struct {
 		msg distrib.Msg
 		err error
 	}
-	msgs := make(chan incoming)
+	msgs := make(chan incoming, depth)
 	go func() {
 		rd := distrib.NewReader(in)
 		for {
@@ -100,52 +74,37 @@ func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, 
 		}
 	}()
 
-	// pool bounds concurrent cell computes to the advertised window; the
-	// coordinator should never exceed it, but a slot acquire here keeps a
-	// miscounting peer from ballooning this process instead of erroring.
-	pool := make(chan struct{}, depth)
-	var inflight sync.WaitGroup
-	drain := func() { inflight.Wait() }
-
 	cells := 0
 	for {
+		var in incoming
 		select {
 		case <-quit:
-			drain()
-			fmt.Fprintf(logw, "worker %s: draining after %d cells\n", name, cells)
-			return nil
-		case in := <-msgs:
-			if in.err == io.EOF {
-				drain()
-				return nil
-			}
-			if in.err != nil {
-				drain()
-				return fmt.Errorf("harness: worker %s: %w", name, in.err)
-			}
-			m := in.msg
-			switch m.Type {
-			case distrib.TypeCell:
-				pool <- struct{}{}
-				inflight.Add(1)
-				go func() {
-					defer inflight.Done()
-					defer func() { <-pool }()
-					write(executeCell(r, m))
-				}()
-				cells++
-			case distrib.TypeShutdown:
-				drain()
-				fmt.Fprintf(logw, "worker %s: shutdown after %d cells\n", name, cells)
-				return nil
-			default:
-				drain()
-				return fmt.Errorf("harness: worker %s: unexpected %q message from coordinator", name, m.Type)
-			}
+		case in = <-msgs:
 		}
-		if err := failed(); err != nil {
-			drain()
-			return fmt.Errorf("harness: worker %s: writing reply: %w", name, err)
+		// A closed quit wins over a queued cell.
+		select {
+		case <-quit:
+			fmt.Fprintf(logw, "worker %s: quitting after %d cells\n", name, cells)
+			return nil
+		default:
+		}
+		if in.err == io.EOF {
+			return nil
+		}
+		if in.err != nil {
+			return fmt.Errorf("harness: worker %s: %w", name, in.err)
+		}
+		switch m := in.msg; m.Type {
+		case distrib.TypeCell:
+			if err := distrib.Write(out, executeCell(r, m)); err != nil {
+				return fmt.Errorf("harness: worker %s: writing reply: %w", name, err)
+			}
+			cells++
+		case distrib.TypeShutdown:
+			fmt.Fprintf(logw, "worker %s: shutdown after %d cells\n", name, cells)
+			return nil
+		default:
+			return fmt.Errorf("harness: worker %s: unexpected %q message from coordinator", name, m.Type)
 		}
 	}
 }

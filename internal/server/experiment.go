@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 
 	"macrochip/internal/core"
@@ -34,11 +37,13 @@ type ExperimentConfig struct {
 	// Pattern names the figure-6 traffic pattern: uniform, transpose,
 	// neighbor, butterfly (required for kind "figure6").
 	Pattern string `json:"pattern,omitempty"`
-	// Networks restricts figure6/resilience to a subset of network kinds
-	// (default: the study's full set).
+	// Networks restricts figure6/resilience/inference to a subset of
+	// network kinds, each named at most once (default: the study's full
+	// set).
 	Networks []string `json:"networks,omitempty"`
-	// Loads restricts figure6 to specific offered loads, as fractions of
-	// site bandwidth in (0, 1] (default: the paper's per-pattern grid).
+	// Loads restricts figure6 to at most 64 specific offered loads, as
+	// fractions of site bandwidth in (0, 1] (default: the paper's
+	// per-pattern grid).
 	Loads []float64 `json:"loads,omitempty"`
 	// WarmupNS/MeasureNS override the simulation windows (figure6 and
 	// resilience). Zero keeps the study default.
@@ -49,12 +54,13 @@ type ExperimentConfig struct {
 	// (default 1.0).
 	Scale float64 `json:"scale,omitempty"`
 
-	// GridSizes lists the N of each N×N macrochip for kind "scaling"
-	// (default 4, 8, 16).
+	// GridSizes lists the N of each N×N macrochip for kind "scaling", at
+	// most 16 of them (default 4, 8, 16).
 	GridSizes []int `json:"grid_sizes,omitempty"`
 
 	// Classes, Rates, Load and MTTRMicros configure kind "resilience",
-	// mirroring cmd/resilience's -classes/-rates/-load/-mttr flags.
+	// mirroring cmd/resilience's -classes/-rates/-load/-mttr flags. Each
+	// fault class is named at most once; at most 16 rates.
 	Classes    []string  `json:"classes,omitempty"`
 	Rates      []float64 `json:"rates,omitempty"`
 	Load       float64   `json:"load,omitempty"`
@@ -62,7 +68,8 @@ type ExperimentConfig struct {
 
 	// Graphs, Batches and SeqLens configure kind "inference", mirroring
 	// cmd/inference's -graphs/-batches/-seqs flags (presets only — the
-	// -graph-json escape hatch stays CLI-local).
+	// -graph-json escape hatch stays CLI-local). Each preset is named at
+	// most once; at most 8 batches and 8 seq_lens.
 	Graphs  []string `json:"graphs,omitempty"`
 	Batches []int    `json:"batches,omitempty"`
 	SeqLens []int    `json:"seq_lens,omitempty"`
@@ -94,8 +101,22 @@ func badField(field, format string, args ...any) *ConfigError {
 	return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
+// decodeConfig is the submit path's parse of a request body: a strict JSON
+// decode (an unknown field is an error), then normalize.
+func decodeConfig(body io.Reader) (ExperimentConfig, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var cfg ExperimentConfig
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("invalid experiment config: %w", err)
+	}
+	return cfg.normalize()
+}
+
 // normalize validates cfg and fills CLI-equivalent defaults, returning the
-// canonical config that is both executed and displayed in job status.
+// canonical config that is both executed and displayed in job status. No
+// list may repeat a name or be set on a kind that does not read it, so
+// every list is bounded by its allowed set or its count cap.
 func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -145,9 +166,12 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 		if _, err := parseKinds(cfg.Networks, networks.Six()); err != nil {
 			return cfg, err
 		}
-		for _, s := range cfg.Classes {
+		for i, s := range cfg.Classes {
 			if _, err := fault.ParseClass(s); err != nil {
 				return cfg, badField("classes", "%v", err)
+			}
+			if slices.Contains(cfg.Classes[:i], s) {
+				return cfg, badField("classes", "class %q named twice", s)
 			}
 		}
 		if len(cfg.Rates) > 16 {
@@ -168,9 +192,12 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 		if _, err := parseKinds(cfg.Networks, networks.Six()); err != nil {
 			return cfg, err
 		}
-		for _, g := range cfg.Graphs {
-			if !isPreset(g) {
+		for i, g := range cfg.Graphs {
+			if !slices.Contains(opgraph.PresetNames(), g) {
 				return cfg, badField("graphs", "unknown graph preset %q (have %s)", g, strings.Join(opgraph.PresetNames(), ", "))
+			}
+			if slices.Contains(cfg.Graphs[:i], g) {
+				return cfg, badField("graphs", "graph %q named twice", g)
 			}
 		}
 		if len(cfg.Batches) > 8 || len(cfg.SeqLens) > 8 {
@@ -194,10 +221,29 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 	default:
 		return cfg, badField("kind", "unknown kind %q (want figure6, study, scaling, resilience or inference)", cfg.Kind)
 	}
+	for _, l := range []struct {
+		field string
+		set   bool
+		kinds []string
+	}{
+		{"networks", len(cfg.Networks) > 0, []string{"figure6", "resilience", "inference"}},
+		{"loads", len(cfg.Loads) > 0, []string{"figure6"}},
+		{"grid_sizes", len(cfg.GridSizes) > 0, []string{"scaling"}},
+		{"classes", len(cfg.Classes) > 0, []string{"resilience"}},
+		{"rates", len(cfg.Rates) > 0, []string{"resilience"}},
+		{"graphs", len(cfg.Graphs) > 0, []string{"inference"}},
+		{"batches", len(cfg.Batches) > 0, []string{"inference"}},
+		{"seq_lens", len(cfg.SeqLens) > 0, []string{"inference"}},
+	} {
+		if l.set && !slices.Contains(l.kinds, cfg.Kind) {
+			return cfg, badField(l.field, "kind %q does not read %s", cfg.Kind, l.field)
+		}
+	}
 	return cfg, nil
 }
 
-// parseKinds maps network names onto the allowed set for the study.
+// parseKinds maps network names onto the allowed set for the study; a
+// name may appear once.
 func parseKinds(names []string, allowed []networks.Kind) ([]networks.Kind, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -205,15 +251,11 @@ func parseKinds(names []string, allowed []networks.Kind) ([]networks.Kind, error
 	kinds := make([]networks.Kind, 0, len(names))
 	for _, s := range names {
 		k := networks.Kind(s)
-		ok := false
-		for _, have := range allowed {
-			if k == have {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(allowed, k) {
 			return nil, badField("networks", "unknown network %q (have %v)", s, allowed)
+		}
+		if slices.Contains(kinds, k) {
+			return nil, badField("networks", "network %q named twice", s)
 		}
 		kinds = append(kinds, k)
 	}
@@ -246,16 +288,6 @@ func (cfg ExperimentConfig) run(r harness.Runner) (*Result, error) {
 		return cfg.runInference(r)
 	}
 	return nil, badField("kind", "unknown kind %q", cfg.Kind)
-}
-
-// isPreset reports whether g names a built-in operator-graph preset.
-func isPreset(g string) bool {
-	for _, p := range opgraph.PresetNames() {
-		if p == g {
-			return true
-		}
-	}
-	return false
 }
 
 func (cfg ExperimentConfig) runFigure6(r harness.Runner) (*Result, error) {

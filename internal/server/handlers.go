@@ -23,14 +23,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "rate limit exceeded", "")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var cfg ExperimentConfig
-	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid experiment config: "+err.Error(), "")
-		return
-	}
-	cfg, err := cfg.normalize()
+	cfg, err := decodeConfig(r.Body)
 	if err != nil {
 		var ce *ConfigError
 		if errors.As(err, &ce) {

@@ -71,19 +71,24 @@ func TestInferenceDuplicatePostsCollapse(t *testing.T) {
 	}
 }
 
+// inferenceValidation lists inference request bodies that must 400 and the
+// field each must name; FuzzExperimentConfig starts from them too.
+var inferenceValidation = []struct {
+	name, body, field string
+}{
+	{"unknown graph", `{"kind":"inference","graphs":["resnet"]}`, "graphs"},
+	{"unknown network", `{"kind":"inference","networks":["hypercube"]}`, "networks"},
+	{"batch too large", `{"kind":"inference","batches":[65]}`, "batches"},
+	{"zero batch", `{"kind":"inference","batches":[0]}`, "batches"},
+	{"seq too large", `{"kind":"inference","seq_lens":[4096]}`, "seq_lens"},
+	{"too many seqs", `{"kind":"inference","batches":[1,2,3,4,5,6,7,8,9]}`, "batches"},
+	{"repeated graph", `{"kind":"inference","graphs":["prefill","decode-attention","prefill"]}`, "graphs"},
+	{"repeated network", `{"kind":"inference","networks":["two-phase","two-phase"]}`, "networks"},
+}
+
 func TestInferenceValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-	cases := []struct {
-		name, body, field string
-	}{
-		{"unknown graph", `{"kind":"inference","graphs":["resnet"]}`, "graphs"},
-		{"unknown network", `{"kind":"inference","networks":["hypercube"]}`, "networks"},
-		{"batch too large", `{"kind":"inference","batches":[65]}`, "batches"},
-		{"zero batch", `{"kind":"inference","batches":[0]}`, "batches"},
-		{"seq too large", `{"kind":"inference","seq_lens":[4096]}`, "seq_lens"},
-		{"too many seqs", `{"kind":"inference","batches":[1,2,3,4,5,6,7,8,9]}`, "batches"},
-	}
-	for _, tc := range cases {
+	for _, tc := range inferenceValidation {
 		code, _, raw := postExperiment(t, ts, tc.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: code = %d, want 400 (%s)", tc.name, code, raw)

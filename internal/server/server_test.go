@@ -280,34 +280,42 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
+// malformedConfigs lists one request body per validation failure class and
+// the field its 400 must name; FuzzExperimentConfig starts from them too.
+var malformedConfigs = []struct {
+	name, body, field string
+}{
+	{"not json", `{"kind":`, ""},
+	{"missing kind", `{}`, "kind"},
+	{"unknown kind", `{"kind":"nope"}`, "kind"},
+	{"unknown field", `{"kind":"scaling","wat":1}`, ""},
+	{"bad pattern", `{"kind":"figure6","pattern":"bogus"}`, "pattern"},
+	{"bad network", `{"kind":"figure6","pattern":"uniform","networks":["warp-drive"]}`, "networks"},
+	{"load out of range", `{"kind":"figure6","pattern":"uniform","loads":[1.5]}`, "loads"},
+	{"window too long", `{"kind":"figure6","pattern":"uniform","measure_ns":2000000}`, "measure_ns"},
+	{"bad grid size", `{"kind":"scaling","grid_sizes":[1]}`, "grid_sizes"},
+	{"bad class", `{"kind":"resilience","classes":["meteor-strike"]}`, "classes"},
+	{"negative rate", `{"kind":"resilience","rates":[-1]}`, "rates"},
+	{"bad scale", `{"kind":"study","scale":99}`, "scale"},
+	{"negative mtu", `{"kind":"inference","mtu":-4096}`, "mtu"},
+	{"oversized mtu", `{"kind":"inference","mtu":2097152}`, "mtu"},
+	// "shards" is no longer a config field: any value, in range or not,
+	// is a structured 400 from the unknown-field check.
+	{"negative shards", `{"kind":"figure6","pattern":"uniform","shards":-2}`, ""},
+	{"oversized shards", `{"kind":"figure6","pattern":"uniform","shards":65}`, ""},
+	{"in-range shards", `{"kind":"figure6","pattern":"uniform","shards":4}`, ""},
+	// A repeated name would multiply a request's cells without bound.
+	{"repeated network", `{"kind":"figure6","pattern":"uniform","networks":["two-phase","point-to-point","two-phase"]}`, "networks"},
+	{"repeated class", `{"kind":"resilience","classes":["dark-laser","dark-laser"]}`, "classes"},
+	// A list its kind never reads is refused, not carried unbounded.
+	{"list the kind ignores", `{"kind":"study","loads":[0.5]}`, "loads"},
+}
+
 // TestMalformedConfigs pins the structured 400 contract for every
 // validation failure class.
 func TestMalformedConfigs(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-	cases := []struct {
-		name, body, field string
-	}{
-		{"not json", `{"kind":`, ""},
-		{"missing kind", `{}`, "kind"},
-		{"unknown kind", `{"kind":"nope"}`, "kind"},
-		{"unknown field", `{"kind":"scaling","wat":1}`, ""},
-		{"bad pattern", `{"kind":"figure6","pattern":"bogus"}`, "pattern"},
-		{"bad network", `{"kind":"figure6","pattern":"uniform","networks":["warp-drive"]}`, "networks"},
-		{"load out of range", `{"kind":"figure6","pattern":"uniform","loads":[1.5]}`, "loads"},
-		{"window too long", `{"kind":"figure6","pattern":"uniform","measure_ns":2000000}`, "measure_ns"},
-		{"bad grid size", `{"kind":"scaling","grid_sizes":[1]}`, "grid_sizes"},
-		{"bad class", `{"kind":"resilience","classes":["meteor-strike"]}`, "classes"},
-		{"negative rate", `{"kind":"resilience","rates":[-1]}`, "rates"},
-		{"bad scale", `{"kind":"study","scale":99}`, "scale"},
-		{"negative mtu", `{"kind":"inference","mtu":-4096}`, "mtu"},
-		{"oversized mtu", `{"kind":"inference","mtu":2097152}`, "mtu"},
-		// "shards" is no longer a config field: any value, in range or not,
-		// is a structured 400 from the unknown-field check.
-		{"negative shards", `{"kind":"figure6","pattern":"uniform","shards":-2}`, ""},
-		{"oversized shards", `{"kind":"figure6","pattern":"uniform","shards":65}`, ""},
-		{"in-range shards", `{"kind":"figure6","pattern":"uniform","shards":4}`, ""},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, raw := postExperiment(t, ts, tc.body)
 			if code != http.StatusBadRequest {
