@@ -40,16 +40,19 @@ staticcheck:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 
-# fuzz-smoke runs six fuzz targets briefly: the distrib frame decoder,
+# fuzz-smoke runs eight fuzz targets briefly: the distrib frame decoder,
 # the worker's cell-spec decoder, the event queue (random schedules checked
 # against the (time, insertion order) reference), the random streams
 # (random call sequences checked against math/rand), the operator-graph
-# JSON loader, and the daemon's experiment-config decoder (accepted configs
-# normalize to themselves and keep every list within its cap). Plain
-# `go test` already replays their seed corpora (the round-trip and
-# rejection tables, the dispatch-order property shapes, the edge seeds, the
-# loader's accept and reject tables, the daemon's validation tables); this
-# target also explores new inputs.
+# JSON loader, the daemon's experiment-config decoder (accepted configs
+# normalize to themselves and keep every list within its cap), the cache
+# key parser (accepted keys round-trip through Hex) and the remote cache's
+# batch answer (every accepted entry has a parsable key and is a JSON
+# value within the entry cap). Plain `go test` already replays their seed
+# corpora (the round-trip and rejection tables, the dispatch-order
+# property shapes, the edge seeds, the loader's accept and reject tables,
+# the daemon's validation tables, the key rejection table); this target
+# also explores new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzCellSpec$$' -fuzztime 10s ./internal/harness
@@ -57,6 +60,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRNGMatchesMathRand$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime 10s ./internal/opgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzExperimentConfig$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime 10s ./internal/expcache
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchEnvelope$$' -fuzztime 10s ./internal/expcache
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives one tiny experiment through the HTTP API twice (the second
@@ -65,9 +70,10 @@ fuzz-smoke:
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 
-# dist-smoke runs a tiny figure-6 panel serially and through a coordinator
-# with two locally spawned macrosim workers, and requires byte-identical
-# CSV plus proof (the dist summary) that cells actually crossed the wire.
+# dist-smoke runs a tiny figure-6 panel serially, through a coordinator
+# with two locally spawned macrosim workers, and through a mixed fleet (one
+# spawned worker beside one TCP worker), and requires byte-identical CSV
+# plus proof (the dist summary) that cells actually crossed the wire.
 dist-smoke:
 	@sh scripts/dist_smoke.sh
 

@@ -1,15 +1,17 @@
 // Package distflags wires the standard distributed-sweep flag block —
 // -dist-workers, -dist-addr, -dist-exec, -dist-wait, -dist-depth,
-// -dist-local, -cache-url — into the study CLIs (cmd/figures,
-// cmd/resilience, cmd/inference), so every sweep command grows the same
-// distributed surface with one Register call and the flags mean the same
-// thing everywhere.
+// -cache-url — into the study CLIs (cmd/figures, cmd/resilience,
+// cmd/inference) and the daemon (cmd/macrochipd), so every sweep command
+// grows the same distributed surface with one Register call and the flags
+// mean the same thing everywhere. The two fleet flags combine:
+// -dist-workers N beside -dist-addr puts this machine's cores into a
+// remote fleet as N local workers, so the coordinator's host does not idle
+// while remote workers compute.
 package distflags
 
 import (
 	"flag"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -26,7 +28,6 @@ type Flags struct {
 	wait     int
 	waitFor  time.Duration
 	depth    int
-	local    int
 	cacheURL string
 }
 
@@ -34,13 +35,12 @@ type Flags struct {
 // before flag.Parse).
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.workers, "dist-workers", 0, "spawn this many local worker processes (-dist-exec -worker) and fan sweep cells across them")
+	fs.IntVar(&f.workers, "dist-workers", 0, "spawn this many local worker processes (-dist-exec -worker) and fan sweep cells across them; beside -dist-addr they keep this machine's cores in the fleet")
 	fs.StringVar(&f.addr, "dist-addr", "", "listen on host:port for remote workers (macrosim -connect host:port)")
 	fs.StringVar(&f.exec, "dist-exec", "macrosim", "worker binary spawned for -dist-workers (resolved via PATH)")
 	fs.IntVar(&f.wait, "dist-wait", 0, "wait for this many attached workers before sweeping (0 = start immediately)")
 	fs.DurationVar(&f.waitFor, "dist-wait-timeout", time.Minute, "how long -dist-wait waits before giving up")
 	fs.IntVar(&f.depth, "dist-depth", distrib.DefaultCredits, "cells queued per worker; each worker simulates one at a time (1 = stop-and-wait)")
-	fs.IntVar(&f.local, "dist-local", 0, "local steal slots computing cells alongside the fleet (0 = auto: GOMAXPROCS when remote-only, else off; -1 = off)")
 	fs.StringVar(&f.cacheURL, "cache-url", "", "macrochipd base URL for the shared cache tier, e.g. http://host:8080")
 	return f
 }
@@ -78,25 +78,14 @@ func (f *Flags) Coordinator(seed int64, cacheDir string, noCache bool) (*harness
 	if f.depth > 0 {
 		args = append(args, "-dist-depth", strconv.Itoa(f.depth))
 	}
-	// -dist-local 0 is "auto": steal with the local cores only when the
-	// fleet is remote-only (spawned local workers already consume this
-	// machine's cores, so stealing on top would oversubscribe it).
-	local := f.local
-	if local == 0 && f.workers == 0 {
-		local = runtime.GOMAXPROCS(0)
-	}
-	if local < 0 {
-		local = 0
-	}
 	d, err := harness.NewCoordinator(harness.CoordinatorConfig{
-		Workers:    f.workers,
-		Exec:       f.exec,
-		Args:       args,
-		Addr:       f.addr,
-		MaxDepth:   f.depth,
-		LocalSlots: local,
-		Seed:       seed,
-		Log:        os.Stderr,
+		Workers:  f.workers,
+		Exec:     f.exec,
+		Args:     args,
+		Addr:     f.addr,
+		MaxDepth: f.depth,
+		Seed:     seed,
+		Log:      os.Stderr,
 	})
 	if err != nil {
 		return nil, err

@@ -16,9 +16,10 @@
 // Dispatch is credit-based: the hello's credits field advertises how many
 // cells the worker is willing to hold in flight at once, and the
 // coordinator may stream up to that many unanswered cell messages before
-// seeing a result. Results may come back in any order — the cell ID is the
-// correlator — and a result for an ID that is not in flight (a credit
-// overflow, a duplicate, or an invented answer) is a protocol violation.
+// seeing a result. The worker answers in dispatch order: each result or
+// error carries the ID of the oldest cell still unanswered, and a reply
+// with any other ID (out of order, a credit overflow, a duplicate, or an
+// invented answer) is a protocol violation.
 //
 // Every violation of that grammar — a line that is not JSON, a line over the
 // size cap, an unknown type, a message missing its required fields, a hello

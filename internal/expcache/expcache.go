@@ -486,26 +486,29 @@ func (c *Cache) EntryBytes(key Key) ([]byte, bool) {
 // already resident (hot tier or directory) are skipped; fetched entries
 // are published through the normal atomic path, so they land identically
 // to a write-through from loadRemote, and every later lookup for them is
-// a local hit instead of a remote round trip. With a nil cache or no
-// remote at all Prefetch is a no-op, so callers fire it unconditionally
-// before a fan-out.
+// a local hit instead of a remote round trip. Only the keys asked of the
+// remote are stored: any other entry in its answer counts as a remote
+// error, so an answer cannot overwrite a resident entry on disk behind the
+// hot tier's back. With a nil cache or no remote at all Prefetch is a
+// no-op, so callers fire it unconditionally before a fan-out.
 func (c *Cache) Prefetch(keys []Key) {
 	if c == nil || c.remote == nil || len(keys) == 0 {
 		return
 	}
-	seen := make(map[Key]bool, len(keys))
+	asked := make(map[Key]bool, len(keys)) // every key seen; true if asked of the remote
 	need := make([]Key, 0, len(keys))
 	for _, k := range keys {
-		if seen[k] {
+		if _, dup := asked[k]; dup {
 			continue
 		}
-		seen[k] = true
+		asked[k] = false
 		if _, ok := c.hotGet(k); ok {
 			continue
 		}
 		if _, err := os.Stat(c.path(k)); err == nil {
 			continue
 		}
+		asked[k] = true
 		need = append(need, k)
 	}
 	if len(need) == 0 {
@@ -517,7 +520,7 @@ func (c *Cache) Prefetch(keys []Key) {
 		return
 	}
 	for k, data := range entries {
-		if !json.Valid(data) {
+		if !asked[k] || !json.Valid(data) {
 			c.remoteErrors.Add(1)
 			continue
 		}

@@ -108,23 +108,40 @@ func (h *HTTPRemote) getBatchChunk(chunk []Key, out map[Key][]byte) error {
 	if err != nil {
 		return err
 	}
+	entries, err := decodeBatch(body)
+	if err != nil {
+		return err
+	}
+	for key, data := range entries {
+		out[key] = data
+	}
+	return nil
+}
+
+// decodeBatch parses the batch route's answer, {"entries":{hex-key: entry,
+// ...}}. Every key must parse and every entry fit in maxRemoteEntry bytes;
+// an entry is a JSON value by construction. Which keys the answer may
+// carry is the caller's check (Cache.Prefetch stores only those it asked
+// for).
+func decodeBatch(body []byte) (map[Key][]byte, error) {
 	var doc struct {
 		Entries map[string]json.RawMessage `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("expcache: remote batch GET: decoding answer: %w", err)
+		return nil, fmt.Errorf("expcache: remote batch GET: decoding answer: %w", err)
 	}
+	out := make(map[Key][]byte, len(doc.Entries))
 	for hex, data := range doc.Entries {
 		key, err := ParseKey(hex)
 		if err != nil {
-			return fmt.Errorf("expcache: remote batch GET: bad key in answer: %w", err)
+			return nil, fmt.Errorf("expcache: remote batch GET: bad key in answer: %w", err)
 		}
 		if len(data) > maxRemoteEntry {
-			return fmt.Errorf("expcache: remote entry %s exceeds %d bytes", hex, maxRemoteEntry)
+			return nil, fmt.Errorf("expcache: remote entry %s exceeds %d bytes", hex, maxRemoteEntry)
 		}
 		out[key] = []byte(data)
 	}
-	return nil
+	return out, nil
 }
 
 // Put implements Remote: PUT the entry bytes; any non-2xx answer is an

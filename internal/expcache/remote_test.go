@@ -13,10 +13,12 @@ import (
 
 // fakeRemote is an in-memory Remote with switchable failure injection and
 // call and key accounting, so tests can pin how many round trips a
-// prefetch costs.
+// prefetch costs. extra entries ride along in every batch answer, asked
+// for or not.
 type fakeRemote struct {
 	mu         sync.Mutex
 	entries    map[Key][]byte
+	extra      map[Key][]byte
 	gets       int
 	puts       int
 	batchCalls int
@@ -54,6 +56,9 @@ func (f *fakeRemote) GetBatch(keys []Key) (map[Key][]byte, error) {
 		if data, ok := f.entries[k]; ok {
 			out[k] = append([]byte(nil), data...)
 		}
+	}
+	for k, data := range f.extra {
+		out[k] = append([]byte(nil), data...)
 	}
 	return out, nil
 }
@@ -127,6 +132,43 @@ func TestPrefetchBatch(t *testing.T) {
 	st = c.Stats()
 	if st.MemHits < 3 {
 		t.Fatalf("prefetched entries should serve from the hot tier: %+v", st)
+	}
+}
+
+// TestPrefetchStoresOnlyRequestedKeys pins that a batch answer cannot
+// write past its request: an entry for a key already on disk, or for a
+// key nobody asked for, is counted as a remote error and stored nowhere,
+// so the disk and hot tiers keep agreeing.
+func TestPrefetchStoresOnlyRequestedKeys(t *testing.T) {
+	resident, wanted, stranger := testKey(81), testKey(82), testKey(83)
+	remote := newFakeRemote()
+	remote.entries[wanted] = []byte(`{"v":2}`)
+	remote.extra = map[Key][]byte{
+		resident: []byte(`{"v":666}`),
+		stranger: []byte(`{"v":3}`),
+	}
+	c, _ := Open(t.TempDir())
+	if err := c.PublishEntry(resident, []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRemote(remote)
+	c.Prefetch([]Key{resident, wanted})
+
+	st := c.Stats()
+	if st.Prefetched != 1 || st.RemoteErrors != 2 {
+		t.Errorf("Prefetched = %d, RemoteErrors = %d; want 1 and 2 (the two unrequested entries): %+v",
+			st.Prefetched, st.RemoteErrors, st)
+	}
+	for key, want := range map[Key]string{resident: `{"v":1}`, wanted: `{"v":2}`} {
+		if data, err := os.ReadFile(c.path(key)); err != nil || string(data) != want {
+			t.Errorf("disk entry %s = %q, %v; want %s", key.Hex()[:8], data, err, want)
+		}
+		if data, ok := c.EntryBytes(key); !ok || string(data) != want {
+			t.Errorf("served entry %s = %q, %v; want %s", key.Hex()[:8], data, ok, want)
+		}
+	}
+	if _, err := os.Stat(c.path(stranger)); !os.IsNotExist(err) {
+		t.Errorf("unrequested entry was stored (stat: %v)", err)
 	}
 }
 
@@ -330,14 +372,18 @@ func TestParseKey(t *testing.T) {
 	if err != nil || parsed != key {
 		t.Fatalf("ParseKey(Hex()) = %v, %v; want the original key", parsed, err)
 	}
-	for _, bad := range []string{
-		"", "zz", strings.Repeat("a", 63), strings.Repeat("a", 65),
-		strings.Repeat("g", 64), strings.Repeat("A", 63) + "!",
-	} {
+	for _, bad := range parseKeyRejects {
 		if _, err := ParseKey(bad); err == nil {
 			t.Errorf("ParseKey(%q) accepted a malformed key", bad)
 		}
 	}
+}
+
+// parseKeyRejects lists malformed keys ParseKey must refuse; FuzzParseKey
+// starts from them too.
+var parseKeyRejects = []string{
+	"", "zz", strings.Repeat("a", 63), strings.Repeat("a", 65),
+	strings.Repeat("g", 64), strings.Repeat("A", 63) + "!",
 }
 
 // TestHTTPRemoteAgainstFakeDaemon pins the HTTPRemote wire behavior — 200

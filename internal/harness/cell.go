@@ -403,23 +403,17 @@ func RunCell(r Runner, kind string, spec []byte) (any, error) {
 // falls back to local when the fleet cannot serve it — the coordinator is
 // absent, draining, out of workers, the cell failed remotely, or the
 // result did not decode; the sweep never depends on remote success for
-// completeness. A steal grant (a phantom local slot claimed the cell from
-// the queue tail) also runs local, holding the slot for the duration so
-// steals stay bounded by what the local cores can absorb.
+// completeness.
 func distCell[T any](d *Coordinator, kind string, spec []byte, local func() T) T {
 	if d == nil {
 		return local()
 	}
-	out := d.exec(kind, spec)
-	if out.release != nil {
-		defer out.release()
-		return local()
-	}
-	if out.value == nil {
+	value, ok := d.Exec(kind, spec)
+	if !ok {
 		return local()
 	}
 	var v T
-	if err := json.Unmarshal(out.value, &v); err != nil {
+	if err := json.Unmarshal(value, &v); err != nil {
 		d.noteBadValue(kind, err)
 		return local()
 	}

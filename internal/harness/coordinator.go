@@ -29,22 +29,22 @@ import (
 // and any failure pattern.
 //
 // Dispatch is pipelined: each connection holds a window of up to its
-// hello-advertised credit count of unanswered cells, and results are
-// matched back to their jobs by cell ID in whatever order they arrive.
-// Cells wait in a coordinator-owned pending queue; connections take from
-// the head, and — when LocalSlots phantom workers are configured — local
-// cores steal from the tail, so a slow or dying remote fleet never idles
-// the machine the sweep runs on.
+// hello-advertised credit count of unanswered cells, and a worker answers
+// them in dispatch order, so every reply must be for the oldest cell in
+// its window. Cells wait in a coordinator-owned pending queue that every
+// connection takes from. The coordinator's own cores join a remote fleet
+// the same way any worker does: spawn local workers (Workers) beside the
+// listener (Addr).
 //
 // Failure policy, from least to most trusted signal:
-//   - A protocol violation, transport error, reply for an unknown cell ID
-//     (credit overflow or stale answer), or per-cell deadline tears the
-//     connection down; every cell in its window is reassigned (with
-//     seeded backoff) up to Retries times each, then falls back to local
-//     compute. Cells are never lost, and a cell can never run twice: a
-//     job re-enters the queue only from the torn-down window that owned
-//     it, and the enqueue guard refuses a job that is already pending or
-//     in flight elsewhere.
+//   - A protocol violation, transport error, reply for any cell but the
+//     oldest in the window (out of order, credit overflow or stale
+//     answer), or per-cell deadline tears the connection down; every cell
+//     in its window is reassigned (with seeded backoff) up to Retries
+//     times each, then falls back to local compute. Cells are never lost,
+//     and a cell can never run twice: a job re-enters the queue only from
+//     the torn-down window that owned it, and the enqueue guard refuses a
+//     job that is already pending or in flight elsewhere.
 //   - A worker-reported cell error is permanent — retrying the same pure
 //     function elsewhere cannot help — so the cell falls back to local
 //     compute, where the failure reproduces under the caller's own error
@@ -55,18 +55,17 @@ import (
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	// doorbell wakes one consumer (a connection with window room, or a
-	// phantom local slot) when pending may be non-empty; every pop that
-	// leaves work behind rings it again, so a single buffered slot cannot
-	// lose a wakeup.
+	// doorbell wakes one connection with window room when pending may be
+	// non-empty; every pop that leaves work behind rings it again, so a
+	// single buffered slot cannot lose a wakeup.
 	doorbell chan struct{}
 	// quit is closed when draining begins.
 	quit chan struct{}
 
 	mu sync.Mutex
 	// pending is the cell queue: connections pop from the head (index 0),
-	// phantom local slots steal from the tail, and requeued cells re-enter
-	// at the head so retries are not starved behind fresh work.
+	// and requeued cells re-enter at the head so retries are not starved
+	// behind fresh work.
 	pending    []*distJob
 	nextID     int64
 	draining   bool
@@ -81,7 +80,7 @@ type Coordinator struct {
 	drainOnce sync.Once
 	execs     sync.WaitGroup // outstanding Exec calls
 	conns     sync.WaitGroup // serve goroutines
-	procs     sync.WaitGroup // process monitors, accept loop, phantom slots
+	procs     sync.WaitGroup // process monitors, accept loop
 
 	ln net.Listener
 
@@ -94,15 +93,17 @@ type Coordinator struct {
 	failed     atomic.Uint64
 	fallbacks  atomic.Uint64
 	badValues  atomic.Uint64
-	stolen     atomic.Uint64
 	outOfOrder atomic.Uint64
 	deduped    atomic.Uint64
 }
 
 // CoordinatorConfig assembles a Coordinator; zero fields take the
-// documented defaults.
+// documented defaults. Workers and Addr combine: local workers beside a
+// listener put this machine's cores into a remote fleet.
 type CoordinatorConfig struct {
-	// Workers is the number of local worker processes to spawn.
+	// Workers is the number of local worker processes to spawn; each
+	// simulates one cell at a time, so one per core keeps this machine
+	// busy.
 	Workers int
 	// Exec is the worker binary (default "macrosim", resolved via PATH).
 	Exec string
@@ -116,11 +117,6 @@ type CoordinatorConfig struct {
 	// whatever its hello advertises (default distrib.DefaultCredits,
 	// hard-capped at distrib.MaxCredits).
 	MaxDepth int
-	// LocalSlots is the number of phantom local workers stealing cells
-	// from the tail of the pending queue for in-process compute; 0
-	// disables stealing. Each slot holds at most one cell at a time, so
-	// steals are bounded by what the local cores can actually absorb.
-	LocalSlots int
 	// CellTimeout is the per-cell deadline: a worker that holds a cell
 	// longer is presumed hung, torn down, and every cell in its window
 	// reassigned (default 2 minutes).
@@ -141,11 +137,10 @@ type CoordinatorConfig struct {
 // workerStat is one worker's throughput accounting, read by Stats via
 // atomics.
 type workerStat struct {
-	completed  atomic.Uint64
-	busyNanos  atomic.Int64
-	depth      atomic.Int64 // negotiated window (set at hello)
-	inflight   atomic.Int64 // cells currently unanswered
-	outOfOrder atomic.Uint64
+	completed atomic.Uint64
+	busyNanos atomic.Int64
+	depth     atomic.Int64 // negotiated window (set at hello)
+	inflight  atomic.Int64 // cells currently unanswered
 }
 
 // jobState tracks where a cell currently lives; transitions happen under
@@ -153,10 +148,9 @@ type workerStat struct {
 type jobState int
 
 const (
-	jobIdle     jobState = iota // with its Exec sender, not yet queued
+	jobIdle     jobState = iota // with its Exec sender, or waiting out a retry backoff
 	jobPending                  // in the pending queue
 	jobInFlight                 // inside one connection's window
-	jobParked                   // waiting out a retry backoff
 	jobResolved                 // outcome delivered
 )
 
@@ -166,17 +160,9 @@ type distJob struct {
 	spec     json.RawMessage
 	attempts int
 	state    jobState // guarded by Coordinator.mu
-	// done carries the terminal outcome exactly once.
-	done chan distOutcome
-}
-
-// distOutcome is a job's terminal resolution. value non-nil: a remote
-// result. release non-nil: a phantom local slot granted this cell to its
-// caller — compute locally, then call release to free the slot. Both nil:
-// plain local fallback (the fleet could not serve the cell).
-type distOutcome struct {
-	value   json.RawMessage
-	release func()
+	// done carries the terminal outcome exactly once: the remote result,
+	// or nil when the caller must compute the cell locally.
+	done chan json.RawMessage
 }
 
 // distConn is one worker connection: a writer the serve goroutine owns, a
@@ -209,9 +195,6 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.MaxDepth > distrib.MaxCredits {
 		cfg.MaxDepth = distrib.MaxCredits
 	}
-	if cfg.LocalSlots < 0 {
-		cfg.LocalSlots = 0
-	}
 	if cfg.CellTimeout <= 0 {
 		cfg.CellTimeout = 2 * time.Minute
 	}
@@ -226,7 +209,7 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
 		doorbell: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
@@ -234,11 +217,6 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 		workers:  map[string]*workerStat{},
 		pids:     map[int]bool{},
 	}
-	for i := 0; i < cfg.LocalSlots; i++ {
-		c.procs.Add(1)
-		go c.localSlot()
-	}
-	return c
 }
 
 // NewCoordinator spawns the configured local workers and/or opens the
@@ -468,9 +446,8 @@ func (c *Coordinator) enqueue(j *distJob, atHead bool) (ok bool) {
 	return true
 }
 
-// popHead takes the next cell for a connection; stealTail takes the last
-// cell for a phantom local slot. Both re-ring the doorbell when work
-// remains so every waiting consumer eventually wakes.
+// popHead takes the next cell for a connection, re-ringing the doorbell
+// when work remains so every waiting connection eventually wakes.
 func (c *Coordinator) popHead() *distJob {
 	c.mu.Lock()
 	if len(c.pending) == 0 {
@@ -488,25 +465,9 @@ func (c *Coordinator) popHead() *distJob {
 	return j
 }
 
-func (c *Coordinator) stealTail() *distJob {
-	c.mu.Lock()
-	if len(c.pending) == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	j := c.pending[len(c.pending)-1]
-	c.pending = c.pending[:len(c.pending)-1]
-	j.state = jobInFlight
-	more := len(c.pending) > 0
-	c.mu.Unlock()
-	if more {
-		c.ring()
-	}
-	return j
-}
-
-// resolve delivers a job's terminal outcome exactly once.
-func (c *Coordinator) resolve(j *distJob, out distOutcome) {
+// resolve delivers a job's terminal outcome exactly once; a nil value
+// sends the cell back to its caller for local compute.
+func (c *Coordinator) resolve(j *distJob, value json.RawMessage) {
 	c.mu.Lock()
 	if j.state == jobResolved {
 		c.mu.Unlock()
@@ -514,35 +475,7 @@ func (c *Coordinator) resolve(j *distJob, out distOutcome) {
 	}
 	j.state = jobResolved
 	c.mu.Unlock()
-	j.done <- out
-}
-
-// localSlot is one phantom worker: it steals a cell from the tail of the
-// pending queue, grants it back to its caller for in-process compute, and
-// holds the slot until that compute releases it — so steals never outrun
-// the local cores, and a healthy fast fleet keeps most of the queue.
-func (c *Coordinator) localSlot() {
-	defer c.procs.Done()
-	for {
-		select {
-		case <-c.doorbell:
-		case <-c.quit:
-			return
-		}
-		j := c.stealTail()
-		if j == nil {
-			continue
-		}
-		c.stolen.Add(1)
-		released := make(chan struct{})
-		var once sync.Once
-		c.resolve(j, distOutcome{release: func() { once.Do(func() { close(released) }) }})
-		select {
-		case <-released:
-		case <-c.quit:
-			return
-		}
-	}
+	j.done <- value
 }
 
 // pump frames the connection's incoming stream. The terminal error lands
@@ -566,6 +499,7 @@ func (cn *distConn) pump(r io.Reader) {
 // inflightCell is one dispatched, unanswered cell inside a connection's
 // window.
 type inflightCell struct {
+	id       int64
 	j        *distJob
 	start    time.Time
 	deadline time.Time
@@ -573,9 +507,9 @@ type inflightCell struct {
 
 // serve runs one connection's dispatch loop: hello handshake, then a
 // pipelined window of cells until drain or teardown. The window holds up
-// to the negotiated credit count of unanswered cells; results match by ID
-// in any order, and the deadline watched is always the oldest outstanding
-// cell's (dispatch order means it is also the earliest).
+// to the negotiated credit count of unanswered cells in dispatch order.
+// Workers answer in that order, so every reply must be for window[0], and
+// the deadline watched is always window[0]'s, the earliest.
 func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 	defer c.detach(cn)
 	go cn.pump(r)
@@ -583,25 +517,14 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 		return
 	}
 
-	window := make(map[int64]*inflightCell, cn.depth)
-	order := make([]int64, 0, cn.depth) // dispatch order; order[0] is oldest
-	dropID := func(id int64) {
-		delete(window, id)
-		for i, v := range order {
-			if v == id {
-				order = append(order[:i], order[i+1:]...)
-				break
-			}
-		}
-		cn.stat.inflight.Store(int64(len(window)))
-	}
+	window := make([]inflightCell, 0, cn.depth) // dispatch order; window[0] is oldest
 	// teardown requeues every unanswered cell in dispatch order and ends
 	// the connection; the serve loop returns right after calling it.
 	teardown := func(reason string) {
-		for _, id := range order {
-			c.requeue(window[id].j, cn.name, reason)
+		for _, fc := range window {
+			c.requeue(fc.j, cn.name, reason)
 		}
-		window, order = nil, nil
+		window = nil
 		cn.stat.inflight.Store(0)
 	}
 
@@ -619,7 +542,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 			id := c.nextID
 			c.mu.Unlock()
 			now := time.Now()
-			fc := &inflightCell{j: j, start: now, deadline: now.Add(c.cfg.CellTimeout)}
+			fc := inflightCell{id: id, j: j, start: now, deadline: now.Add(c.cfg.CellTimeout)}
 			if wd, ok := cn.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
 				wd.SetWriteDeadline(fc.deadline) //nolint:errcheck // best-effort
 			}
@@ -629,8 +552,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 				return
 			}
 			c.dispatched.Add(1)
-			window[id] = fc
-			order = append(order, id)
+			window = append(window, fc)
 			cn.stat.inflight.Store(int64(len(window)))
 		}
 		if quitSeen && len(window) == 0 {
@@ -642,11 +564,10 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 		// room), the oldest cell's deadline, transport death, or drain.
 		var deadlineC <-chan time.Time
 		var deadlineTimer *time.Timer
-		if len(order) > 0 {
-			oldest := window[order[0]]
-			d := time.Until(oldest.deadline)
+		if len(window) > 0 {
+			d := time.Until(window[0].deadline)
 			if d <= 0 {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(order)))
+				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(window)))
 				return
 			}
 			deadlineTimer = time.NewTimer(d)
@@ -667,23 +588,22 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 			stop()
 			switch m.Type {
 			case distrib.TypeResult, distrib.TypeError:
-				fc, ok := window[m.ID]
-				if !ok {
-					// Credit overflow, duplicate, or invented answer: the
-					// peer's accounting can no longer be trusted.
-					teardown(fmt.Sprintf("%s for unknown cell %d (%d in flight)", m.Type, m.ID, len(order)))
+				if len(window) == 0 || m.ID != window[0].id {
+					// Out of dispatch order, credit overflow, duplicate,
+					// or invented answer: the peer's accounting can no
+					// longer be trusted.
+					c.outOfOrder.Add(1)
+					teardown(fmt.Sprintf("%s for cell %d out of dispatch order (%d in flight)", m.Type, m.ID, len(window)))
 					return
 				}
-				if m.ID != order[0] {
-					c.outOfOrder.Add(1)
-					cn.stat.outOfOrder.Add(1)
-				}
-				dropID(m.ID)
+				fc := window[0]
+				window = append(window[:0], window[1:]...)
+				cn.stat.inflight.Store(int64(len(window)))
 				if m.Type == distrib.TypeResult {
 					c.completed.Add(1)
 					cn.stat.completed.Add(1)
 					cn.stat.busyNanos.Add(time.Since(fc.start).Nanoseconds())
-					c.resolve(fc.j, distOutcome{value: m.Value})
+					c.resolve(fc.j, m.Value)
 				} else {
 					// Permanent: the cell itself failed. Rerunning the same
 					// pure function on another worker cannot change the
@@ -691,10 +611,9 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 					// caller's own error path surface it.
 					c.failed.Add(1)
 					c.logf("worker %s: cell %d failed remotely: %s; computing locally", cn.name, m.ID, m.Error)
-					c.resolve(fc.j, distOutcome{})
+					c.resolve(fc.j, nil)
 				}
 			default:
-				stop()
 				teardown(fmt.Sprintf("unexpected %q message", m.Type))
 				return
 			}
@@ -713,8 +632,8 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 		case <-deadlineC:
 			// Re-check against the clock: the timer may have raced a
 			// reply that already cleared the oldest cell this iteration.
-			if len(order) > 0 && !time.Now().Before(window[order[0]].deadline) {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(order)))
+			if len(window) > 0 && !time.Now().Before(window[0].deadline) {
+				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(window)))
 				return
 			}
 		case <-jobsC:
@@ -777,12 +696,12 @@ func (c *Coordinator) requeue(j *distJob, worker, reason string) {
 	j.attempts++
 	if j.attempts > c.cfg.Retries {
 		c.logf("cell out of retries (%d); computing locally", c.cfg.Retries)
-		c.resolve(j, distOutcome{})
+		c.resolve(j, nil)
 		return
 	}
 	c.retried.Add(1)
 	c.mu.Lock()
-	j.state = jobParked
+	j.state = jobIdle
 	c.mu.Unlock()
 	delay := c.backoff(j.attempts)
 	go func() {
@@ -792,12 +711,12 @@ func (c *Coordinator) requeue(j *distJob, worker, reason string) {
 			case <-t.C:
 			case <-c.quit:
 				t.Stop()
-				c.resolve(j, distOutcome{})
+				c.resolve(j, nil)
 				return
 			}
 		}
 		if !c.enqueue(j, true) {
-			c.resolve(j, distOutcome{})
+			c.resolve(j, nil)
 		}
 	}()
 }
@@ -815,44 +734,28 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return base + jitter
 }
 
-// exec offers one cell to the fleet and blocks until it resolves. An empty
-// outcome means the caller must compute the cell in-process — the
-// coordinator guarantees termination, not remote execution. An outcome
-// with a release hook is a steal grant: a phantom local slot claimed the
-// cell for the caller, who must call release after its local compute.
-func (c *Coordinator) exec(kind string, spec []byte) distOutcome {
+// Exec offers one cell to the fleet and blocks until it resolves, with
+// the remote result or ok=false. ok=false means the caller must compute
+// the cell in-process — the coordinator guarantees termination, not
+// remote execution.
+func (c *Coordinator) Exec(kind string, spec []byte) (value json.RawMessage, ok bool) {
 	c.mu.Lock()
 	if c.draining || c.live == 0 {
 		c.mu.Unlock()
-		return distOutcome{}
+		return nil, false
 	}
 	c.execs.Add(1)
 	c.mu.Unlock()
 	defer c.execs.Done()
-	j := &distJob{kind: kind, spec: spec, done: make(chan distOutcome, 1)}
-	if !c.enqueue(j, false) {
+	j := &distJob{kind: kind, spec: spec, done: make(chan json.RawMessage, 1)}
+	if c.enqueue(j, false) {
+		value = <-j.done
+	}
+	if value == nil {
 		c.fallbacks.Add(1)
-		return distOutcome{}
-	}
-	out := <-j.done
-	if out.value == nil && out.release == nil {
-		c.fallbacks.Add(1)
-	}
-	return out
-}
-
-// Exec is the test-facing wrapper over exec: it reports ok=false for any
-// locally-computed resolution, releasing a steal grant immediately since
-// the caller owns no slot discipline.
-func (c *Coordinator) Exec(kind string, spec []byte) (json.RawMessage, bool) {
-	out := c.exec(kind, spec)
-	if out.release != nil {
-		out.release()
-	}
-	if out.value == nil {
 		return nil, false
 	}
-	return out.value, true
+	return value, true
 }
 
 // noteBadValue records a remote result that did not decode into the
@@ -886,10 +789,9 @@ func (c *Coordinator) AwaitWorkers(n int, timeout time.Duration) error {
 }
 
 // Parallelism reports how many cells the fleet can hold concurrently —
-// the sum of every ready connection's negotiated window, one for each
-// connection still in its handshake, plus the phantom local slots.
-// runIndexed widens its goroutine pool to at least this so neither remote
-// windows nor steal slots ever idle behind a narrow local -j.
+// the sum of every ready connection's negotiated window, plus one for each
+// connection still in its handshake. runIndexed widens its goroutine pool
+// to at least this so no worker's window idles behind a narrow local -j.
 func (c *Coordinator) Parallelism() int {
 	if c == nil {
 		return 0
@@ -899,7 +801,7 @@ func (c *Coordinator) Parallelism() int {
 	if c.draining {
 		return 0
 	}
-	return c.totalDepth + (c.live - c.ready) + c.cfg.LocalSlots
+	return c.totalDepth + (c.live - c.ready)
 }
 
 // WorkerPIDs snapshots the live local worker process IDs (fault-injection
@@ -929,7 +831,7 @@ func (c *Coordinator) beginDrain() {
 		// Queued cells go back to their callers as local compute; their
 		// senders are blocked on done, so this is what unsticks them.
 		for _, j := range pending {
-			c.resolve(j, distOutcome{})
+			c.resolve(j, nil)
 		}
 		if c.ln != nil {
 			c.ln.Close()
@@ -969,14 +871,13 @@ type DistStats struct {
 	// results that did not decode.
 	Retried, Failed, BadValues uint64
 	// LocalFallback counts cells resolved by in-process compute after the
-	// fleet could not serve them. Stolen counts cells the phantom local
-	// slots claimed from the queue tail — local compute by choice, not
-	// failure, so they are not fallbacks.
-	LocalFallback, Stolen uint64
-	// OutOfOrder counts results that arrived ahead of an older
-	// still-outstanding cell on the same connection — pipelining visibly
-	// at work. Deduped counts suppressed duplicate enqueues (always zero
-	// unless an ownership bug was caught).
+	// fleet could not serve them.
+	LocalFallback uint64
+	// OutOfOrder counts replies that broke the dispatch-order rule — a
+	// result or error for any cell but the oldest in its connection's
+	// window, unknown IDs included; each tore its connection down, so it
+	// is zero against this tree's workers. Deduped counts suppressed
+	// duplicate enqueues (always zero unless an ownership bug was caught).
 	OutOfOrder, Deduped uint64
 	Workers             []WorkerDistStats
 }
@@ -988,11 +889,9 @@ type WorkerDistStats struct {
 	BusyMS    int64   `json:"busy_ms"`
 	CellsPerS float64 `json:"cells_per_s"`
 	// Depth is the negotiated in-flight window (credits), InFlight the
-	// cells currently unanswered, OutOfOrder the results this worker
-	// returned ahead of an older outstanding cell.
-	Depth      int    `json:"depth"`
-	InFlight   int    `json:"in_flight"`
-	OutOfOrder uint64 `json:"out_of_order"`
+	// cells currently unanswered.
+	Depth    int `json:"depth"`
+	InFlight int `json:"in_flight"`
 }
 
 // Stats snapshots the counters (zero for a nil coordinator).
@@ -1007,7 +906,6 @@ func (c *Coordinator) Stats() DistStats {
 		Failed:        c.failed.Load(),
 		BadValues:     c.badValues.Load(),
 		LocalFallback: c.fallbacks.Load(),
-		Stolen:        c.stolen.Load(),
 		OutOfOrder:    c.outOfOrder.Load(),
 		Deduped:       c.deduped.Load(),
 	}
@@ -1020,12 +918,11 @@ func (c *Coordinator) Stats() DistStats {
 	for _, name := range names {
 		st := c.workers[name]
 		w := WorkerDistStats{
-			Name:       name,
-			Completed:  st.completed.Load(),
-			BusyMS:     st.busyNanos.Load() / 1e6,
-			Depth:      int(st.depth.Load()),
-			InFlight:   int(st.inflight.Load()),
-			OutOfOrder: st.outOfOrder.Load(),
+			Name:      name,
+			Completed: st.completed.Load(),
+			BusyMS:    st.busyNanos.Load() / 1e6,
+			Depth:     int(st.depth.Load()),
+			InFlight:  int(st.inflight.Load()),
 		}
 		if busy := st.busyNanos.Load(); busy > 0 {
 			w.CellsPerS = float64(w.Completed) / (float64(busy) / 1e9)
@@ -1045,9 +942,6 @@ func (c *Coordinator) Summary() string {
 	s := c.Stats()
 	line := fmt.Sprintf("dist: %d dispatched, %d completed, %d retried, %d failed, %d local",
 		s.Dispatched, s.Completed, s.Retried, s.Failed, s.LocalFallback)
-	if s.Stolen > 0 {
-		line += fmt.Sprintf(", %d stolen", s.Stolen)
-	}
 	if s.OutOfOrder > 0 {
 		line += fmt.Sprintf(", %d out-of-order", s.OutOfOrder)
 	}

@@ -51,14 +51,13 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestDistKillWorkerMidSweep is the kill-mid-sweep regression, run with the
-// full pipeline: each worker advertises a depth-8 credit window (so the
+// full pipeline: each worker advertises a depth-8 credit window, so the
 // SIGKILL lands on a process holding several unanswered cells at once, not
-// one) and the coordinator keeps two steal slots racing the fleet for queue
-// tail — the stealing-versus-restart race. It proves that (a) the sweep's
-// CSV is still byte-identical to serial, (b) no cell was lost or run to two
-// different answers, and (c) the shared cache holds no torn entry — every
-// published *.json is complete, valid JSON (orphaned temp files are
-// allowed; readers never see them because publication is a rename).
+// one. It proves that (a) the sweep's CSV is still byte-identical to
+// serial, (b) no cell was lost or run to two different answers, and (c)
+// the shared cache holds no torn entry — every published *.json is
+// complete, valid JSON (orphaned temp files are allowed; readers never see
+// them because publication is a rename).
 func TestDistKillWorkerMidSweep(t *testing.T) {
 	bin := buildMacrosim(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
@@ -84,7 +83,6 @@ func TestDistKillWorkerMidSweep(t *testing.T) {
 		Exec:        bin,
 		Args:        []string{"-cache-dir", cacheDir, "-dist-depth", "8"},
 		MaxDepth:    8,
-		LocalSlots:  2,
 		CellTimeout: 30 * time.Second,
 		Seed:        7,
 	})

@@ -102,13 +102,17 @@ func badField(field, format string, args ...any) *ConfigError {
 }
 
 // decodeConfig is the submit path's parse of a request body: a strict JSON
-// decode (an unknown field is an error), then normalize.
+// decode (an unknown field, or anything but whitespace after the one
+// value, is an error), then normalize.
 func decodeConfig(body io.Reader) (ExperimentConfig, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var cfg ExperimentConfig
 	if err := dec.Decode(&cfg); err != nil {
 		return cfg, fmt.Errorf("invalid experiment config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cfg, fmt.Errorf("invalid experiment config: data after the JSON object")
 	}
 	return cfg.normalize()
 }

@@ -309,6 +309,9 @@ var malformedConfigs = []struct {
 	{"repeated class", `{"kind":"resilience","classes":["dark-laser","dark-laser"]}`, "classes"},
 	// A list its kind never reads is refused, not carried unbounded.
 	{"list the kind ignores", `{"kind":"study","loads":[0.5]}`, "loads"},
+	// One config per body: a second value, or garbage, after the first is
+	// refused rather than ignored.
+	{"trailing data", `{"kind":"scaling","grid_sizes":[2]} {"kind":"nope"} garbage`, ""},
 }
 
 // TestMalformedConfigs pins the structured 400 contract for every

@@ -6,14 +6,17 @@
 # figure-6 panel (uniform pattern, point-to-point network, quick windows)
 # serially as the reference, then three distributed ways:
 #
-#   1. two spawned pipe workers at depth 1 (the v1 stop-and-wait discipline)
+#   1. two spawned pipe workers at depth 1 (stop-and-wait)
 #   2. two spawned pipe workers at depth 8 (the pipelined credit window)
-#   3. one TCP worker (`macrosim -connect`) against a listening coordinator
+#   3. a mixed fleet at depth 2: one spawned pipe worker beside one TCP
+#      worker (`macrosim -connect`) against a listening coordinator, the
+#      way the coordinator's own cores join a remote fleet
 #
 # Every run gets its own fresh cache directory and every CSV must be
 # byte-identical to the serial one. Each coordinator's stderr summary must
-# show cells actually completed by the fleet, so the comparison cannot
-# silently pass by never distributing.
+# show cells actually completed by the fleet (in the mixed run, by each of
+# its two workers), so the comparison cannot silently pass by never
+# distributing.
 set -eu
 
 GO=${GO:-go}
@@ -75,24 +78,26 @@ for depth in 1 8; do
     eval "completed_d$depth=\$done_cells"
 done
 
-# TCP transport: the coordinator listens on an ephemeral port, a remote
-# worker dials in. -dist-local -1 turns local steal slots off so every cell
-# demonstrably crosses the socket.
-run_figures "$tmp/dist-tcp" "$tmp/cache-tcp" \
-    -dist-addr 127.0.0.1:0 -dist-wait 1 -dist-local -1 -dist-depth 8 &
+# Mixed fleet: the coordinator spawns one local worker (proc-0) and
+# listens on an ephemeral port, where a remote worker dials in over TCP.
+# -dist-wait 2 starts the sweep once both are attached, and at depth 2
+# neither window can hold the 13-point panel, so both must take cells.
+run_figures "$tmp/dist-mixed" "$tmp/cache-mixed" \
+    -dist-workers 1 -dist-exec "$tmp/macrosim" \
+    -dist-addr 127.0.0.1:0 -dist-wait 2 -dist-depth 2 &
 figures_pid=$!
 
 addr=
 for _ in $(seq 1 100); do
     addr=$(sed -n 's/.*listening for workers on \([0-9.]*:[0-9]*\).*/\1/p' \
-        "$tmp/dist-tcp.stderr" 2>/dev/null || true)
+        "$tmp/dist-mixed.stderr" 2>/dev/null || true)
     [ -n "$addr" ] && break
     sleep 0.1
 done
 if [ -z "$addr" ]; then
     kill "$figures_pid" 2>/dev/null || true
     echo "dist-smoke: coordinator never announced its listen address" >&2
-    cat "$tmp/dist-tcp.stderr" >&2 2>/dev/null || true
+    cat "$tmp/dist-mixed.stderr" >&2 2>/dev/null || true
     exit 1
 fi
 
@@ -102,13 +107,28 @@ worker_pid=$!
 
 if ! wait "$figures_pid"; then
     kill "$worker_pid" 2>/dev/null || true
-    echo "dist-smoke: TCP coordinator run failed" >&2
-    cat "$tmp/dist-tcp.stderr" >&2
+    echo "dist-smoke: mixed-fleet coordinator run failed" >&2
+    cat "$tmp/dist-mixed.stderr" >&2
     exit 1
 fi
 wait "$worker_pid" 2>/dev/null || true
 
-require_identical "$tmp/dist-tcp" "TCP"
-completed_tcp=$(require_completed "$tmp/dist-tcp.stderr" "TCP")
+require_identical "$tmp/dist-mixed" "mixed fleet"
+completed_mixed=$(require_completed "$tmp/dist-mixed.stderr" "mixed fleet")
 
-echo "dist-smoke: ok (pipe depth 1: $completed_d1 cells, depth 8: $completed_d8 cells, TCP: $completed_tcp cells, all byte-identical CSV)"
+# require_worker_cells <worker name pattern> <label>: the summary's
+# per-worker clause ("; proc-0 N cells (...)") shows N > 0. A TCP worker
+# names itself macrosim-<pid>.
+require_worker_cells() {
+    n=$(sed -n "s/.*; $1 \([0-9]*\) cells.*/\1/p" "$tmp/dist-mixed.stderr")
+    if [ -z "$n" ] || [ "$n" -eq 0 ]; then
+        echo "dist-smoke: the $2 worker completed no cells in the mixed fleet" >&2
+        cat "$tmp/dist-mixed.stderr" >&2
+        exit 1
+    fi
+    echo "$n"
+}
+completed_proc=$(require_worker_cells 'proc-0' "spawned")
+completed_tcp=$(require_worker_cells 'macrosim-[0-9]*' "TCP")
+
+echo "dist-smoke: ok (pipe depth 1: $completed_d1 cells, depth 8: $completed_d8 cells, mixed: $completed_mixed cells = proc-0 $completed_proc + TCP $completed_tcp, all byte-identical CSV)"
