@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck bench-smoke fuzz-smoke serve-smoke dist-smoke check figures report
+.PHONY: build test race vet fmt staticcheck bench-build bench-smoke fuzz-smoke serve-smoke dist-smoke check figures report
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# bench-build compiles the repository benchmark, perfbench. It is its own
+# module, so `go build ./...` never reaches it, and a change that deletes an
+# internal API perfbench uses would otherwise pass every other check. It
+# runs nothing and writes nothing under perfbench/.
+bench-build:
+	cd perfbench && GOWORK=off $(GO) build -o /dev/null .
 
 # bench-smoke compiles and runs each pinned benchmark once — enough to catch
 # a benchmark that no longer builds or an allocation-guard regression that
@@ -78,10 +85,10 @@ dist-smoke:
 	@sh scripts/dist_smoke.sh
 
 # check is the pre-merge gate: vet + formatting + lint + tests + race
-# detector + benchmark smoke + decoder fuzz smoke + daemon smoke +
-# distributed smoke. Performance is measured by the repository benchmark,
-# perfbench (see BENCHMARK.json), not here.
-check: vet fmt staticcheck test race bench-smoke fuzz-smoke serve-smoke dist-smoke
+# detector + benchmark build + benchmark smoke + decoder fuzz smoke +
+# daemon smoke + distributed smoke. Performance is measured by the
+# repository benchmark, perfbench (see BENCHMARK.json), not here.
+check: vet fmt staticcheck test race bench-build bench-smoke fuzz-smoke serve-smoke dist-smoke
 
 figures:
 	$(GO) run ./cmd/figures -all

@@ -94,7 +94,7 @@ func BenchmarkFigure6Butterfly(b *testing.B) {
 // scale.
 func benchStudy() []harness.StudyRow {
 	p := core.DefaultParams()
-	return harness.FullStudy(p, 0.25, 1)
+	return harness.FullStudyWith(harness.Runner{}, p, 0.25, 1)
 }
 
 func BenchmarkFigure7Speedup(b *testing.B) {

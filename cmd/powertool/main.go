@@ -52,7 +52,7 @@ func main() {
 		}
 	case *scaling:
 		fmt.Println("Scalability study — complexity and laser power vs macrochip size:")
-		for _, r := range harness.ScalingStudy([]int{4, 8, 16}) {
+		for _, r := range harness.ScalingStudyWith(harness.Runner{}, []int{4, 8, 16}) {
 			fmt.Printf("\n%d×%d (%d sites, %.0f TB/s peak)\n", r.N, r.N, r.Sites, r.PeakTBs)
 			for _, k := range networks.Six() {
 				c := r.Networks[k]

@@ -57,7 +57,7 @@ type ScalingRow struct {
 // point-to-point network stays at a 1× loss factor at every scale.
 func ScalingStudy(ns []int) []ScalingRow {
 	rows := []ScalingRow{}
-	for _, r := range harness.ScalingStudy(ns) {
+	for _, r := range harness.ScalingStudyWith(harness.Runner{}, ns) {
 		row := ScalingRow{N: r.N, Sites: r.Sites, PeakTBs: r.PeakTBs, Cells: map[Network]ScalingCell{}}
 		for k, c := range r.Networks {
 			row.Cells[Network(k)] = ScalingCell{

@@ -89,18 +89,6 @@ type Engine struct {
 	LatencySum sim.Time
 	MaxLatency sim.Time
 
-	// Retries counts request retransmissions after delivery timeouts;
-	// Aborted counts operations abandoned after the retry budget ran out.
-	// Both stay zero when Params.CoherenceTimeoutCycles is zero (the
-	// perfect-network baseline).
-	Retries uint64
-	Aborted uint64
-
-	// retryRNG jitters retransmission backoff so synchronized losses do
-	// not resynchronize their retries; nil means no jitter (still fully
-	// deterministic).
-	retryRNG *sim.RNG
-
 	// latHist records per-operation latency when a registry is attached
 	// (nil otherwise; Observe on nil is a no-op).
 	latHist *metrics.Histogram
@@ -120,13 +108,6 @@ func NewEngine(eng *sim.Engine, p core.Params, net core.Network) *Engine {
 // SetMemory attaches an off-package memory backend. Home sites consult it
 // whenever they must supply data that no cache owns.
 func (e *Engine) SetMemory(m MemoryBackend) { e.mem = m }
-
-// SetRetrySeed installs the seeded jitter stream for retransmission
-// backoff. The stream derives purely from (seed, label), so runs stay
-// reproducible at any harness worker count.
-func (e *Engine) SetRetrySeed(seed int64) {
-	e.retryRNG = sim.NewRNG(sim.DeriveSeed(seed, sim.StringLabel("coherence-retry")))
-}
 
 // Issue starts an operation, queueing for an MSHR if none is free.
 func (e *Engine) Issue(op *Op) {
@@ -157,8 +138,8 @@ func (e *Engine) MeanLatency() sim.Time {
 }
 
 // Instrument implements metrics.Instrumentable: aggregate MSHR-occupancy and
-// MSHR-queue gauges, completed/retry/abort progress gauges, and a
-// per-operation latency histogram.
+// MSHR-queue gauges, a completed-operations gauge, and a per-operation
+// latency histogram.
 func (e *Engine) Instrument(o metrics.Observer) {
 	if o.Reg == nil {
 		return
@@ -180,20 +161,12 @@ func (e *Engine) Instrument(o metrics.Observer) {
 	o.Reg.Gauge("coherence/completed", func(sim.Time) float64 {
 		return float64(e.Completed)
 	})
-	o.Reg.Gauge("coherence/retries", func(sim.Time) float64 {
-		return float64(e.Retries)
-	})
-	o.Reg.Gauge("coherence/aborted", func(sim.Time) float64 {
-		return float64(e.Aborted)
-	})
 	e.latHist = o.Reg.Histogram("coherence/op_latency")
 }
 
-// tracker follows one operation's outstanding responses across (possibly
-// retransmitted) attempts. Responses are tracked by identity — the data
-// reply plus, for invalidating writes, one ack per sharer — so duplicate
-// deliveries from overlapping attempts are idempotent and can never
-// complete an operation early.
+// tracker follows one operation's outstanding responses: pending counts the
+// data reply plus, for an invalidating write, one ack per sharer, and the
+// last arrival finishes the operation.
 //
 // The tracker carries its engine so the per-packet delivery handlers
 // (reqArrival, dataDone — pointer conversions of the tracker itself) reach
@@ -203,39 +176,27 @@ type tracker struct {
 	e       *Engine
 	op      *Op
 	issued  sim.Time
-	attempt int
-	done    bool
-	data    bool
-	acks    []bool // per-sharer, only consulted for invalidating writes
+	pending int
 }
 
-func (t *tracker) complete() bool {
-	if !t.data {
-		return false
+// arrive retires one response; the last one finishes the operation.
+func (t *tracker) arrive(at sim.Time) {
+	t.pending--
+	if t.pending == 0 {
+		t.e.finish(t, at)
 	}
-	if t.op.Write {
-		for _, a := range t.acks {
-			if !a {
-				return false
-			}
-		}
-	}
-	return true
 }
 
+// start launches the request→lookup→response chain. The request packet's
+// delivery handler is the tracker itself (pointer-shaped).
 func (e *Engine) start(op *Op) {
 	if op.OnIssued != nil {
 		op.OnIssued()
 	}
-	t := &tracker{e: e, op: op, issued: e.eng.Now(), acks: make([]bool, len(op.Sharers))}
-	e.sendRequest(op, t)
-	e.armTimeout(op, t)
-}
-
-// sendRequest launches (or relaunches) the request→lookup→response chain.
-// The request packet's delivery handler is the tracker itself (pointer-
-// shaped), so retransmissions allocate only the packet.
-func (e *Engine) sendRequest(op *Op, t *tracker) {
+	t := &tracker{e: e, op: op, issued: e.eng.Now(), pending: 1}
+	if op.Write {
+		t.pending += len(op.Sharers)
+	}
 	e.net.Inject(&core.Packet{
 		Src: op.Requester, Dst: op.Home,
 		Bytes: e.p.CtrlMsgBytes, Class: core.ClassRequest,
@@ -254,19 +215,11 @@ func (h *reqArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
 	e.eng.ScheduleCall(e.p.Cycles(e.p.DirectoryLookupCycles), (*lookupH)(e), sim.EventArg{Ptr: t})
 }
 
-// dataDone fires when the operation's data reply lands at the requester:
-// idempotent under duplicate deliveries from retransmitted attempts.
+// dataDone fires when the operation's data reply lands at the requester.
 type dataDone tracker
 
 func (h *dataDone) OnDeliver(_ *core.Packet, at sim.Time) {
-	t := (*tracker)(h)
-	if t.done || t.data {
-		return
-	}
-	t.data = true
-	if t.complete() {
-		t.e.finish(t, at)
-	}
+	(*tracker)(h).arrive(at)
 }
 
 // fwdArrival fires when a dirty-owner intervention reaches the owner, which
@@ -283,12 +236,11 @@ func (h *fwdArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
 }
 
 // ackChain carries one sharer's invalidate→ack leg: invArrival fires at the
-// sharer (inject the ack), ackArrival fires at the requester (record it).
+// sharer (inject the ack), ackArrival fires at the requester (count it).
 // One ackChain allocation per sharer replaces the former two closures per
 // sharer; both handler shapes are free pointer conversions of it.
 type ackChain struct {
 	t  *tracker
-	i  int             // sharer index in t.acks
 	sh geometry.SiteID // the sharer site
 }
 
@@ -307,21 +259,12 @@ func (h *invArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
 type ackArrival ackChain
 
 func (h *ackArrival) OnDeliver(_ *core.Packet, at sim.Time) {
-	c := (*ackChain)(h)
-	t := c.t
-	if t.done || t.acks[c.i] {
-		return
-	}
-	t.acks[c.i] = true
-	if t.complete() {
-		t.e.finish(t, at)
-	}
+	(*ackChain)(h).t.arrive(at)
 }
 
 // lookupH fires when the home's directory lookup completes for the tracker
-// in arg.Ptr; timeoutH fires that tracker's delivery-timeout check. Both are
-// named pointer types over Engine, keeping the per-operation event chain
-// closure-free.
+// in arg.Ptr: a named pointer type over Engine, keeping the per-operation
+// event chain closure-free.
 type lookupH Engine
 
 func (h *lookupH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
@@ -330,62 +273,8 @@ func (h *lookupH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 	e.homeAction(t.op, t)
 }
 
-type timeoutH Engine
-
-func (h *timeoutH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
-	e := (*Engine)(h)
-	t := arg.Ptr.(*tracker)
-	if t.done {
-		return
-	}
-	op := t.op
-	st := e.net.Stats()
-	if t.attempt >= e.p.CoherenceMaxRetries {
-		t.done = true
-		e.Aborted++
-		st.AddAbort()
-		e.releaseMSHR(int(op.Requester))
-		if op.OnComplete != nil {
-			op.OnComplete(e.eng.Now() - t.issued)
-		}
-		return
-	}
-	t.attempt++
-	e.Retries++
-	st.AddRetry()
-	e.sendRequest(op, t)
-	e.armTimeout(op, t)
-}
-
-// armTimeout schedules the delivery timeout for the tracker's current
-// attempt: exponential backoff with optional seeded jitter, bounded by
-// CoherenceMaxRetries, after which the operation aborts (the MSHR is
-// released and OnComplete still fires, so callers never hang). A zero
-// CoherenceTimeoutCycles disables the machinery entirely.
-func (e *Engine) armTimeout(op *Op, t *tracker) {
-	if e.p.CoherenceTimeoutCycles <= 0 {
-		return
-	}
-	e.eng.ScheduleCall(e.backoff(t.attempt), (*timeoutH)(e), sim.EventArg{Ptr: t})
-}
-
-// backoff returns the timeout for the given attempt: base × 2^attempt,
-// plus up to one base of seeded jitter when a retry stream is installed.
-func (e *Engine) backoff(attempt int) sim.Duration {
-	base := e.p.Cycles(e.p.CoherenceTimeoutCycles)
-	if attempt > 20 {
-		attempt = 20 // cap the shift; far beyond any sane retry budget
-	}
-	d := base << attempt
-	if e.retryRNG != nil {
-		d += sim.Time(e.retryRNG.Float64() * float64(base))
-	}
-	return d
-}
-
 // finish records a completed operation the moment its last response lands.
 func (e *Engine) finish(t *tracker, at sim.Time) {
-	t.done = true
 	lat := at - t.issued
 	e.Completed++
 	e.LatencySum += lat
@@ -425,8 +314,8 @@ func (e *Engine) homeAction(op *Op, t *tracker) {
 		// Write to shared data: data from home plus invalidations fanned
 		// out to every sharer, each acknowledged to the requester.
 		e.sendHomeData(t)
-		for i, sh := range op.Sharers {
-			c := &ackChain{t: t, i: i, sh: sh}
+		for _, sh := range op.Sharers {
+			c := &ackChain{t: t, sh: sh}
 			e.net.Inject(&core.Packet{
 				Src: op.Home, Dst: sh,
 				Bytes: e.p.CtrlMsgBytes, Class: core.ClassInvalidate,

@@ -5,7 +5,6 @@ import (
 
 	"macrochip/internal/coherence"
 	"macrochip/internal/core"
-	"macrochip/internal/fault"
 	"macrochip/internal/geometry"
 	"macrochip/internal/networks/ptp"
 	"macrochip/internal/sim"
@@ -182,126 +181,6 @@ func TestLatencyAccounting(t *testing.T) {
 	_ = p
 }
 
-// faultySetup builds a coherence engine over a fault-wrapped point-to-point
-// network with delivery timeouts enabled.
-func faultySetup(timeoutCycles, maxRetries int) (*sim.Engine, core.Params, *core.Stats, *fault.Network, *coherence.Engine) {
-	eng := sim.NewEngine()
-	p := core.DefaultParams()
-	p.CoherenceTimeoutCycles = timeoutCycles
-	p.CoherenceMaxRetries = maxRetries
-	st := core.NewStats(0)
-	fnet := fault.Wrap(eng, p, ptp.New(eng, p, st), 11)
-	coh := coherence.NewEngine(eng, p, fnet)
-	coh.SetRetrySeed(11)
-	return eng, p, st, fnet, coh
-}
-
-func TestRetryRecoversFromPacketLoss(t *testing.T) {
-	// The requester→home path is stuck when the request launches; the
-	// first attempt is dropped. The path repairs before the retry, so the
-	// operation must complete via retransmission instead of hanging.
-	eng, p, st, fnet, coh := faultySetup(1000, 8) // 1000 cycles = 200 ns timeout
-	var lat sim.Time = -1
-	fnet.StickPath(0, 1)
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			OnComplete: func(l sim.Time) { lat = l },
-		})
-	})
-	eng.At(100*sim.Nanosecond, func() { fnet.RepairPath(0, 1) })
-	eng.Run()
-	if lat < 0 {
-		t.Fatal("operation never completed under packet loss")
-	}
-	if coh.Retries == 0 || st.Retries == 0 {
-		t.Fatalf("retries = %d/%d, want > 0", coh.Retries, st.Retries)
-	}
-	if coh.Aborted != 0 || st.Aborts != 0 {
-		t.Fatalf("spurious aborts: %d/%d", coh.Aborted, st.Aborts)
-	}
-	if coh.Completed != 1 {
-		t.Fatalf("completed = %d", coh.Completed)
-	}
-	if st.Dropped == 0 {
-		t.Fatal("nothing was dropped — the fault never bit")
-	}
-	// Latency must span at least one full timeout.
-	if lat < p.Cycles(p.CoherenceTimeoutCycles) {
-		t.Fatalf("latency %v below one timeout %v", lat, p.Cycles(p.CoherenceTimeoutCycles))
-	}
-}
-
-func TestRetryExhaustionAborts(t *testing.T) {
-	// A permanently dark home path: every attempt is lost. The operation
-	// must abort after the retry budget, release its MSHR, and still fire
-	// OnComplete so the caller never hangs.
-	eng, _, st, fnet, coh := faultySetup(100, 2)
-	fnet.StickPath(0, 1)
-	completions := 0
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			OnComplete: func(sim.Time) { completions++ },
-		})
-	})
-	eng.Run()
-	if completions != 1 {
-		t.Fatalf("OnComplete fired %d times, want 1 (abort)", completions)
-	}
-	if coh.Aborted != 1 || st.Aborts != 1 {
-		t.Fatalf("aborted = %d/%d, want 1", coh.Aborted, st.Aborts)
-	}
-	if coh.Retries != 2 || st.Retries != 2 {
-		t.Fatalf("retries = %d/%d, want the full budget of 2", coh.Retries, st.Retries)
-	}
-	if coh.Completed != 0 {
-		t.Fatalf("completed = %d, want 0", coh.Completed)
-	}
-	if got := coh.OutstandingAt(0); got != 0 {
-		t.Fatalf("MSHR leak: outstanding = %d after abort", got)
-	}
-}
-
-func TestRetryDuplicateResponsesAreIdempotent(t *testing.T) {
-	// A slow (detuned) but lossless path makes the first attempt time out
-	// while its messages are still in flight: two full response sets
-	// eventually arrive. The operation must complete exactly once.
-	eng, _, _, fnet, coh := faultySetup(50, 8) // 10 ns timeout: any inter-site op exceeds it
-	fnet.Detune(0, 16, 0)
-	completions := 0
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
-			Requester: 0, Home: 1,
-			Sharers: []geometry.SiteID{2, 3}, Write: true,
-			OnComplete: func(sim.Time) { completions++ },
-		})
-	})
-	eng.Run()
-	if completions != 1 {
-		t.Fatalf("OnComplete fired %d times, want exactly 1", completions)
-	}
-	if coh.Completed != 1 {
-		t.Fatalf("completed = %d", coh.Completed)
-	}
-	if coh.Retries == 0 {
-		t.Fatal("expected at least one timeout-driven retry on the slow path")
-	}
-}
-
-func TestTimeoutDisabledByDefault(t *testing.T) {
-	// The default params leave CoherenceTimeoutCycles at zero: no timeout
-	// events are scheduled, preserving the perfect-network baseline.
-	eng, _, coh := setup()
-	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1})
-	})
-	eng.Run()
-	if coh.Retries != 0 || coh.Aborted != 0 {
-		t.Fatalf("baseline run produced retries=%d aborts=%d", coh.Retries, coh.Aborted)
-	}
-}
-
 func TestIntraSiteOperation(t *testing.T) {
 	// Requester == home: both messages use the loop-back link.
 	eng, p, coh := setup()
@@ -323,7 +202,7 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 	// The delivery chain is closure-free (pointer-shaped DeliverHandlers over
 	// the tracker), so a steady-state unshared miss costs only the caller's
 	// Op, the tracker, and the two packets — and an invalidating write adds
-	// one ackChain + two packets per sharer plus the ack bitmap. These
+	// one ackChain + two packets per sharer. These
 	// bounds pin the "no closures in the hot path" property: reintroducing a
 	// per-message closure bumps them immediately.
 	eng, p, coh := setup()
@@ -349,9 +228,9 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 		eng.Run()
 	}
 	stepWrite()
-	// Op + tracker + acks bitmap + 2+2k packets + k ackChains = 11 for k=2.
-	if allocs := testing.AllocsPerRun(200, stepWrite); allocs > 11 {
-		t.Fatalf("2-sharer invalidating write allocated %.1f, want ≤ 11", allocs)
+	// Op + tracker + 2+2k packets + k ackChains = 10 for k=2.
+	if allocs := testing.AllocsPerRun(200, stepWrite); allocs > 10 {
+		t.Fatalf("2-sharer invalidating write allocated %.1f, want ≤ 10", allocs)
 	}
 	if coh.Completed == 0 {
 		t.Fatal("no operations completed")

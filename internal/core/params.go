@@ -132,19 +132,6 @@ type Params struct {
 	// traffic (paper §6.2).
 	IntraSiteCycles int
 
-	// ---- Fault recovery (internal/fault resilience extension) ----
-
-	// CoherenceTimeoutCycles is the delivery timeout, in core cycles,
-	// before a coherence operation retransmits its request. Zero disables
-	// timeouts entirely — the paper's perfect-network baseline, and the
-	// default, so the figure-7..10 studies are bit-identical with or
-	// without the fault subsystem compiled in.
-	CoherenceTimeoutCycles int
-	// CoherenceMaxRetries bounds retransmission attempts per coherence
-	// operation; once exhausted the operation aborts (counted in
-	// Stats.Aborts) instead of hanging forever on a lossy network.
-	CoherenceMaxRetries int
-
 	// MemoryTech names the off-package main-memory technology preset (see
 	// internal/memory.Technologies). Empty or "on-package" reproduces the
 	// paper's baseline, in which the home site always supplies data from
@@ -199,9 +186,6 @@ func DefaultParams() Params {
 		DataMsgBytes:          72,
 		DirectoryLookupCycles: 10,
 		IntraSiteCycles:       1,
-
-		CoherenceTimeoutCycles: 0, // timeouts off: perfect-network baseline
-		CoherenceMaxRetries:    8,
 
 		CoreWatts: 1,
 	}

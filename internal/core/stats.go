@@ -61,10 +61,9 @@ type Stats struct {
 	// Fault/recovery counters (whole run, like the energy counters).
 	//
 	// Dropped counts packets lost to injected faults (stamped as injected,
-	// never delivered). Retries counts retransmission attempts by recovery
-	// layers (coherence operation re-requests, open-loop packet resends).
-	// Aborts counts operations or packets abandoned after exhausting their
-	// retry budget.
+	// never delivered). Retries counts retransmission attempts by the
+	// recovery layer (open-loop packet resends). Aborts counts packets
+	// abandoned after exhausting their retry budget.
 	Dropped uint64
 	Retries uint64
 	Aborts  uint64
@@ -141,7 +140,7 @@ func (s *Stats) AddDrop() { s.Dropped++ }
 // AddRetry counts one retransmission attempt by a recovery layer.
 func (s *Stats) AddRetry() { s.Retries++ }
 
-// AddAbort counts one operation or packet abandoned after retry exhaustion.
+// AddAbort counts one packet abandoned after retry exhaustion.
 func (s *Stats) AddAbort() { s.Aborts++ }
 
 // Availability is the fraction of injection attempts that were delivered —

@@ -29,6 +29,7 @@
 package expcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,9 +37,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"macrochip/internal/metrics"
-	"macrochip/internal/sim"
 )
 
 // Cache is one result-cache directory handle. Create with Open; the zero
@@ -263,26 +261,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Instrument implements metrics.Instrumentable: hit/miss/byte gauges over
-// the live counters, under the expcache/ prefix.
-func (c *Cache) Instrument(o metrics.Observer) {
-	if c == nil || o.Reg == nil {
-		return
-	}
-	o.Reg.Gauge("expcache/hits", func(sim.Time) float64 {
-		return float64(c.hits.Load())
-	})
-	o.Reg.Gauge("expcache/misses", func(sim.Time) float64 {
-		return float64(c.misses.Load())
-	})
-	o.Reg.Gauge("expcache/bytes_read", func(sim.Time) float64 {
-		return float64(c.bytesRead.Load())
-	})
-	o.Reg.Gauge("expcache/bytes_written", func(sim.Time) float64 {
-		return float64(c.bytesWritten.Load())
-	})
-}
-
 // Do returns the cached value for key, computing and persisting it on a
 // miss. Identical in-process calls are single-flighted: only the first
 // computes; the rest block, share its result, and count as hits. If the
@@ -371,7 +349,7 @@ func (c *Cache) load(key Key, out any) bool {
 	if err != nil {
 		return false
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if !validEntry(data) || json.Unmarshal(data, out) != nil {
 		os.Remove(p)
 		return false
 	}
@@ -381,10 +359,10 @@ func (c *Cache) load(key Key, out any) bool {
 }
 
 // loadRemote asks the remote tier for one entry on a local miss. The fetched
-// bytes must decode into out — an undecodable remote entry is treated as a
-// remote error, not served — and a good entry is written through to the
-// local directory byte-for-byte, so the local file is identical to the one
-// the remote's original writer published.
+// bytes must be a valid entry and decode into out — anything else is
+// treated as a remote error, not served — and a good entry is written
+// through to the local directory byte-for-byte, so the local file is
+// identical to the one the remote's original writer published.
 func (c *Cache) loadRemote(key Key, out any) bool {
 	if c.remote == nil {
 		return false
@@ -397,7 +375,7 @@ func (c *Cache) loadRemote(key Key, out any) bool {
 	if !ok {
 		return false
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if !validEntry(data) || json.Unmarshal(data, out) != nil {
 		c.remoteErrors.Add(1)
 		return false
 	}
@@ -408,11 +386,11 @@ func (c *Cache) loadRemote(key Key, out any) bool {
 
 // store publishes one entry: encode, atomic local publish, then write-through
 // to the remote tier so other sweep participants can rendezvous on it.
-// Failures are counted and swallowed — a result that cannot be cached is
-// still a result.
+// Failures, and values that do not encode as a JSON object, are counted
+// and swallowed — a result that cannot be cached is still a result.
 func (c *Cache) store(key Key, v any) {
 	data, err := json.Marshal(v)
-	if err != nil {
+	if err != nil || !validEntry(data) {
 		c.writeErrors.Add(1)
 		return
 	}
@@ -459,7 +437,7 @@ func (c *Cache) storeBytes(key Key, data []byte) bool {
 // EntryBytes returns the raw bytes of one published entry, hot tier first
 // — the daemon's GET path. Corrupt disk entries are deleted and reported
 // as absent, exactly like load, so a torn or damaged file can never be
-// served to a remote reader; hot-tier bytes were valid JSON at admission
+// served to a remote reader; hot-tier bytes were valid entries at admission
 // and are immutable after.
 func (c *Cache) EntryBytes(key Key) ([]byte, bool) {
 	if c == nil {
@@ -473,7 +451,7 @@ func (c *Cache) EntryBytes(key Key) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !json.Valid(data) {
+	if !validEntry(data) {
 		os.Remove(p)
 		return nil, false
 	}
@@ -520,7 +498,7 @@ func (c *Cache) Prefetch(keys []Key) {
 		return
 	}
 	for k, data := range entries {
-		if !asked[k] || !json.Valid(data) {
+		if !asked[k] || !validEntry(data) {
 			c.remoteErrors.Add(1)
 			continue
 		}
@@ -532,7 +510,7 @@ func (c *Cache) Prefetch(keys []Key) {
 }
 
 // PublishEntry atomically publishes externally supplied entry bytes — the
-// daemon's PUT path. The bytes must be valid JSON (the invariant every
+// daemon's PUT path. The bytes must be a JSON object (the invariant every
 // local writer maintains); anything else is rejected before touching the
 // directory. Publishing an existing key again simply renames identical
 // content over identical content.
@@ -540,11 +518,20 @@ func (c *Cache) PublishEntry(key Key, data []byte) error {
 	if c == nil {
 		return errors.New("expcache: cache disabled")
 	}
-	if !json.Valid(data) {
-		return fmt.Errorf("expcache: entry %s: not valid JSON", key.Hex())
+	if !validEntry(data) {
+		return fmt.Errorf("expcache: entry %s: not a JSON object", key.Hex())
 	}
 	if !c.storeBytes(key, data) {
 		return fmt.Errorf("expcache: entry %s: publish failed", key.Hex())
 	}
 	return nil
+}
+
+// validEntry reports whether data is a well-formed entry: one JSON object.
+// Every value the cache holds is a result struct. The check refuses in
+// particular the literal null, which passes json.Valid and which
+// json.Unmarshal decodes into any result as its zero value without error.
+func validEntry(data []byte) bool {
+	data = bytes.TrimLeft(data, " \t\r\n")
+	return len(data) > 0 && data[0] == '{' && json.Valid(data)
 }

@@ -9,9 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"macrochip/internal/metrics"
-	"macrochip/internal/sim"
 )
 
 type point struct {
@@ -117,6 +114,46 @@ func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 		if c.Stats().Hits != hitsBefore+1 {
 			t.Fatalf("%s entry: healed slot did not hit", tc.name)
 		}
+	}
+}
+
+// TestNullEntryIsRefused pins that the JSON literal null, which is valid
+// JSON and decodes into any result as its zero value, is never an entry: a
+// null file on disk is a miss and is deleted, EntryBytes does not serve
+// it, and a value that encodes as null is not stored.
+func TestNullEntryIsRefused(t *testing.T) {
+	c, _ := Open(t.TempDir())
+	key := testKey(4)
+	if err := os.WriteFile(c.path(key), []byte("null"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var v point
+	if c.load(key, &v) {
+		t.Fatal("null entry on disk loaded as a hit")
+	}
+	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
+		t.Fatalf("null entry not deleted: %v", err)
+	}
+
+	if err := os.WriteFile(c.path(key), []byte(" null\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := c.EntryBytes(key); ok {
+		t.Fatalf("EntryBytes served %q", data)
+	}
+	computes := 0
+	got := Do(c, key, func() point { computes++; return point{Mean: 4} })
+	if computes != 1 || got.Mean != 4 {
+		t.Fatalf("null entry not recomputed: computes=%d got=%+v", computes, got)
+	}
+
+	nilKey := testKey(5)
+	Do(c, nilKey, func() *point { return nil })
+	if st := c.Stats(); st.WriteErrors != 1 {
+		t.Fatalf("WriteErrors = %d, want 1 for a value encoding as null", st.WriteErrors)
+	}
+	if _, err := os.Stat(c.path(nilKey)); !os.IsNotExist(err) {
+		t.Fatalf("null value was stored (stat: %v)", err)
 	}
 }
 
@@ -311,7 +348,6 @@ func TestNilCacheComputesDirectly(t *testing.T) {
 	if c.Dir() != "" || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache methods not inert")
 	}
-	c.Instrument(metrics.Observer{}) // must not panic
 }
 
 func TestWriteFailureDegradesToRecompute(t *testing.T) {
@@ -332,25 +368,5 @@ func TestWriteFailureDegradesToRecompute(t *testing.T) {
 	}
 	if c.Stats().WriteErrors != 1 {
 		t.Fatalf("write errors = %d, want 1", c.Stats().WriteErrors)
-	}
-}
-
-func TestInstrumentGauges(t *testing.T) {
-	c, _ := Open(t.TempDir())
-	Do(c, testKey(20), func() point { return point{} })
-	Do(c, testKey(20), func() point { return point{} })
-	reg := metrics.NewRegistry()
-	c.Instrument(metrics.Observer{Reg: reg})
-	want := map[string]float64{"expcache/hits": 1, "expcache/misses": 1}
-	for _, g := range reg.Gauges() {
-		if v, ok := want[g.Name()]; ok {
-			if got := g.Read(sim.Time(0)); got != v {
-				t.Fatalf("%s = %v, want %v", g.Name(), got, v)
-			}
-			delete(want, g.Name())
-		}
-	}
-	if len(want) != 0 {
-		t.Fatalf("gauges missing from registry: %v", want)
 	}
 }

@@ -172,6 +172,26 @@ func TestPrefetchStoresOnlyRequestedKeys(t *testing.T) {
 	}
 }
 
+// TestPrefetchRefusesNull pins that a batch answer holding the JSON literal
+// null for a requested key stores nothing: it counts as a remote error.
+func TestPrefetchRefusesNull(t *testing.T) {
+	key := testKey(84)
+	remote := newFakeRemote()
+	remote.entries[key] = []byte("null")
+	c, _ := Open(t.TempDir())
+	c.SetRemote(remote)
+	c.Prefetch([]Key{key})
+	if st := c.Stats(); st.Prefetched != 0 || st.RemoteErrors != 1 {
+		t.Errorf("Prefetched = %d, RemoteErrors = %d; want 0 and 1: %+v", st.Prefetched, st.RemoteErrors, st)
+	}
+	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
+		t.Errorf("null entry was stored (stat: %v)", err)
+	}
+	if data, ok := c.EntryBytes(key); ok {
+		t.Errorf("EntryBytes served %q", data)
+	}
+}
+
 // TestPrefetchDegradesCleanly pins the no-op edges: nil cache, no remote,
 // an empty key list, and a failing batch call — none may panic, fetch
 // per-key, or lose later lookups.
@@ -318,6 +338,24 @@ func TestRemoteUndecodableEntryRejected(t *testing.T) {
 	}
 }
 
+// TestRemoteNullEntryRejected pins that a remote entry holding the JSON
+// literal null is a remote error, not a hit: json.Unmarshal would decode it
+// into the zero result without an error, so the point must be computed.
+func TestRemoteNullEntryRejected(t *testing.T) {
+	remote := newFakeRemote()
+	remote.entries[testKey(46)] = []byte("null")
+	c, _ := Open(t.TempDir())
+	c.SetRemote(remote)
+	computes := 0
+	got := Do(c, testKey(46), func() point { computes++; return point{Load: 0.5, Mean: 7} })
+	if computes != 1 || got.Mean != 7 {
+		t.Fatalf("null remote entry served as a hit: computes=%d got=%+v", computes, got)
+	}
+	if st := c.Stats(); st.RemoteErrors != 1 || st.RemoteHits != 0 {
+		t.Fatalf("stats = %+v, want 1 remote error, 0 remote hits", st)
+	}
+}
+
 // TestEntryBytesAndPublishEntry pins the daemon-facing raw-entry API: a
 // published entry round-trips byte-for-byte, invalid JSON is rejected, and
 // a corrupt on-disk entry is healed (deleted), not served.
@@ -335,8 +373,10 @@ func TestEntryBytesAndPublishEntry(t *testing.T) {
 	if !ok || string(got) != string(entry) {
 		t.Fatalf("EntryBytes = %q, %v; want the published bytes", got, ok)
 	}
-	if err := c.PublishEntry(key, []byte("not json")); err == nil {
-		t.Fatal("PublishEntry accepted invalid JSON")
+	for _, bad := range []string{"not json", "null", "5", `"s"`, "[1]", `{"a":1} {}`} {
+		if err := c.PublishEntry(key, []byte(bad)); err == nil {
+			t.Fatalf("PublishEntry accepted %q", bad)
+		}
 	}
 	var nilCache *Cache
 	if err := nilCache.PublishEntry(key, entry); err == nil {

@@ -81,15 +81,9 @@ func (r StudyRow) RouterFraction() float64 {
 	return r.Cells[networks.LimitedPtP].Energy.RouterFraction()
 }
 
-// RunStudy runs every benchmark over every network kind on the default
-// parallel Runner.
-func RunStudy(benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, seed int64) []StudyRow {
-	return RunStudyWith(Runner{}, benches, kinds, p, seed)
-}
-
-// RunStudyWith is RunStudy on an explicit Runner. Every (benchmark,
-// network) cell is an independent simulation seeded by CellSeed, so the
-// study's rows are identical at every worker count.
+// RunStudyWith runs every benchmark over every network kind on the Runner.
+// Every (benchmark, network) cell is an independent simulation seeded by
+// CellSeed, so the study's rows are identical at every worker count.
 func RunStudyWith(r Runner, benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, seed int64) []StudyRow {
 	cells := make([]cell[BenchResult], 0, len(benches)*len(kinds))
 	for _, b := range benches {

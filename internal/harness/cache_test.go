@@ -138,7 +138,7 @@ func TestCachedScalingAndStudyDeterministic(t *testing.T) {
 		}
 		return b.String()
 	}
-	plain := render(ScalingStudy(ns))
+	plain := render(ScalingStudyWith(Runner{}, ns))
 	cold := render(ScalingStudyWith(Runner{Cache: c}, ns))
 	warm := render(ScalingStudyWith(Runner{Cache: c}, ns))
 	if plain != cold || plain != warm {

@@ -191,33 +191,27 @@ func (s resilienceSpec) config() (ResilienceConfig, fault.Class, error) {
 // worker needs no access to the coordinator's filesystem, and so two
 // different custom DAGs sharing a name can never share a key.
 type inferenceSpec struct {
-	Params         core.Params    `json:"params"`
-	Network        networks.Kind  `json:"network"`
-	Graph          string         `json:"graph"`
-	Batch          int            `json:"batch"`
-	Seq            int            `json:"seq"`
-	PacketBytes    int            `json:"packet_bytes"`
-	RetryTimeoutPS int64          `json:"retry_timeout_ps"`
-	RetryMax       int            `json:"retry_max"`
-	JitterFrac     float64        `json:"jitter_frac"`
-	FaultWrap      bool           `json:"fault_wrap"`
-	Seed           int64          `json:"seed"`
-	Custom         *opgraph.Graph `json:"custom,omitempty"`
+	Params      core.Params    `json:"params"`
+	Network     networks.Kind  `json:"network"`
+	Graph       string         `json:"graph"`
+	Batch       int            `json:"batch"`
+	Seq         int            `json:"seq"`
+	PacketBytes int            `json:"packet_bytes"`
+	JitterFrac  float64        `json:"jitter_frac"`
+	Seed        int64          `json:"seed"`
+	Custom      *opgraph.Graph `json:"custom,omitempty"`
 }
 
 func specForInference(cfg InferenceConfig, k networks.Kind, graph string, batch, seq int) inferenceSpec {
 	s := inferenceSpec{
-		Params:         cfg.Params,
-		Network:        k,
-		Graph:          graph,
-		Batch:          batch,
-		Seq:            seq,
-		PacketBytes:    cfg.PacketBytes,
-		RetryTimeoutPS: int64(cfg.Retry.Timeout),
-		RetryMax:       cfg.Retry.MaxRetries,
-		JitterFrac:     cfg.JitterFrac,
-		FaultWrap:      cfg.FaultWrap,
-		Seed:           cfg.Seed,
+		Params:      cfg.Params,
+		Network:     k,
+		Graph:       graph,
+		Batch:       batch,
+		Seq:         seq,
+		PacketBytes: cfg.PacketBytes,
+		JitterFrac:  cfg.JitterFrac,
+		Seed:        cfg.Seed,
 	}
 	if cfg.Custom != nil && cfg.Custom.Name == graph {
 		s.Custom = cfg.Custom
@@ -230,9 +224,7 @@ func (s inferenceSpec) config() InferenceConfig {
 		Params:      s.Params,
 		Custom:      s.Custom,
 		PacketBytes: s.PacketBytes,
-		Retry:       traffic.RetryPolicy{Timeout: sim.Duration(s.RetryTimeoutPS), MaxRetries: s.RetryMax},
 		JitterFrac:  s.JitterFrac,
-		FaultWrap:   s.FaultWrap,
 		Seed:        s.Seed,
 	}
 }
@@ -336,12 +328,6 @@ func loadPointCell(cfg LoadPointConfig) cell[LoadPoint] {
 		return cell[LoadPoint]{kind: CellLoadPoint, local: local}
 	}
 	return newCell(CellLoadPoint, specForLoadPoint(cfg), local)
-}
-
-// cachedLoadPoint is RunLoadPoint behind the cache and the Runner's fleet,
-// bypassing both for instrumented configs.
-func cachedLoadPoint(r Runner, cfg LoadPointConfig) LoadPoint {
-	return loadPointCell(cfg).run(r.Cache, r.Dist)
 }
 
 // RunCell executes one wire cell through the same cell path the in-process

@@ -15,6 +15,12 @@ import (
 	"macrochip/internal/workload"
 )
 
+// cachedLoadPoint is RunLoadPoint behind the cache and the Runner's fleet,
+// bypassing both for instrumented configs: one figure-6 cell on its own.
+func cachedLoadPoint(r Runner, cfg LoadPointConfig) LoadPoint {
+	return loadPointCell(cfg).run(r.Cache, r.Dist)
+}
+
 // unknownFieldSpec is a load-point spec carrying a field this build does
 // not know; RunCell must reject it (TestDistSpecUnknownFieldRejected).
 const unknownFieldSpec = `{"params":{},"bogus_field":1}`

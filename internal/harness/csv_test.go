@@ -46,7 +46,7 @@ func TestWriteFigure6CSV(t *testing.T) {
 
 func TestWriteStudyCSV(t *testing.T) {
 	p := core.DefaultParams()
-	rows := RunStudy(workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
+	rows := RunStudyWith(Runner{}, workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
 	var b strings.Builder
 	if err := WriteStudyCSV(&b, rows); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestWriteStudyCSV(t *testing.T) {
 }
 
 func TestWriteScalingCSV(t *testing.T) {
-	rows := ScalingStudy([]int{4, 8})
+	rows := ScalingStudyWith(Runner{}, []int{4, 8})
 	var b strings.Builder
 	if err := WriteScalingCSV(&b, rows); err != nil {
 		t.Fatal(err)

@@ -51,19 +51,24 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestDistKillWorkerMidSweep is the kill-mid-sweep regression, run with the
-// full pipeline: each worker advertises a depth-8 credit window, so the
-// SIGKILL lands on a process holding several unanswered cells at once, not
-// one. It proves that (a) the sweep's CSV is still byte-identical to
-// serial, (b) no cell was lost or run to two different answers, and (c)
-// the shared cache holds no torn entry — every published *.json is
-// complete, valid JSON (orphaned temp files are allowed; readers never see
-// them because publication is a rename).
+// full pipeline: each worker advertises a depth-8 credit window and the
+// grid is three windows wide (24 cells for two workers), so the SIGKILL
+// lands on processes holding several unanswered cells at once, with more
+// still queued. It proves that (a) the held cells were reassigned, (b) the
+// sweep's CSV is still byte-identical to serial, so no cell was lost or
+// run to two different answers, and (c) the shared cache holds no torn
+// entry — every published *.json is complete, valid JSON (orphaned temp
+// files are allowed; readers never see them because publication is a
+// rename).
 func TestDistKillWorkerMidSweep(t *testing.T) {
 	bin := buildMacrosim(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 
 	cfg := quickCfg()
-	loads := []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04}
+	var loads []float64
+	for i := 1; i <= 24; i++ {
+		loads = append(loads, float64(i)/200)
+	}
 	kinds := []networks.Kind{networks.PointToPoint}
 	render := func(r Runner) string {
 		panel, err := Figure6PanelWith(r, cfg, "uniform", kinds, loads)
@@ -94,23 +99,31 @@ func TestDistKillWorkerMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The assassin waits for the fleet to be mid-sweep — at least one cell
-	// completed, so workers are demonstrably holding work — then SIGKILLs
-	// one worker process outright (no SIGTERM grace, no drain).
-	killed := make(chan int, 1)
+	// The assassin waits until the fleet holds at least two unanswered
+	// cells, then SIGKILLs every worker process outright (no SIGTERM grace,
+	// no drain). The slots respawn and the held cells are reassigned.
+	killed := make(chan []int, 1)
+	done := make(chan struct{})
 	go func() {
-		deadline := time.Now().Add(60 * time.Second)
-		for time.Now().Before(deadline) {
-			if c.Stats().Completed >= 1 {
-				if pids := c.WorkerPIDs(); len(pids) > 0 {
-					syscall.Kill(pids[0], syscall.SIGKILL) //nolint:errcheck // racing natural exit is fine
-					killed <- pids[0]
-					return
-				}
+		for {
+			held := 0
+			for _, w := range c.Stats().Workers {
+				held += w.InFlight
 			}
-			time.Sleep(2 * time.Millisecond)
+			if pids := c.WorkerPIDs(); held >= 2 && len(pids) > 0 {
+				for _, pid := range pids {
+					syscall.Kill(pid, syscall.SIGKILL) //nolint:errcheck // racing natural exit is fine
+				}
+				killed <- pids
+				return
+			}
+			select {
+			case <-done:
+				killed <- nil
+				return
+			case <-time.After(time.Millisecond):
+			}
 		}
-		killed <- 0
 	}()
 
 	cache, err := expcache.Open(cacheDir)
@@ -118,15 +131,19 @@ func TestDistKillWorkerMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := render(Runner{Cache: cache, Dist: c})
-	pid := <-killed
+	close(done)
+	pids := <-killed
 
+	if pids == nil {
+		t.Fatal("sweep finished before the fleet held two cells; the assassin never fired")
+	}
+	st := c.Stats()
+	t.Logf("killed worker pids %v mid-sweep; stats: %+v", pids, st)
+	if st.Retried < 1 {
+		t.Errorf("Retried = %d after killing workers that held cells, want ≥ 1", st.Retried)
+	}
 	if got != serial {
 		t.Errorf("CSV after mid-sweep SIGKILL differs from serial\nserial:\n%s\ngot:\n%s", serial, got)
-	}
-	if pid == 0 {
-		t.Log("sweep finished before the assassin fired; identity still holds")
-	} else {
-		t.Logf("killed worker pid %d mid-sweep; stats: %+v", pid, c.Stats())
 	}
 
 	// No torn entries: everything published under the cache dir must be

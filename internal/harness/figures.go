@@ -41,16 +41,13 @@ type Figure6Panel struct {
 	Series  []SweepSeries
 }
 
-// Figure6 regenerates the latency-vs-offered-load study (paper figure 6):
-// four traffic patterns × five networks × a load grid, on the default
-// parallel Runner. Pass zero values to use DefaultLoadPointConfig settings.
-func Figure6(base LoadPointConfig) []Figure6Panel { return Figure6With(Runner{}, base) }
-
-// Figure6With is Figure6 on an explicit Runner. Every (pattern, network,
-// load) point is an independent simulation; the full grid is flattened
-// into one job list so the pool stays busy across panel boundaries, and
-// each point's seed comes from PointSeed, so the rendered tables are
-// byte-identical at every worker count.
+// Figure6With regenerates the latency-vs-offered-load study (paper
+// figure 6) on the Runner: four traffic patterns × five networks × a load
+// grid. Pass zero values to use DefaultLoadPointConfig settings. Every
+// (pattern, network, load) point is an independent simulation; the full
+// grid is flattened into one job list so the pool stays busy across panel
+// boundaries, and each point's seed comes from PointSeed, so the rendered
+// tables are byte-identical at every worker count.
 func Figure6With(r Runner, base LoadPointConfig) []Figure6Panel {
 	if base.PacketBytes == 0 {
 		base = DefaultLoadPointConfig()
@@ -144,14 +141,8 @@ func RenderFigure6(panel Figure6Panel) string {
 	return b.String()
 }
 
-// FullStudy runs the eleven workloads over all six network designs — the
-// shared substrate of figures 7, 8, 9 and 10 — on the default parallel
-// Runner.
-func FullStudy(p core.Params, scale workload.Scale, seed int64) []StudyRow {
-	return FullStudyWith(Runner{}, p, scale, seed)
-}
-
-// FullStudyWith is FullStudy on an explicit Runner.
+// FullStudyWith runs the eleven workloads over all six network designs —
+// the shared substrate of figures 7, 8, 9 and 10 — on the Runner.
 func FullStudyWith(r Runner, p core.Params, scale workload.Scale, seed int64) []StudyRow {
 	return RunStudyWith(r, workload.All(p.Grid, scale), networks.Six(), p, seed)
 }

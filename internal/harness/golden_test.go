@@ -66,7 +66,7 @@ func TestGoldenFigure6CSV(t *testing.T) {
 
 func TestGoldenStudyCSV(t *testing.T) {
 	p := core.DefaultParams()
-	rows := RunStudy(workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
+	rows := RunStudyWith(Runner{}, workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
 	var b strings.Builder
 	if err := WriteStudyCSV(&b, rows); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestGoldenStudyCSV(t *testing.T) {
 }
 
 func TestGoldenScalingCSV(t *testing.T) {
-	rows := ScalingStudy([]int{4, 8})
+	rows := ScalingStudyWith(Runner{}, []int{4, 8})
 	var b strings.Builder
 	if err := WriteScalingCSV(&b, rows); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestGoldenResilienceCSV(t *testing.T) {
 	cfg.Rates = []float64{0, 80}
 	cfg.Warmup = 100 * sim.Nanosecond
 	cfg.Measure = 400 * sim.Nanosecond
-	points := ResilienceStudy(cfg)
+	points := ResilienceStudyWith(Runner{}, cfg)
 	var b strings.Builder
 	if err := WriteResilienceCSV(&b, points); err != nil {
 		t.Fatal(err)

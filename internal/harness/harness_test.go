@@ -113,7 +113,7 @@ func TestRunBenchmarkAndStudyRow(t *testing.T) {
 
 func TestRenderers(t *testing.T) {
 	p := core.DefaultParams()
-	rows := RunStudy(workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
+	rows := RunStudyWith(Runner{}, workload.Synthetics(p.Grid, 0.02)[:1], networks.Six(), p, 1)
 
 	if s := RenderFigure7(rows); !strings.Contains(s, "all-to-all") || !strings.Contains(s, "Figure 7") {
 		t.Fatalf("figure 7 render:\n%s", s)
@@ -161,7 +161,7 @@ func TestRenderFigure6(t *testing.T) {
 
 func TestStudyHelpers(t *testing.T) {
 	p := core.DefaultParams()
-	rows := RunStudy(workload.Synthetics(p.Grid, 0.02)[:2], []networks.Kind{networks.PointToPoint, networks.CircuitSwitched}, p, 1)
+	rows := RunStudyWith(Runner{}, workload.Synthetics(p.Grid, 0.02)[:2], []networks.Kind{networks.PointToPoint, networks.CircuitSwitched}, p, 1)
 	if rt := MeanRuntime(rows, networks.PointToPoint); rt <= 0 {
 		t.Fatalf("mean runtime = %v", rt)
 	}

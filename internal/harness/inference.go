@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/fault"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
 	"macrochip/internal/sim"
-	"macrochip/internal/traffic"
 )
 
 // The inference study replays operator graphs (internal/opgraph) — the
@@ -39,17 +37,9 @@ type InferenceConfig struct {
 	// PacketBytes is the transfer MTU. Zero defers to the graph's own MTU
 	// and then opgraph.DefaultMTU; negative values are rejected by validate.
 	PacketBytes int
-	// Retry is the per-segment recovery policy (zero = disabled, the
-	// loss-free default).
-	Retry traffic.RetryPolicy
 	// JitterFrac adds seeded compute-window jitter (straggler modeling).
 	JitterFrac float64
-	// FaultWrap wraps every replay's network in the fault.Network decorator
-	// (with no fault plan installed). An idle decorator is byte-identical to
-	// none at all — pinned by the conformance tests — and the field is the
-	// hook a future fault-schedule sweep will layer onto.
-	FaultWrap bool
-	Seed      int64
+	Seed       int64
 }
 
 // DefaultInferenceConfig sweeps every preset on every network at two batch
@@ -95,8 +85,10 @@ type InferencePoint struct {
 	CollectivePkts uint64
 	Transfers      int
 	BytesMoved     uint64
-	Retries        uint64
-	Aborts         uint64
+	// Retries and Aborts are always zero: the replay runs on a loss-free
+	// network and never retransmits. They keep the CSV's columns.
+	Retries uint64
+	Aborts  uint64
 	// Stalled marks a replay that deadlocked on lost dependencies.
 	Stalled bool
 	// Events counts kernel events dispatched by the replay (the benchmark
@@ -136,18 +128,13 @@ func RunInferencePoint(cfg InferenceConfig, k networks.Kind, graph string, batch
 	}
 	eng := sim.NewEngine()
 	stats := core.NewStats(0)
-	var net core.Network = networks.MustNew(k, eng, cfg.Params, stats)
-	if cfg.FaultWrap {
-		net = fault.Wrap(eng, cfg.Params, net, InferenceSeed(cfg.Seed, k, graph, batch, seq))
-	}
 	r := &opgraph.Replay{
 		Eng:         eng,
 		Params:      cfg.Params,
-		Net:         net,
+		Net:         networks.MustNew(k, eng, cfg.Params, stats),
 		Graph:       g,
 		PacketBytes: cfg.PacketBytes,
 		Seed:        InferenceSeed(cfg.Seed, k, graph, batch, seq),
-		Retry:       cfg.Retry,
 		JitterFrac:  cfg.JitterFrac,
 	}
 	if err := r.Start(); err != nil {
@@ -168,8 +155,6 @@ func RunInferencePoint(cfg InferenceConfig, k networks.Kind, graph string, batch
 		CollectivePkts: stats.PerClass[core.ClassCollective],
 		Transfers:      res.TransfersDone,
 		BytesMoved:     res.BytesMoved,
-		Retries:        stats.Retries,
-		Aborts:         stats.Aborts,
 		Stalled:        res.Stalled,
 		Events:         eng.Executed(),
 	}
@@ -243,15 +228,9 @@ func (cfg InferenceConfig) seqLens() []int {
 	return []int{16}
 }
 
-// InferenceStudy sweeps network × graph × batch × seq on the default
-// parallel Runner.
-func InferenceStudy(cfg InferenceConfig) ([]InferencePoint, error) {
-	return InferenceStudyWith(Runner{}, cfg)
-}
-
-// InferenceStudyWith is InferenceStudy on an explicit Runner. Points are
-// slotted by index and seeded by InferenceSeed/GraphSeed, so output is
-// byte-identical at every worker count.
+// InferenceStudyWith sweeps network × graph × batch × seq on the Runner.
+// Points are slotted by index and seeded by InferenceSeed/GraphSeed, so
+// output is byte-identical at every worker count.
 func InferenceStudyWith(r Runner, cfg InferenceConfig) ([]InferencePoint, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -7,8 +7,6 @@ import (
 	"macrochip/internal/expcache"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
-	"macrochip/internal/sim"
-	"macrochip/internal/traffic"
 )
 
 // inferenceCSV runs the quick sweep on the given runner and renders it.
@@ -75,40 +73,27 @@ func TestInferenceCacheDeterminism(t *testing.T) {
 	}
 }
 
-// TestInferenceFaultWrapTransparent: the idle fault decorator around every
-// replay changes nothing, byte for byte.
-func TestInferenceFaultWrapTransparent(t *testing.T) {
-	cfg := QuickInferenceConfig()
-	cfg.Networks = []networks.Kind{networks.TokenRing, networks.LimitedPtP}
-	plain := inferenceCSV(t, Serial, cfg)
-	cfg.FaultWrap = true
-	wrapped := inferenceCSV(t, Serial, cfg)
-	if plain != wrapped {
-		t.Fatal("fault decorator at zero active faults changed the inference CSV")
-	}
-}
-
 func TestInferenceStudyValidation(t *testing.T) {
 	cfg := QuickInferenceConfig()
 	cfg.Graphs = []string{"no-such-graph"}
-	if _, err := InferenceStudy(cfg); err == nil {
+	if _, err := InferenceStudyWith(Runner{}, cfg); err == nil {
 		t.Error("unknown graph name accepted")
 	} else if !strings.Contains(err.Error(), "decode-attention") {
 		t.Errorf("error %q does not enumerate presets", err)
 	}
 	cfg = QuickInferenceConfig()
 	cfg.Batches = []int{0}
-	if _, err := InferenceStudy(cfg); err == nil {
+	if _, err := InferenceStudyWith(Runner{}, cfg); err == nil {
 		t.Error("batch 0 accepted")
 	}
 	cfg = QuickInferenceConfig()
 	cfg.SeqLens = []int{-1}
-	if _, err := InferenceStudy(cfg); err == nil {
+	if _, err := InferenceStudyWith(Runner{}, cfg); err == nil {
 		t.Error("negative seq accepted")
 	}
 	cfg = QuickInferenceConfig()
 	cfg.PacketBytes = -1
-	if _, err := InferenceStudy(cfg); err == nil {
+	if _, err := InferenceStudyWith(Runner{}, cfg); err == nil {
 		t.Error("negative MTU accepted")
 	} else if !strings.Contains(err.Error(), "MTU") {
 		t.Errorf("negative-MTU error %q does not mention the MTU", err)
@@ -128,7 +113,7 @@ func TestInferenceCustomGraph(t *testing.T) {
 		},
 		Edges: []opgraph.Edge{{From: 0, To: 1, Bytes: 8192}},
 	}
-	points, err := InferenceStudy(cfg)
+	points, err := InferenceStudyWith(Runner{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,27 +139,5 @@ func TestInferenceCustomGraph(t *testing.T) {
 	kb := cellKey(CellInference, mustMarshal(t, specForInference(cfgB, networks.PointToPoint, "custom", 1, 16)))
 	if ka == kb {
 		t.Error("cache keys collide for different custom graphs sharing a name")
-	}
-}
-
-// TestInferenceRetryConfigReachesReplay: a retry policy flows through the
-// study config into the replay (visible in the cache key, and harmless on a
-// loss-free network).
-func TestInferenceRetryConfigReachesReplay(t *testing.T) {
-	cfg := QuickInferenceConfig()
-	cfg.Networks = []networks.Kind{networks.PointToPoint}
-	cfg.Graphs = []string{"decode-attention"}
-	base := cellKey(CellInference, mustMarshal(t, specForInference(cfg, networks.PointToPoint, "decode-attention", 1, 16)))
-	cfg.Retry = traffic.RetryPolicy{Timeout: 2 * sim.Microsecond, MaxRetries: 2}
-	withRetry := cellKey(CellInference, mustMarshal(t, specForInference(cfg, networks.PointToPoint, "decode-attention", 1, 16)))
-	if base == withRetry {
-		t.Error("retry policy absent from the cache key")
-	}
-	points, err := InferenceStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Stalled || points[0].Aborts != 0 {
-		t.Errorf("loss-free replay with retry misbehaved: %+v", points[0])
 	}
 }

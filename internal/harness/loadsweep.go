@@ -129,34 +129,10 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 // inherently sequential — each probe depends on the last — but distinct
 // searches are independent; see SaturationSweep.
 func SaturationSearch(cfg LoadPointConfig, lo, hi, tol float64) float64 {
-	return saturationSearch(Serial, cfg, lo, hi, tol)
-}
-
-// saturationSearch is SaturationSearch on a Runner: the whole search is
-// memoized under (config, bracket, tolerance), and on a partially warm
-// cache each bisection probe is itself a cacheable load point, so a
-// repeated search replays from disk without simulating. The search itself
-// is keyed like a cell but never leaves this process; its probes go
-// through cachedLoadPoint, so a distributed fleet serves them — the
-// bisection stays sequential but each probe may execute remotely.
-func saturationSearch(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {
-	spec := struct {
-		loadPointSpec
-		Lo  float64 `json:"lo"`
-		Hi  float64 `json:"hi"`
-		Tol float64 `json:"tol"`
-	}{specForLoadPoint(cfg), lo, hi, tol}
-	spec.Load = 0 // the search sets each probe's load
-	return newCell("satsearch", spec, func() float64 {
-		return bisectSaturation(r, cfg, lo, hi, tol)
-	}).run(r.Cache, nil)
-}
-
-func bisectSaturation(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float64 {
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
 		cfg.Load = mid
-		if cachedLoadPoint(r, cfg).Saturated {
+		if RunLoadPoint(cfg).Saturated {
 			hi = mid
 		} else {
 			lo = mid
@@ -166,11 +142,12 @@ func bisectSaturation(r Runner, cfg LoadPointConfig, lo, hi, tol float64) float6
 }
 
 // SaturationSweep runs one SaturationSearch per config concurrently on the
-// Runner and returns the saturation loads slotted in config order. Each
-// bisection stays sequential internally; the sweep parallelizes across the
-// independent searches (e.g. the five networks of a §6.1 comparison).
+// Runner's pool and returns the saturation loads slotted in config order.
+// Each bisection stays sequential internally; the sweep parallelizes across
+// the independent searches (e.g. the five networks of a §6.1 comparison).
+// The searches use neither the Runner's cache nor its fleet.
 func SaturationSweep(r Runner, cfgs []LoadPointConfig, lo, hi, tol float64) []float64 {
 	return runIndexed(r, len(cfgs), func(i int) float64 {
-		return saturationSearch(r, cfgs[i], lo, hi, tol)
+		return SaturationSearch(cfgs[i], lo, hi, tol)
 	})
 }

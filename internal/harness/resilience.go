@@ -134,15 +134,9 @@ func RunResiliencePoint(cfg ResilienceConfig, k networks.Kind, c fault.Class, ra
 	}
 }
 
-// ResilienceStudy sweeps fault rate × class × network on the default
-// parallel Runner.
-func ResilienceStudy(cfg ResilienceConfig) []ResiliencePoint {
-	return ResilienceStudyWith(Runner{}, cfg)
-}
-
-// ResilienceStudyWith is ResilienceStudy on an explicit Runner. Points are
-// slotted by index and seeded by ResilienceSeed, so output is byte-
-// identical at every worker count.
+// ResilienceStudyWith sweeps fault rate × class × network on the Runner.
+// Points are slotted by index and seeded by ResilienceSeed, so output is
+// byte-identical at every worker count.
 func ResilienceStudyWith(r Runner, cfg ResilienceConfig) []ResiliencePoint {
 	kinds := cfg.Networks
 	if kinds == nil {

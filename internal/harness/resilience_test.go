@@ -24,7 +24,7 @@ func quickResilienceCfg() ResilienceConfig {
 
 func TestResilienceStudyCoversAllNetworksAndClasses(t *testing.T) {
 	cfg := quickResilienceCfg()
-	points := ResilienceStudy(cfg)
+	points := ResilienceStudyWith(Runner{}, cfg)
 	want := len(networks.Six()) * len(fault.AllClasses()) * len(cfg.Rates)
 	if len(points) != want {
 		t.Fatalf("points = %d, want %d", len(points), want)
@@ -75,7 +75,7 @@ func TestResilienceFaultsDegradeAvailability(t *testing.T) {
 	cfg.Networks = []networks.Kind{networks.PointToPoint}
 	cfg.Classes = []fault.Class{fault.DarkLaser}
 	cfg.Rates = []float64{400}
-	points := ResilienceStudy(cfg)
+	points := ResilienceStudyWith(Runner{}, cfg)
 	if len(points) != 1 {
 		t.Fatalf("points = %d", len(points))
 	}

@@ -44,13 +44,10 @@ func ScaledParams(n int) core.Params {
 	return p
 }
 
-// ScalingStudy quantifies §6.4's scalability argument across macrochip
+// ScalingStudyWith quantifies §6.4's scalability argument across macrochip
 // sizes — how waveguide counts, switch counts, and laser power grow for
-// each architecture as the grid scales — on the default parallel Runner.
-func ScalingStudy(ns []int) []ScalingRow { return ScalingStudyWith(Runner{}, ns) }
-
-// ScalingStudyWith is ScalingStudy on an explicit Runner: each grid size
-// is an independent analysis, so the sizes fan out across the pool.
+// each architecture as the grid scales — on the Runner: each grid size is
+// an independent analysis, so the sizes fan out across the pool.
 func ScalingStudyWith(r Runner, ns []int) []ScalingRow {
 	return runIndexed(r, len(ns), func(i int) ScalingRow {
 		return cachedScalingRow(r, ns[i])

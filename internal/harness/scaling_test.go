@@ -21,7 +21,7 @@ func TestScaledParamsAtEight(t *testing.T) {
 }
 
 func TestScalingStudyShape(t *testing.T) {
-	rows := ScalingStudy([]int{4, 8, 16})
+	rows := ScalingStudyWith(Runner{}, []int{4, 8, 16})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -67,7 +67,7 @@ func TestScalingStudyShape(t *testing.T) {
 }
 
 func TestScalingCircuitLossGrows(t *testing.T) {
-	rows := ScalingStudy([]int{4, 8, 16})
+	rows := ScalingStudyWith(Runner{}, []int{4, 8, 16})
 	prev := -1.0
 	for _, r := range rows {
 		l := r.Networks[networks.CircuitSwitched].ExtraLossDB

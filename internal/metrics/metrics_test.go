@@ -98,33 +98,6 @@ func TestProbeSampling(t *testing.T) {
 	}
 }
 
-// TestProbeJitterDeterministic: two identically-seeded jittered probes
-// sample at identical times; the jitter stream is its own derived stream.
-func TestProbeJitterDeterministic(t *testing.T) {
-	run := func() []Sample {
-		eng := sim.NewEngine()
-		r := NewRegistry()
-		r.Gauge("clock", func(now sim.Time) float64 { return float64(now) })
-		NewProbe(eng, r, 10*sim.Nanosecond).WithJitter(0.5, 7).Start(200 * sim.Nanosecond)
-		eng.RunUntil(300 * sim.Nanosecond)
-		return r.Gauges()[0].Series()
-	}
-	a, b := run(), run()
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("series lengths %d vs %d", len(a), len(b))
-	}
-	var prev sim.Time
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jittered sample %d diverged: %v vs %v", i, a[i], b[i])
-		}
-		if a[i].T <= prev {
-			t.Fatalf("sample times not increasing at %d: %v after %v", i, a[i].T, prev)
-		}
-		prev = a[i].T
-	}
-}
-
 func TestTracerJSONRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	site := tr.Track("site 0")

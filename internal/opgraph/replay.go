@@ -7,7 +7,6 @@ import (
 	"macrochip/internal/geometry"
 	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
-	"macrochip/internal/traffic"
 )
 
 // DefaultMTU is the tensor-transfer packet size when Replay.PacketBytes is
@@ -21,8 +20,8 @@ const DefaultMTU = 4096
 // finished transferring, occupies its site's compute window, and then
 // launches its outbound edges as segmented packet transfers. The replay is
 // deterministic: event order is fixed by the engine's (time, seq) contract,
-// and the only random streams (compute jitter, retry backoff) derive from
-// Seed via sim.DeriveSeed.
+// and the only random stream (compute jitter) derives from Seed via
+// sim.DeriveSeed.
 type Replay struct {
 	Eng    *sim.Engine
 	Params core.Params
@@ -36,21 +35,14 @@ type Replay struct {
 	// (it used to be silently replaced by the default, which hid mis-parsed
 	// flags and JSON).
 	PacketBytes int
-	// Seed selects the derived random streams.
+	// Seed selects the derived random stream.
 	Seed int64
-	// Retry, when enabled, retransmits transfer packets the network loses,
-	// with the same timeout/backoff shape as traffic.OpenLoop. A packet
-	// that exhausts its budget is abandoned (counted in Stats.Aborts) and
-	// settled so the graph does not deadlock — the model for giving up and
-	// recomputing from a checkpoint.
-	Retry traffic.RetryPolicy
 	// JitterFrac, when positive, scales each compute window by a seeded
 	// uniform factor in [1−JitterFrac, 1+JitterFrac] — straggler modeling.
 	// Zero draws nothing.
 	JitterFrac float64
 
 	jitterRNG *sim.RNG
-	retryRNG  *sim.RNG
 
 	// Per-op scheduling state.
 	waiting  []int32 // unfinished inbound edges
@@ -70,9 +62,8 @@ type Replay struct {
 	finish         sim.Time
 	started        bool
 
-	// free recycles delivered packets (retry-free runs only, exactly like
-	// traffic.OpenLoop's list: retry bookkeeping may retain packets past
-	// delivery, so recycling would alias live flights).
+	// free recycles delivered packets: the transfer handler is a packet's
+	// last holder under the delivery contract.
 	free []*core.Packet
 }
 
@@ -87,15 +78,10 @@ type transfer struct {
 }
 
 // OnDeliver implements core.DeliverHandler: one packet of the edge landed.
+// The last one completes the edge and may unblock the destination op.
 func (t *transfer) OnDeliver(p *core.Packet, at sim.Time) {
 	t.r.bytesMoved += uint64(p.Bytes)
 	t.r.recycle(p)
-	t.settle(at)
-}
-
-// settle retires one packet (delivered or abandoned); the last one
-// completes the edge and may unblock the destination op.
-func (t *transfer) settle(at sim.Time) {
 	t.remaining--
 	if t.remaining > 0 {
 		return
@@ -111,15 +97,14 @@ type Result struct {
 	// Makespan is the completion time of the last operator. When Stalled,
 	// it is the time the graph stopped making progress instead.
 	Makespan sim.Time
-	// OpsDone of OpsTotal operators completed; they differ only when
-	// packets were lost without a retry policy to recover them.
+	// OpsDone of OpsTotal operators completed; they differ only when the
+	// network lost packets.
 	OpsDone, OpsTotal int
 	// TransfersDone of TransfersTotal cross-op network transfers finished.
 	TransfersDone, TransfersTotal int
 	// BytesMoved is the payload actually delivered by the network.
 	BytesMoved uint64
-	// Stalled reports a deadlocked replay: dependencies lost to faults
-	// with no (or an exhausted) retry policy.
+	// Stalled reports a deadlocked replay: dependencies lost to faults.
 	Stalled bool
 }
 
@@ -145,9 +130,6 @@ func (r *Replay) Start() error {
 	}
 	if r.JitterFrac > 0 {
 		r.jitterRNG = sim.NewRNG(sim.DeriveSeed(r.Seed, sim.StringLabel("opgraph-jitter")))
-	}
-	if r.Retry.Enabled() {
-		r.retryRNG = sim.NewRNG(sim.DeriveSeed(r.Seed, sim.StringLabel("opgraph-retry")))
 	}
 	g := r.Graph
 	r.started = true
@@ -229,7 +211,7 @@ func (r *Replay) opDone(i int, at sim.Time) {
 			if rem < sz {
 				sz = rem
 			}
-			r.sendPacket(t, sz, 0, nil)
+			r.sendPacket(t, sz)
 			rem -= sz
 		}
 	}
@@ -243,61 +225,14 @@ func (r *Replay) edgeDone(to int, _ sim.Time) {
 	}
 }
 
-// sendPacket injects one segment of a transfer, arming the delivery-
-// timeout/retransmit chain when a retry policy is set — the same shape as
-// traffic.OpenLoop.send. Unlike OpenLoop, the replay must settle each
-// logical segment exactly once (a double settle would unblock the DAG
-// twice), so every attempt of a segment shares one settled flag: a slow
-// original arriving after its retransmit settles first and the duplicate
-// is ignored.
-func (r *Replay) sendPacket(t *transfer, bytes, attempt int, settled *bool) {
-	if !r.Retry.Enabled() {
-		p := r.getPacket()
-		p.Src, p.Dst = t.src, t.dst
-		p.Bytes = bytes
-		p.Class = t.class
-		p.Deliver = t
-		r.Net.Inject(p)
-		return
-	}
-	if settled == nil {
-		settled = new(bool)
-	}
-	p := &core.Packet{Src: t.src, Dst: t.dst, Bytes: bytes, Class: t.class}
-	p.Deliver = core.DeliverFunc(func(p *core.Packet, at sim.Time) {
-		if *settled {
-			return
-		}
-		*settled = true
-		r.bytesMoved += uint64(p.Bytes)
-		t.settle(at)
-	})
+// sendPacket injects one segment of a transfer in a recycled packet.
+func (r *Replay) sendPacket(t *transfer, bytes int) {
+	p := r.getPacket()
+	p.Src, p.Dst = t.src, t.dst
+	p.Bytes = bytes
+	p.Class = t.class
+	p.Deliver = t
 	r.Net.Inject(p)
-	r.Eng.Schedule(r.backoff(attempt), func() {
-		if *settled {
-			return
-		}
-		st := r.Net.Stats()
-		if attempt >= r.Retry.MaxRetries {
-			st.AddAbort()
-			*settled = true
-			t.settle(r.Eng.Now())
-			return
-		}
-		st.AddRetry()
-		r.sendPacket(t, bytes, attempt+1, settled)
-	})
-}
-
-// backoff returns attempt k's timeout: Timeout × 2^k plus up to one Timeout
-// of seeded jitter (traffic.OpenLoop's schedule).
-func (r *Replay) backoff(attempt int) sim.Duration {
-	if attempt > 20 {
-		attempt = 20
-	}
-	d := r.Retry.Timeout << attempt
-	d += sim.Time(r.retryRNG.Float64() * float64(r.Retry.Timeout))
-	return d
 }
 
 // getPacket pops a recycled packet (cleared to zero) or allocates.
@@ -312,9 +247,7 @@ func (r *Replay) getPacket() *core.Packet {
 	return &core.Packet{}
 }
 
-// recycle returns a delivered packet to the free list (retry-free runs;
-// the transfer handler is the packet's last holder under the delivery
-// contract).
+// recycle returns a delivered packet to the free list.
 func (r *Replay) recycle(p *core.Packet) {
 	p.Deliver = nil
 	r.free = append(r.free, p)

@@ -9,7 +9,6 @@ import (
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
 	"macrochip/internal/sim"
-	"macrochip/internal/traffic"
 )
 
 func testParams() core.Params {
@@ -19,13 +18,13 @@ func testParams() core.Params {
 }
 
 // runGraph replays g on a fresh network and returns the result and sink.
-func runGraph(t *testing.T, kind networks.Kind, g *opgraph.Graph, seed int64, retry traffic.RetryPolicy) (opgraph.Result, *core.Stats) {
+func runGraph(t *testing.T, kind networks.Kind, g *opgraph.Graph, seed int64) (opgraph.Result, *core.Stats) {
 	t.Helper()
 	p := testParams()
 	eng := sim.NewEngine()
 	stats := core.NewStats(0)
 	net := networks.MustNew(kind, eng, p, stats)
-	r := &opgraph.Replay{Eng: eng, Params: p, Net: net, Graph: g, Seed: seed, Retry: retry}
+	r := &opgraph.Replay{Eng: eng, Params: p, Net: net, Graph: g, Seed: seed}
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func chainGraph() *opgraph.Graph {
 
 func TestReplayLinearChain(t *testing.T) {
 	g := chainGraph()
-	res, stats := runGraph(t, networks.PointToPoint, g, 1, traffic.RetryPolicy{})
+	res, stats := runGraph(t, networks.PointToPoint, g, 1)
 	if res.Stalled || res.OpsDone != 3 {
 		t.Fatalf("chain did not complete: %+v", res)
 	}
@@ -81,7 +80,7 @@ func TestReplayCollectiveClass(t *testing.T) {
 		},
 		Edges: []opgraph.Edge{{From: 0, To: 1, Bytes: 64}},
 	}
-	_, stats := runGraph(t, networks.PointToPoint, g, 1, traffic.RetryPolicy{})
+	_, stats := runGraph(t, networks.PointToPoint, g, 1)
 	if stats.PerClass[core.ClassCollective] != 1 {
 		t.Errorf("collective deliveries = %d, want 1", stats.PerClass[core.ClassCollective])
 	}
@@ -97,7 +96,7 @@ func TestReplaySiteSerialization(t *testing.T) {
 			{Kind: opgraph.Pointwise, Site: 3, Compute: 200},
 		},
 	}
-	res, stats := runGraph(t, networks.TokenRing, g, 1, traffic.RetryPolicy{})
+	res, stats := runGraph(t, networks.TokenRing, g, 1)
 	if res.Makespan != 300 {
 		t.Errorf("Makespan = %v, want exactly 300 (serialized windows)", res.Makespan)
 	}
@@ -115,7 +114,7 @@ func TestReplayZeroByteEdgesOrderOnly(t *testing.T) {
 		},
 		Edges: []opgraph.Edge{{From: 0, To: 1, Bytes: 0}},
 	}
-	res, stats := runGraph(t, networks.TwoPhase, g, 1, traffic.RetryPolicy{})
+	res, stats := runGraph(t, networks.TwoPhase, g, 1)
 	if stats.Injected != 0 {
 		t.Errorf("zero-byte edge injected %d packets", stats.Injected)
 	}
@@ -134,8 +133,8 @@ func TestReplayDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		g2, _ := opgraph.Preset("decode-attention", testGrid(), 2, 8, 7)
-		a, sa := runGraph(t, kind, g1, 7, traffic.RetryPolicy{})
-		b, sb := runGraph(t, kind, g2, 7, traffic.RetryPolicy{})
+		a, sa := runGraph(t, kind, g1, 7)
+		b, sb := runGraph(t, kind, g2, 7)
 		if a != b {
 			t.Errorf("%s: results differ across identical runs:\n%+v\n%+v", kind, a, b)
 		}
@@ -155,7 +154,7 @@ func TestReplayAllPresetsAllNetworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _ := runGraph(t, kind, g, 3, traffic.RetryPolicy{})
+			res, _ := runGraph(t, kind, g, 3)
 			if res.Stalled || res.OpsDone != res.OpsTotal {
 				t.Errorf("%s/%s: incomplete replay: %+v", kind, name, res)
 			}
@@ -171,7 +170,7 @@ func TestReplayFaultWrapZeroTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, ps := runGraph(t, networks.LimitedPtP, g, 5, traffic.RetryPolicy{})
+	plain, ps := runGraph(t, networks.LimitedPtP, g, 5)
 
 	p := testParams()
 	eng := sim.NewEngine()
@@ -195,7 +194,7 @@ func TestReplayFaultWrapZeroTransparent(t *testing.T) {
 
 // replayUnderLoss runs a cross-site transfer whose source laser is dark,
 // returning the result and sink.
-func replayUnderLoss(t *testing.T, retry traffic.RetryPolicy, repairAt sim.Time) (opgraph.Result, *core.Stats) {
+func replayUnderLoss(t *testing.T) (opgraph.Result, *core.Stats) {
 	t.Helper()
 	g := &opgraph.Graph{
 		Name: "lossy",
@@ -210,10 +209,7 @@ func replayUnderLoss(t *testing.T, retry traffic.RetryPolicy, repairAt sim.Time)
 	stats := core.NewStats(0)
 	fnet := fault.Wrap(eng, p, networks.MustNew(networks.PointToPoint, eng, p, stats), 1)
 	fnet.FailLaser(0)
-	if repairAt > 0 {
-		eng.At(repairAt, func() { fnet.RepairLaser(0) })
-	}
-	r := &opgraph.Replay{Eng: eng, Params: p, Net: fnet, Graph: g, Seed: 1, Retry: retry}
+	r := &opgraph.Replay{Eng: eng, Params: p, Net: fnet, Graph: g, Seed: 1}
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,40 +218,12 @@ func replayUnderLoss(t *testing.T, retry traffic.RetryPolicy, repairAt sim.Time)
 }
 
 func TestReplayStallsOnLossWithoutRetry(t *testing.T) {
-	res, stats := replayUnderLoss(t, traffic.RetryPolicy{}, 0)
+	res, stats := replayUnderLoss(t)
 	if !res.Stalled || res.OpsDone != 1 {
 		t.Fatalf("expected a stalled replay, got %+v", res)
 	}
 	if stats.Dropped == 0 {
 		t.Error("no drops recorded")
-	}
-}
-
-func TestReplayAbortSettlesDependencies(t *testing.T) {
-	// Retry exhausts against a permanently dark laser: the segment is
-	// abandoned but settled, so the graph still completes (no deadlock).
-	res, stats := replayUnderLoss(t, traffic.RetryPolicy{Timeout: 100, MaxRetries: 2}, 0)
-	if res.Stalled || res.OpsDone != 2 {
-		t.Fatalf("abort did not settle the dependency: %+v", res)
-	}
-	if stats.Aborts != 1 || stats.Retries != 2 {
-		t.Errorf("aborts=%d retries=%d, want 1 and 2", stats.Aborts, stats.Retries)
-	}
-}
-
-func TestReplayRetryRecoversAfterRepair(t *testing.T) {
-	res, stats := replayUnderLoss(t, traffic.RetryPolicy{Timeout: 100, MaxRetries: 10}, 250)
-	if res.Stalled || res.OpsDone != 2 {
-		t.Fatalf("retry did not recover after repair: %+v", res)
-	}
-	if stats.Retries == 0 {
-		t.Error("recovery took no retries")
-	}
-	if stats.Aborts != 0 {
-		t.Errorf("aborts = %d, want 0", stats.Aborts)
-	}
-	if res.BytesMoved != 64 {
-		t.Errorf("BytesMoved = %d, want 64", res.BytesMoved)
 	}
 }
 

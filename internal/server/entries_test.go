@@ -76,7 +76,8 @@ func TestCacheEntryPutGetRoundTrip(t *testing.T) {
 }
 
 // TestCacheEntryErrors pins the route's failure grammar: absent entry 404,
-// malformed key 400, invalid JSON body 400, disabled cache 503.
+// malformed key 400, a body that is not a JSON object (null included) 400,
+// disabled cache 503.
 func TestCacheEntryErrors(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	missing := entryKey(2)
@@ -90,6 +91,14 @@ func TestCacheEntryErrors(t *testing.T) {
 		if code, _, body := get(t, ts.URL+"/v1/cache/entries/"+bad); code != http.StatusBadRequest {
 			t.Fatalf("malformed key %q GET = %d: %s", bad, code, body)
 		}
+	}
+	for _, bad := range []string{"null", "5", "[]"} {
+		if code, body := putEntry(t, ts.URL+"/v1/cache/entries/"+missing.Hex(), []byte(bad)); code != http.StatusBadRequest {
+			t.Fatalf("PUT of %s = %d: %s", bad, code, body)
+		}
+	}
+	if code, _, body := get(t, ts.URL+"/v1/cache/entries/"+missing.Hex()); code != http.StatusNotFound {
+		t.Fatalf("refused PUT was stored: GET = %d: %s", code, body)
 	}
 
 	_, noCache, _ := newTestServer(t, func(c *Config) { c.Runner = harness.Runner{} })

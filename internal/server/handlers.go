@@ -291,8 +291,8 @@ func (s *Server) handleCacheEntryBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheEntryPut is PUT /v1/cache/entries/{key}: publish one entry
-// into the shared store — the rendezvous write. The body must be valid
-// JSON (the invariant every local writer maintains); entries are
+// into the shared store — the rendezvous write. The body must be a JSON
+// object (the invariant every local writer maintains); entries are
 // content-addressed, so re-publishing a key is harmless.
 func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 	c := s.Cache()
