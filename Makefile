@@ -43,9 +43,12 @@ bench-build:
 # panics, without timing noise. EngineHold holds the kernel queue at the
 # figure-6 sweep's measured median and 99th-percentile sizes; NewRNG and
 # RNGDraw give one random stream's cost, from creation through the steady
-# state, beside math/rand's.
+# state, beside math/rand's. BenchCell (one figure-7 cell per network) and
+# OpGraphReplay (one prefill replay per network) report the allocs/op of
+# the two application paths, the coherence study and the inference study.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'BenchCell|OpGraphReplay' -benchtime 1x ./internal/harness
 
 # fuzz-smoke runs eight fuzz targets briefly: the distrib frame decoder,
 # the worker's cell-spec decoder, the event queue (random schedules checked

@@ -24,13 +24,17 @@
 package coherence
 
 import (
+	"slices"
+
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
 	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
 )
 
-// Op describes one coherence operation to perform.
+// Op describes one coherence operation to perform. Engine.Issue takes it by
+// value and copies the sharers, so the caller may reuse its Sharers buffer
+// as soon as Issue returns.
 type Op struct {
 	// Requester is the missing site.
 	Requester geometry.SiteID
@@ -63,8 +67,6 @@ func (o *Op) Messages() int {
 	}
 }
 
-// Engine drives coherence operations over a network, enforcing the per-site
-// MSHR limit.
 // MemoryBackend resolves home-site data fetches that miss the on-package
 // memory (see internal/memory). A nil backend means data is always on
 // package — the paper's §5 baseline.
@@ -72,16 +74,21 @@ type MemoryBackend interface {
 	Access(site int, bytes int, done func())
 }
 
+// Engine drives coherence operations over a network, enforcing the per-site
+// MSHR limit. It recycles its per-operation objects: each operation runs in
+// a tracker from a free list, and its packets come from a packet free list
+// that each delivery handler refills, so a steady-state miss allocates
+// nothing (TestCoherenceSteadyStateAllocs).
 type Engine struct {
 	eng *sim.Engine
 	p   core.Params
 	net core.Network
 	mem MemoryBackend
 
-	// mshrFree[s] is the number of free MSHRs at site s; waiting[s] queues
-	// operations that could not allocate one.
+	// mshrFree[s] is the number of free MSHRs at site s; waiting[s] queues,
+	// in issue order, the operations that could not allocate one.
 	mshrFree []int
-	waiting  [][]*Op
+	waiting  [][]*tracker
 
 	// Completed counts finished operations; LatencySum accumulates their
 	// latencies for the figure-8 metric.
@@ -92,13 +99,19 @@ type Engine struct {
 	// latHist records per-operation latency when a registry is attached
 	// (nil otherwise; Observe on nil is a no-op).
 	latHist *metrics.Histogram
+
+	// trackers and packets are the free lists. A tracker returns when its
+	// operation finishes; a packet returns in its delivery handler, the
+	// packet's last holder under the core.DeliverHandler contract.
+	trackers sim.Pool[tracker]
+	packets  sim.Pool[core.Packet]
 }
 
 // NewEngine returns a coherence engine bound to the network.
 func NewEngine(eng *sim.Engine, p core.Params, net core.Network) *Engine {
 	sites := p.Grid.Sites()
 	e := &Engine{eng: eng, p: p, net: net,
-		mshrFree: make([]int, sites), waiting: make([][]*Op, sites)}
+		mshrFree: make([]int, sites), waiting: make([][]*tracker, sites)}
 	for s := range e.mshrFree {
 		e.mshrFree[s] = p.MSHRsPerSite
 	}
@@ -110,14 +123,15 @@ func NewEngine(eng *sim.Engine, p core.Params, net core.Network) *Engine {
 func (e *Engine) SetMemory(m MemoryBackend) { e.mem = m }
 
 // Issue starts an operation, queueing for an MSHR if none is free.
-func (e *Engine) Issue(op *Op) {
+func (e *Engine) Issue(op Op) {
+	t := e.track(op)
 	s := int(op.Requester)
 	if e.mshrFree[s] > 0 {
 		e.mshrFree[s]--
-		e.start(op)
+		e.start(t)
 		return
 	}
-	e.waiting[s] = append(e.waiting[s], op)
+	e.waiting[s] = append(e.waiting[s], t)
 }
 
 // OutstandingAt reports the used MSHRs at a site (tests).
@@ -170,13 +184,32 @@ func (e *Engine) Instrument(o metrics.Observer) {
 //
 // The tracker carries its engine so the per-packet delivery handlers
 // (reqArrival, dataDone — pointer conversions of the tracker itself) reach
-// protocol state without capturing anything: one tracker allocation per
-// operation replaces the former two-plus closures per message.
+// protocol state without capturing anything. Trackers are recycled, and
+// each keeps its sharers slice across operations, so the whole chain
+// allocates nothing once the free lists have grown to the peak load.
 type tracker struct {
 	e       *Engine
-	op      *Op
+	op      Op // Sharers is nil: the sites are in sharers
 	issued  sim.Time
 	pending int
+	// sharers holds one ackChain per sharer site: the invalidate→ack leg an
+	// invalidating write runs through it. A dirty-owner forward reads only
+	// sharers[0].sh, the owner.
+	sharers []ackChain
+}
+
+// track loads op into a tracker from the free list, or a new one, copying
+// the sharer sites into the tracker's own slice.
+func (e *Engine) track(op Op) *tracker {
+	t := e.trackers.Get()
+	t.e = e
+	t.sharers = slices.Grow(t.sharers[:0], len(op.Sharers))
+	for _, sh := range op.Sharers {
+		t.sharers = append(t.sharers, ackChain{t: t, sh: sh})
+	}
+	op.Sharers = nil
+	t.op = op
+	return t
 }
 
 // arrive retires one response; the last one finishes the operation.
@@ -189,19 +222,16 @@ func (t *tracker) arrive(at sim.Time) {
 
 // start launches the request→lookup→response chain. The request packet's
 // delivery handler is the tracker itself (pointer-shaped).
-func (e *Engine) start(op *Op) {
-	if op.OnIssued != nil {
-		op.OnIssued()
+func (e *Engine) start(t *tracker) {
+	if t.op.OnIssued != nil {
+		t.op.OnIssued()
 	}
-	t := &tracker{e: e, op: op, issued: e.eng.Now(), pending: 1}
-	if op.Write {
-		t.pending += len(op.Sharers)
+	t.issued = e.eng.Now()
+	t.pending = 1
+	if t.op.Write {
+		t.pending += len(t.sharers)
 	}
-	e.net.Inject(&core.Packet{
-		Src: op.Requester, Dst: op.Home,
-		Bytes: e.p.CtrlMsgBytes, Class: core.ClassRequest,
-		Deliver: (*reqArrival)(t),
-	})
+	e.send(t.op.Requester, t.op.Home, e.p.CtrlMsgBytes, core.ClassRequest, (*reqArrival)(t))
 }
 
 // reqArrival fires when the request reaches the home site: it schedules the
@@ -209,36 +239,36 @@ func (e *Engine) start(op *Op) {
 // lookup delay schedules no closure either.
 type reqArrival tracker
 
-func (h *reqArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
+func (h *reqArrival) OnDeliver(p *core.Packet, _ sim.Time) {
 	t := (*tracker)(h)
 	e := t.e
+	e.packets.Put(p)
 	e.eng.ScheduleCall(e.p.Cycles(e.p.DirectoryLookupCycles), (*lookupH)(e), sim.EventArg{Ptr: t})
 }
 
 // dataDone fires when the operation's data reply lands at the requester.
 type dataDone tracker
 
-func (h *dataDone) OnDeliver(_ *core.Packet, at sim.Time) {
-	(*tracker)(h).arrive(at)
+func (h *dataDone) OnDeliver(p *core.Packet, at sim.Time) {
+	t := (*tracker)(h)
+	t.e.packets.Put(p)
+	t.arrive(at)
 }
 
 // fwdArrival fires when a dirty-owner intervention reaches the owner, which
 // then supplies the data directly to the requester.
 type fwdArrival tracker
 
-func (h *fwdArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
+func (h *fwdArrival) OnDeliver(p *core.Packet, _ sim.Time) {
 	t := (*tracker)(h)
-	t.e.net.Inject(&core.Packet{
-		Src: t.op.Sharers[0], Dst: t.op.Requester,
-		Bytes: t.e.p.DataMsgBytes, Class: core.ClassData,
-		Deliver: (*dataDone)(t),
-	})
+	t.e.packets.Put(p)
+	t.e.send(t.sharers[0].sh, t.op.Requester, t.e.p.DataMsgBytes, core.ClassData, (*dataDone)(t))
 }
 
 // ackChain carries one sharer's invalidate→ack leg: invArrival fires at the
 // sharer (inject the ack), ackArrival fires at the requester (count it).
-// One ackChain allocation per sharer replaces the former two closures per
-// sharer; both handler shapes are free pointer conversions of it.
+// Both handler shapes are free pointer conversions of an element of the
+// tracker's sharers slice, which keeps its capacity across operations.
 type ackChain struct {
 	t  *tracker
 	sh geometry.SiteID // the sharer site
@@ -246,20 +276,19 @@ type ackChain struct {
 
 type invArrival ackChain
 
-func (h *invArrival) OnDeliver(_ *core.Packet, _ sim.Time) {
+func (h *invArrival) OnDeliver(p *core.Packet, _ sim.Time) {
 	c := (*ackChain)(h)
 	e := c.t.e
-	e.net.Inject(&core.Packet{
-		Src: c.sh, Dst: c.t.op.Requester,
-		Bytes: e.p.CtrlMsgBytes, Class: core.ClassAck,
-		Deliver: (*ackArrival)(c),
-	})
+	e.packets.Put(p)
+	e.send(c.sh, c.t.op.Requester, e.p.CtrlMsgBytes, core.ClassAck, (*ackArrival)(c))
 }
 
 type ackArrival ackChain
 
-func (h *ackArrival) OnDeliver(_ *core.Packet, at sim.Time) {
-	(*ackChain)(h).t.arrive(at)
+func (h *ackArrival) OnDeliver(p *core.Packet, at sim.Time) {
+	c := (*ackChain)(h)
+	c.t.e.packets.Put(p)
+	c.t.arrive(at)
 }
 
 // lookupH fires when the home's directory lookup completes for the tracker
@@ -268,12 +297,11 @@ func (h *ackArrival) OnDeliver(_ *core.Packet, at sim.Time) {
 type lookupH Engine
 
 func (h *lookupH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
-	e := (*Engine)(h)
-	t := arg.Ptr.(*tracker)
-	e.homeAction(t.op, t)
+	(*Engine)(h).homeAction(arg.Ptr.(*tracker))
 }
 
-// finish records a completed operation the moment its last response lands.
+// finish records a completed operation the moment its last response lands,
+// then returns its tracker to the free list.
 func (e *Engine) finish(t *tracker, at sim.Time) {
 	lat := at - t.issued
 	e.Completed++
@@ -286,14 +314,16 @@ func (e *Engine) finish(t *tracker, at sim.Time) {
 	if t.op.OnComplete != nil {
 		t.op.OnComplete(lat)
 	}
+	e.trackers.Put(t)
 }
 
 // homeAction emits the directory's response messages. Every response packet
-// carries a pointer-shaped delivery handler over the tracker (or an
-// ackChain), so the whole response fan-out allocates no closures.
-func (e *Engine) homeAction(op *Op, t *tracker) {
+// carries a pointer-shaped delivery handler over the tracker (or one of its
+// ackChains), so the whole response fan-out allocates no closures.
+func (e *Engine) homeAction(t *tracker) {
+	op := &t.op
 	switch {
-	case len(op.Sharers) == 0:
+	case len(t.sharers) == 0:
 		// Unshared: the home supplies data — from its on-package memory,
 		// or after an off-package fetch when a memory backend is attached
 		// (the backend's done callback stays a closure: the off-package
@@ -305,33 +335,29 @@ func (e *Engine) homeAction(op *Op, t *tracker) {
 		}
 	case !op.Write:
 		// Dirty owner: forward the intervention; the owner supplies data.
-		e.net.Inject(&core.Packet{
-			Src: op.Home, Dst: op.Sharers[0],
-			Bytes: e.p.CtrlMsgBytes, Class: core.ClassInvalidate,
-			Deliver: (*fwdArrival)(t),
-		})
+		e.send(op.Home, t.sharers[0].sh, e.p.CtrlMsgBytes, core.ClassInvalidate, (*fwdArrival)(t))
 	default:
 		// Write to shared data: data from home plus invalidations fanned
 		// out to every sharer, each acknowledged to the requester.
 		e.sendHomeData(t)
-		for _, sh := range op.Sharers {
-			c := &ackChain{t: t, sh: sh}
-			e.net.Inject(&core.Packet{
-				Src: op.Home, Dst: sh,
-				Bytes: e.p.CtrlMsgBytes, Class: core.ClassInvalidate,
-				Deliver: (*invArrival)(c),
-			})
+		for i := range t.sharers {
+			c := &t.sharers[i]
+			e.send(op.Home, c.sh, e.p.CtrlMsgBytes, core.ClassInvalidate, (*invArrival)(c))
 		}
 	}
 }
 
 // sendHomeData injects the home→requester data reply.
 func (e *Engine) sendHomeData(t *tracker) {
-	e.net.Inject(&core.Packet{
-		Src: t.op.Home, Dst: t.op.Requester,
-		Bytes: e.p.DataMsgBytes, Class: core.ClassData,
-		Deliver: (*dataDone)(t),
-	})
+	e.send(t.op.Home, t.op.Requester, e.p.DataMsgBytes, core.ClassData, (*dataDone)(t))
+}
+
+// send injects one protocol message in a packet from the free list, or a
+// new one.
+func (e *Engine) send(src, dst geometry.SiteID, bytes int, class core.MsgClass, h core.DeliverHandler) {
+	p := e.packets.Get()
+	*p = core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: class, Deliver: h}
+	e.net.Inject(p)
 }
 
 // Writeback sends a fire-and-forget dirty-eviction data message to the
@@ -345,12 +371,18 @@ func (e *Engine) Writeback(from, home geometry.SiteID) {
 	})
 }
 
+// releaseMSHR hands a freed MSHR to the oldest waiting operation at site s,
+// or frees it. The queue shifts down in place, so it never reallocates; it
+// is short (the CPU model queues at most one operation per core).
 func (e *Engine) releaseMSHR(s int) {
-	if len(e.waiting[s]) > 0 {
-		next := e.waiting[s][0]
-		e.waiting[s] = e.waiting[s][1:]
-		e.start(next)
+	q := e.waiting[s]
+	if len(q) == 0 {
+		e.mshrFree[s]++
 		return
 	}
-	e.mshrFree[s]++
+	next := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	e.waiting[s] = q[:len(q)-1]
+	e.start(next)
 }

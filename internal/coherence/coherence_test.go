@@ -40,7 +40,7 @@ func TestUnsharedMissLatency(t *testing.T) {
 	eng, p, coh := setup()
 	var lat sim.Time
 	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
+		coh.Issue(coherence.Op{
 			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
 			OnComplete: func(l sim.Time) { lat = l },
 		})
@@ -62,7 +62,7 @@ func TestDirtyOwnerForward(t *testing.T) {
 	g := p.Grid
 	var lat sim.Time
 	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
+		coh.Issue(coherence.Op{
 			Requester: g.Site(0, 0), Home: g.Site(0, 1),
 			Sharers: []geometry.SiteID{g.Site(0, 2)}, Write: false,
 			OnComplete: func(l sim.Time) { lat = l },
@@ -85,7 +85,7 @@ func TestInvalidationWaitsForAllAcks(t *testing.T) {
 	var lat sim.Time
 	sharers := []geometry.SiteID{g.Site(0, 2), g.Site(3, 3), g.Site(7, 7)}
 	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
+		coh.Issue(coherence.Op{
 			Requester: g.Site(0, 0), Home: g.Site(0, 1),
 			Sharers: sharers, Write: true,
 			OnComplete: func(l sim.Time) { lat = l },
@@ -113,7 +113,7 @@ func TestOnIssuedFiresBeforeCompletion(t *testing.T) {
 	eng, p, coh := setup()
 	var issuedAt, doneAt sim.Time = -1, -1
 	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
+		coh.Issue(coherence.Op{
 			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(4, 4),
 			OnIssued:   func() { issuedAt = eng.Now() },
 			OnComplete: func(sim.Time) { doneAt = eng.Now() },
@@ -139,7 +139,7 @@ func TestMSHRLimitQueues(t *testing.T) {
 	completed := 0
 	eng.Schedule(0, func() {
 		for i := 0; i < 5; i++ {
-			coh.Issue(&coherence.Op{
+			coh.Issue(coherence.Op{
 				Requester: 0, Home: geometry.SiteID(i + 1),
 				OnIssued:   func() { issued++ },
 				OnComplete: func(sim.Time) { completed++ },
@@ -168,7 +168,7 @@ func TestLatencyAccounting(t *testing.T) {
 	eng, p, coh := setup()
 	eng.Schedule(0, func() {
 		for i := 1; i <= 3; i++ {
-			coh.Issue(&coherence.Op{Requester: 0, Home: geometry.SiteID(i)})
+			coh.Issue(coherence.Op{Requester: 0, Home: geometry.SiteID(i)})
 		}
 	})
 	eng.Run()
@@ -186,7 +186,7 @@ func TestIntraSiteOperation(t *testing.T) {
 	eng, p, coh := setup()
 	var lat sim.Time
 	eng.Schedule(0, func() {
-		coh.Issue(&coherence.Op{
+		coh.Issue(coherence.Op{
 			Requester: 5, Home: 5,
 			OnComplete: func(l sim.Time) { lat = l },
 		})
@@ -200,37 +200,36 @@ func TestIntraSiteOperation(t *testing.T) {
 
 func TestCoherenceSteadyStateAllocs(t *testing.T) {
 	// The delivery chain is closure-free (pointer-shaped DeliverHandlers over
-	// the tracker), so a steady-state unshared miss costs only the caller's
-	// Op, the tracker, and the two packets — and an invalidating write adds
-	// one ackChain + two packets per sharer. These
-	// bounds pin the "no closures in the hot path" property: reintroducing a
-	// per-message closure bumps them immediately.
+	// the tracker), the Op travels by value, and trackers and packets come
+	// back through the engine's free lists, so once those lists have grown
+	// a steady-state miss allocates nothing: neither an unshared miss nor an
+	// invalidating write with its ack chains. Reintroducing a per-message
+	// closure or a per-operation object fails this at once.
 	eng, p, coh := setup()
 	g := p.Grid
 	issueUnshared := func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1})
+		coh.Issue(coherence.Op{Requester: 0, Home: 1})
 	}
 	stepUnshared := func() {
 		eng.Schedule(0, issueUnshared)
 		eng.Run()
 	}
-	stepUnshared() // prime queue capacity and path tables
-	if allocs := testing.AllocsPerRun(200, stepUnshared); allocs > 4 {
-		t.Fatalf("unshared coherence op allocated %.1f, want ≤ 4 (Op + tracker + 2 packets)", allocs)
+	stepUnshared() // prime queue capacity, path tables and free lists
+	if allocs := testing.AllocsPerRun(200, stepUnshared); allocs != 0 {
+		t.Fatalf("unshared coherence op allocated %.1f, want 0", allocs)
 	}
 
 	sharers := []geometry.SiteID{g.Site(0, 2), g.Site(3, 3)}
 	issueWrite := func() {
-		coh.Issue(&coherence.Op{Requester: 0, Home: 1, Sharers: sharers, Write: true})
+		coh.Issue(coherence.Op{Requester: 0, Home: 1, Sharers: sharers, Write: true})
 	}
 	stepWrite := func() {
 		eng.Schedule(0, issueWrite)
 		eng.Run()
 	}
 	stepWrite()
-	// Op + tracker + 2+2k packets + k ackChains = 10 for k=2.
-	if allocs := testing.AllocsPerRun(200, stepWrite); allocs > 10 {
-		t.Fatalf("2-sharer invalidating write allocated %.1f, want ≤ 10", allocs)
+	if allocs := testing.AllocsPerRun(200, stepWrite); allocs != 0 {
+		t.Fatalf("2-sharer invalidating write allocated %.1f, want 0", allocs)
 	}
 	if coh.Completed == 0 {
 		t.Fatal("no operations completed")

@@ -66,7 +66,11 @@ func (c MsgClass) String() string {
 //
 // Contract: OnDeliver runs exactly once per delivered packet, at delivery
 // time, after statistics are recorded, inside the engine's dispatch thread.
-// The handler is the packet's last holder and may reuse or retain it.
+// The handler is the packet's last holder and may reuse or retain it: it
+// may rewrite the packet and inject it again before OnDeliver returns. So a
+// network must not touch a packet after calling Deliver (or
+// Stats.RecordDelivery, which calls it); whatever it still needs it reads
+// first (TestConformanceHandOff).
 type DeliverHandler interface {
 	OnDeliver(p *Packet, at sim.Time)
 }

@@ -9,6 +9,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"macrochip/internal/coherence"
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
@@ -76,29 +78,22 @@ func Run(b Benchmark, eng *sim.Engine, p core.Params, net core.Network, stats *c
 	if len(mem) > 0 && mem[0] != nil {
 		coh.SetMemory(mem[0])
 	}
+	m := &machine{bench: b, p: p, eng: eng, coh: coh}
 	root := sim.NewRNG(seed)
-	sites := p.Grid.Sites()
-
-	var done int
-	totalCores := sites * p.CoresPerSite
-
-	for s := 0; s < sites; s++ {
-		for c := 0; c < p.CoresPerSite; c++ {
-			cr := &coreState{
-				site:   geometry.SiteID(s),
-				rng:    root.Derive(int64(s*p.CoresPerSite + c)),
-				remain: b.InstrPerCore,
-				bench:  b,
-				p:      p,
-				eng:    eng,
-				coh:    coh,
-				onDone: func() { done++ },
-			}
-			cr.execute()
+	cores := make([]coreState, p.Grid.Sites()*p.CoresPerSite)
+	for i := range cores {
+		c := &cores[i]
+		*c = coreState{
+			m:      m,
+			site:   geometry.SiteID(i / p.CoresPerSite),
+			rng:    root.Derive(int64(i)),
+			remain: b.InstrPerCore,
 		}
+		c.onIssued = c.execute
+		c.execute()
 	}
 	eng.Run()
-	if done != totalCores {
+	if m.done != len(cores) {
 		panic("cpu: benchmark ended with unfinished cores")
 	}
 	return Result{
@@ -112,42 +107,58 @@ func Run(b Benchmark, eng *sim.Engine, p core.Params, net core.Network, stats *c
 	}
 }
 
-// coreState is one in-order core walking its synthetic trace.
+// machine is one run's state, shared by every core.
+type machine struct {
+	bench Benchmark
+	p     core.Params
+	eng   *sim.Engine
+	coh   *coherence.Engine
+	// done counts the cores that have retired their quota.
+	done int
+	// sharers is pickSharers' scratch. Issue copies the sites out, so
+	// every core draws into the same slice.
+	sharers []geometry.SiteID
+}
+
+// coreState is one in-order core walking its synthetic trace. It is the
+// sim.Handler for the end of its current trace segment, so scheduling a
+// segment builds no closure.
 type coreState struct {
+	m      *machine
 	site   geometry.SiteID
 	rng    *sim.RNG
 	remain int
-	bench  Benchmark
-	p      core.Params
-	eng    *sim.Engine
-	coh    *coherence.Engine
-	onDone func()
+	// onIssued is c.execute, bound once: every miss's Op carries it.
+	onIssued func()
 }
 
 // execute runs the next trace segment: a run of hit instructions followed
 // by one miss (or the final run to the quota).
 func (c *coreState) execute() {
 	if c.remain <= 0 {
-		c.onDone()
+		c.m.done++
 		return
 	}
 	// Geometric miss spacing with mean 1/MissPerInstr, capped at the
 	// remaining quota.
 	gap := c.remain
-	if c.bench.MissPerInstr > 0 {
-		if g := c.rng.Geometric(1.0 / c.bench.MissPerInstr); g < gap {
+	if c.m.bench.MissPerInstr > 0 {
+		if g := c.rng.Geometric(1.0 / c.m.bench.MissPerInstr); g < gap {
 			gap = g
 		}
 	}
 	c.remain -= gap
-	execTime := c.p.Cycles(gap)
-	c.eng.Schedule(execTime, func() {
-		if c.remain <= 0 {
-			c.onDone()
-			return
-		}
-		c.issueMiss()
-	})
+	c.m.eng.ScheduleCall(c.m.p.Cycles(gap), c, sim.EventArg{})
+}
+
+// OnEvent implements sim.Handler: the segment execute scheduled has run.
+// The core has retired its quota, or the segment ends in a miss.
+func (c *coreState) OnEvent(*sim.Engine, sim.EventArg) {
+	if c.remain <= 0 {
+		c.m.done++
+		return
+	}
+	c.issueMiss()
 }
 
 // issueMiss builds the coherence operation for this miss and hands it to
@@ -155,36 +166,36 @@ func (c *coreState) execute() {
 // holds an MSHR; it does not wait for completion (misses overlap up to the
 // MSHR limit).
 func (c *coreState) issueMiss() {
-	home := c.bench.Pattern.Dest(c.site, c.rng)
-	op := &coherence.Op{
+	home := c.m.bench.Pattern.Dest(c.site, c.rng)
+	op := coherence.Op{
 		Requester: c.site,
 		Home:      home,
-		OnIssued:  func() { c.execute() },
+		OnIssued:  c.onIssued,
 	}
-	mix := c.bench.Mix
+	mix := c.m.bench.Mix
 	if mix.PSharers > 0 && c.rng.Bool(mix.PSharers) {
 		op.Sharers = c.pickSharers(home, mix.NSharers)
 		op.Write = c.rng.Bool(mix.InvalidateFrac)
 	}
-	c.coh.Issue(op)
+	c.m.coh.Issue(op)
 }
 
 // pickSharers selects k distinct sharer sites different from the requester
-// and the home.
+// and the home, redrawing any site already excluded. It returns the
+// machine's scratch slice, valid until the next call.
 func (c *coreState) pickSharers(home geometry.SiteID, k int) []geometry.SiteID {
-	sites := c.p.Grid.Sites()
+	sites := c.m.p.Grid.Sites()
 	if k > sites-2 {
 		k = sites - 2
 	}
-	chosen := make([]geometry.SiteID, 0, k)
-	used := map[geometry.SiteID]bool{c.site: true, home: true}
+	chosen := c.m.sharers[:0]
 	for len(chosen) < k {
 		s := geometry.SiteID(c.rng.Intn(sites))
-		if used[s] {
+		if s == c.site || s == home || slices.Contains(chosen, s) {
 			continue
 		}
-		used[s] = true
 		chosen = append(chosen, s)
 	}
+	c.m.sharers = chosen
 	return chosen
 }

@@ -83,6 +83,10 @@ func TestEntriesPersistAcrossHandles(t *testing.T) {
 	}
 }
 
+// TestCorruptEntryIsMissAndHeals writes a damaged entry over a good one and
+// reads it through a fresh handle, whose hot tier is empty, so the lookup
+// reads the damaged file: it must be a miss that recomputes, and the
+// recompute must heal the file for the next fresh handle, a disk hit.
 func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := Open(dir)
@@ -101,18 +105,27 @@ func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 		if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got := Do(c, key, func() point { return point{Mean: 10} })
-		if got.Mean != 10 {
-			t.Fatalf("%s entry: got %+v after recompute", tc.name, got)
+		fresh, _ := Open(dir)
+		computed := false
+		got := Do(fresh, key, func() point {
+			computed = true
+			return point{Mean: 10}
+		})
+		if !computed || got.Mean != 10 {
+			t.Fatalf("%s entry: computed %v, got %+v; want a recompute of Mean 10", tc.name, computed, got)
 		}
-		// The recompute must have healed the slot: a further Do is a hit.
-		hitsBefore := c.Stats().Hits
-		Do(c, key, func() point {
-			t.Fatalf("%s entry: slot not healed, recomputed again", tc.name)
+		if st := fresh.Stats(); st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("%s entry: stats %+v, want one miss", tc.name, st)
+		}
+		// The recompute must have healed the file: another fresh handle
+		// hits on disk.
+		healed, _ := Open(dir)
+		Do(healed, key, func() point {
+			t.Fatalf("%s entry: file not healed, recomputed again", tc.name)
 			return point{}
 		})
-		if c.Stats().Hits != hitsBefore+1 {
-			t.Fatalf("%s entry: healed slot did not hit", tc.name)
+		if st := healed.Stats(); st.Hits != 1 || st.MemHits != 0 || st.BytesRead == 0 {
+			t.Fatalf("%s entry: healed file did not hit on disk: %+v", tc.name, st)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func TestCoherenceIntegration(t *testing.T) {
 		coh.SetMemory(memory.NewController(eng, p.Grid.Sites(), tech, 1))
 		var lat sim.Time
 		eng.Schedule(0, func() {
-			coh.Issue(&coherence.Op{
+			coh.Issue(coherence.Op{
 				Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
 				OnComplete: func(l sim.Time) { lat = l },
 			})

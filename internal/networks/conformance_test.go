@@ -215,6 +215,59 @@ func TestConformanceFaultTransparency(t *testing.T) {
 	})
 }
 
+// relay is a delivery handler that reuses its packet at once: it rewrites
+// every field and injects the same *Packet again from the site it reached,
+// as a model recycling packets through a free list does. It counts the
+// deliveries it sees and stops after hops re-injections.
+type relay struct {
+	net       core.Network
+	sites     int
+	hops      int
+	delivered *int
+}
+
+func (r *relay) OnDeliver(p *core.Packet, _ sim.Time) {
+	*r.delivered++
+	if r.hops == 0 {
+		return
+	}
+	r.hops--
+	src := p.Dst
+	*p = core.Packet{Src: src, Dst: geometry.SiteID((int(src) + 9 + r.hops) % r.sites), Bytes: 64, Deliver: r}
+	r.net.Inject(p)
+}
+
+// TestConformanceHandOff pins the delivery hand-off contract: once a
+// network calls Deliver, the packet belongs to the handler, so a network
+// that reads the packet afterwards sees the handler's rewrite. Every site
+// injects a burst to one column, so the sources' queues are busy when
+// their packets come back rewritten, and every packet must still arrive.
+func TestConformanceHandOff(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind networks.Kind) {
+		const burst, hops = 4, 7
+		eng := sim.NewEngine()
+		p := core.DefaultParams()
+		st := core.NewStats(0)
+		net := networks.MustNew(kind, eng, p, st)
+		sites := p.Grid.Sites()
+		delivered := 0
+		eng.Schedule(0, func() {
+			for s := 0; s < sites; s++ {
+				for i := 0; i < burst; i++ {
+					net.Inject(&core.Packet{
+						Src: geometry.SiteID(s), Dst: geometry.SiteID((s + 8) % sites), Bytes: 64,
+						Deliver: &relay{net: net, sites: sites, hops: hops, delivered: &delivered},
+					})
+				}
+			}
+		})
+		eng.Run()
+		if want := sites * burst * (hops + 1); delivered != want || st.Delivered != st.Injected {
+			t.Fatalf("delivered %d of %d (stats %d of %d)", delivered, want, st.Delivered, st.Injected)
+		}
+	})
+}
+
 // TestConformanceUnknownKind: the factory rejects unknown names.
 func TestConformanceUnknownKind(t *testing.T) {
 	eng := sim.NewEngine()

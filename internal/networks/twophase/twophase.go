@@ -213,11 +213,12 @@ type deliverH Network
 func (h *deliverH) OnEvent(e *sim.Engine, arg sim.EventArg) {
 	n := (*Network)(h)
 	p := arg.Ptr.(*core.Packet)
-	col := n.p.Grid.Col(p.Dst)
-	cq := n.cols[p.Src][col]
-	cq.inFlight--
+	// RecordDelivery hands p to its handler, which may reuse it at once:
+	// read everything the release needs first.
+	src, col := p.Src, n.p.Grid.Col(p.Dst)
+	n.cols[src][col].inFlight--
 	n.stats.RecordDelivery(p, e.Now())
-	n.issue(p.Src, col)
+	n.issue(src, col)
 }
 
 // slotGranted fires at the packet's data slot. If one of the sender's

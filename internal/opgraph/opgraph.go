@@ -179,16 +179,14 @@ func (g *Graph) Validate(grid geometry.Grid) error {
 			ready = append(ready, i)
 		}
 	}
-	out := make([][]int, len(g.Ops))
-	for _, e := range g.Edges {
-		out[e.From] = append(out[e.From], e.To)
-	}
+	start, list := g.outEdges()
 	retired := 0
 	for len(ready) > 0 {
 		n := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		retired++
-		for _, m := range out[n] {
+		for _, ei := range list[start[n]:start[n+1]] {
+			m := g.Edges[ei].To
 			indeg[m]--
 			if indeg[m] == 0 {
 				ready = append(ready, m)
@@ -199,6 +197,30 @@ func (g *Graph) Validate(grid geometry.Grid) error {
 		return fmt.Errorf("opgraph: graph %q has a dependency cycle (%d of %d ops unreachable)", g.Name, len(g.Ops)-retired, len(g.Ops))
 	}
 	return nil
+}
+
+// outEdges indexes the edges by source op in one flat list, so the
+// adjacency costs two allocations whatever the graph's size: the edges
+// leaving op i are list[start[i]:start[i+1]], in edge order. Every edge's
+// From must be in range.
+func (g *Graph) outEdges() (start, list []int32) {
+	start = make([]int32, len(g.Ops)+1)
+	for _, e := range g.Edges {
+		start[e.From+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	list = make([]int32, len(g.Edges))
+	for i, e := range g.Edges {
+		list[start[e.From]] = int32(i)
+		start[e.From]++
+	}
+	// Placing the edges moved each start[i] to the end of op i's run,
+	// which is where op i+1's run begins: shift back by one op.
+	copy(start[1:], start)
+	start[0] = 0
+	return start, list
 }
 
 // TotalBytes sums every edge's tensor size — the traffic the graph offers

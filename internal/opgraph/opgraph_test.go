@@ -156,6 +156,50 @@ func TestPresetConstructionDeterministic(t *testing.T) {
 	}
 }
 
+// TestPresetsSizedExactly pins that every preset counts its ops and edges
+// before it builds them: each slice is allocated once at its final size,
+// and no append regrows it.
+func TestPresetsSizedExactly(t *testing.T) {
+	for _, grid := range []geometry.Grid{{N: 8, PitchCM: 2.25}, testGrid()} {
+		for _, name := range opgraph.PresetNames() {
+			for _, batch := range []int{1, 8} {
+				g, err := opgraph.Preset(name, grid, batch, 16, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(g.Ops) != len(g.Ops) || cap(g.Edges) != len(g.Edges) {
+					t.Errorf("%s on %d×%d at batch %d: ops %d of cap %d, edges %d of cap %d",
+						name, grid.N, grid.N, batch, len(g.Ops), cap(g.Ops), len(g.Edges), cap(g.Edges))
+				}
+			}
+		}
+	}
+}
+
+// TestValidateAllocsFixed pins that Validate's adjacency is one offsets
+// array and one flat edge list, so its allocations do not grow with the
+// graph: the 2,080-edge and 32,896-edge prefill graphs cost the same.
+func TestValidateAllocsFixed(t *testing.T) {
+	var allocs []float64
+	var edges []int
+	for _, grid := range []geometry.Grid{testGrid(), {N: 8, PitchCM: 2.25}} {
+		g, err := opgraph.Preset("prefill", grid, 1, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, len(g.Edges))
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if err := g.Validate(grid); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Fatalf("Validate allocated %v on %d edges and %v on %d edges, want the same, at most 4",
+			allocs[0], edges[0], allocs[1], edges[1])
+	}
+}
+
 func TestPresetErrors(t *testing.T) {
 	grid := testGrid()
 	if _, err := opgraph.Preset("nope", grid, 1, 1, 1); err == nil {

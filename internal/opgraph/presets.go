@@ -71,14 +71,17 @@ func Preset(name string, grid geometry.Grid, batch, seq int, seed int64) (*Graph
 
 // builder accumulates ops and edges with small helpers shared by the
 // presets. A "stage" is one op per site, returned as site-indexed op ids.
+// Each preset counts its ops and edges up front, so both slices are
+// allocated once at their final size (TestPresetsSizedExactly).
 type builder struct {
 	g     *Graph
 	grid  geometry.Grid
 	sites int
 }
 
-func newBuilder(name string, grid geometry.Grid) *builder {
-	return &builder{g: &Graph{Name: name}, grid: grid, sites: grid.Sites()}
+func newBuilder(name string, grid geometry.Grid, ops, edges int) *builder {
+	g := &Graph{Name: name, Ops: make([]Op, 0, ops), Edges: make([]Edge, 0, edges)}
+	return &builder{g: g, grid: grid, sites: grid.Sites()}
 }
 
 // stage adds one op per site with the given kind and compute window.
@@ -140,30 +143,29 @@ func (b *builder) allReduce(prev []int, payloadBytes int, nextKind Kind, nextCom
 // feeding the next layer. One token per sequence moves; the traffic is the
 // activation vector exchanged all-to-all twice per layer.
 func decodeAttention(grid geometry.Grid, batch, seq int) *Graph {
-	b := newBuilder("decode-attention", grid)
-	act := batch * hiddenDim * bytesPerElem
-	attnPS := sim.Duration(attnBasePS + 2*batch*seq)
-	ffnPS := sim.Duration(ffnBasePS + ffnPerTokenPS*batch)
-	prev := b.stage(Pointwise, pointwisePS)
-	for layer := 0; layer < 2; layer++ {
-		attn := b.stage(Attention, attnPS)
-		b.chain(prev, attn)
-		ffn := b.allReduce(attn, act, FFN, ffnPS)
-		prev = b.allReduce(ffn, act, Pointwise, pointwisePS)
-	}
-	return b.g
+	return twoLayer("decode-attention", grid, batch*hiddenDim*bytesPerElem,
+		sim.Duration(attnBasePS+2*batch*seq), sim.Duration(ffnBasePS+ffnPerTokenPS*batch))
 }
 
 // prefill is the same 2-layer structure processing the whole prompt at
 // once: attention compute is quadratic in seq, and the exchanged
 // activations carry batch×seq tokens — the bandwidth-bound phase.
 func prefill(grid geometry.Grid, batch, seq int) *Graph {
-	b := newBuilder("prefill", grid)
-	act := batch * seq * hiddenDim * bytesPerElem
-	attnPS := sim.Duration(attnBasePS + batch*seq*seq/8)
-	ffnPS := sim.Duration(ffnBasePS + ffnPerTokenPS*batch*seq)
+	return twoLayer("prefill", grid, batch*seq*hiddenDim*bytesPerElem,
+		sim.Duration(attnBasePS+batch*seq*seq/8), sim.Duration(ffnBasePS+ffnPerTokenPS*batch*seq))
+}
+
+// twoLayer builds the decode and prefill graphs: an input stage, then per
+// layer an attention stage and two all-reduces of act bytes, the first
+// feeding the FFN stage and the second the next layer's input.
+func twoLayer(name string, grid geometry.Grid, act int, attnPS, ffnPS sim.Duration) *Graph {
+	const layers = 2
+	n := grid.Sites()
+	// Five stages a layer (attention, and two all-reduces of two stages
+	// each) after the input; a chain and four full exchanges a layer.
+	b := newBuilder(name, grid, n*(1+5*layers), layers*(n+4*n*n))
 	prev := b.stage(Pointwise, pointwisePS)
-	for layer := 0; layer < 2; layer++ {
+	for layer := 0; layer < layers; layer++ {
 		attn := b.stage(Attention, attnPS)
 		b.chain(prev, attn)
 		ffn := b.allReduce(attn, act, FFN, ffnPS)
@@ -179,27 +181,44 @@ func prefill(grid geometry.Grid, batch, seq int) *Graph {
 // irregular scatter/gather phases; routing is the only seeded choice in any
 // preset.
 func moe(grid geometry.Grid, batch int, seed int64) *Graph {
-	b := newBuilder("moe-64-expert", grid)
-	n := b.sites
+	n := grid.Sites()
 	rng := sim.NewRNG(sim.DeriveSeed(seed, sim.StringLabel("opgraph-moe-routing")))
 
-	router := b.stage(Pointwise, pointwisePS)
-	dispatch := b.stage(MoEDispatch, pointwisePS)
-	b.chain(router, dispatch)
-
-	// routed[src][expert] counts tokens site src sends to each expert.
+	// routed[src][expert] counts tokens site src sends to each expert;
+	// routes counts the (src, expert) pairs with any, and idle the experts
+	// no token reaches.
 	routed := make([][]int, n)
 	expertLoad := make([]int, n)
+	routes := 0
 	for src := 0; src < n; src++ {
 		routed[src] = make([]int, n)
 		for t := 0; t < batch; t++ {
 			for k := 0; k < moeExpertsPerToken; k++ {
 				e := rng.Intn(n)
+				if routed[src][e] == 0 {
+					routes++
+				}
 				routed[src][e]++
 				expertLoad[e]++
 			}
 		}
 	}
+	idle := 0
+	for _, load := range expertLoad {
+		if load == 0 {
+			idle++
+		}
+	}
+
+	// Six ops a site: router, dispatch, expert, combine, and the closing
+	// all-reduce's two stages. Edges: the router chain, a dispatch and a
+	// combine edge per route, an ordering edge per idle expert, and the
+	// all-reduce's two full exchanges.
+	b := newBuilder("moe-64-expert", grid, 6*n, n+2*routes+idle+2*n*n)
+	router := b.stage(Pointwise, pointwisePS)
+	dispatch := b.stage(MoEDispatch, pointwisePS)
+	b.chain(router, dispatch)
+
 	experts := make([]int, n)
 	for e := 0; e < n; e++ {
 		experts[e] = b.add(Expert, geometry.SiteID(e), sim.Duration(ffnBasePS+expertPerTokPS*expertLoad[e]))
@@ -233,7 +252,9 @@ func moe(grid geometry.Grid, batch int, seed int64) *Graph {
 // and a row all-reduce. All traffic stays within rows — the pattern that
 // favors row/column-routed networks.
 func tensorParallelFFN(grid geometry.Grid, batch, seq int) *Graph {
-	b := newBuilder("tensor-parallel-ffn", grid)
+	// Six stages; a chain and four row exchanges of grid.N peers a site.
+	n := grid.Sites()
+	b := newBuilder("tensor-parallel-ffn", grid, 6*n, n+4*n*grid.N)
 	tokens := batch * seq
 	shard := tokens * hiddenDim * bytesPerElem / grid.N
 	chunk := shard / grid.N

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"macrochip/internal/core"
-	"macrochip/internal/geometry"
 	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
 )
@@ -44,14 +43,12 @@ type Replay struct {
 
 	jitterRNG *sim.RNG
 
-	// Per-op scheduling state.
+	// Per-op scheduling state. The edges leaving op i are
+	// outList[outStart[i]:outStart[i+1]] (Graph.outEdges).
 	waiting  []int32 // unfinished inbound edges
-	done     []bool
-	outEdges [][]int32
+	outStart []int32
+	outList  []int32
 	siteFree []sim.Time
-
-	// Per-edge transfer state, indexed like Graph.Edges.
-	transfers []transfer
 
 	opsDone        int
 	doneByKind     [numKinds]int
@@ -62,34 +59,39 @@ type Replay struct {
 	finish         sim.Time
 	started        bool
 
-	// free recycles delivered packets: the transfer handler is a packet's
-	// last holder under the delivery contract.
-	free []*core.Packet
+	// transfers and packets recycle the in-flight state: a transfer
+	// returns when its edge's last packet lands, and a packet in its
+	// transfer's handler, the packet's last holder under the delivery
+	// contract.
+	transfers sim.Pool[transfer]
+	packets   sim.Pool[core.Packet]
 }
 
 // transfer tracks one edge's in-flight packets; it is the closure-free
-// core.DeliverHandler for every packet of the edge.
+// core.DeliverHandler for every packet of the edge. It keeps only what
+// OnDeliver needs: the packets' sites and class are set when they are sent.
+// It lives only while the edge is in flight, so the replay holds as many
+// as the network does, not one per edge.
 type transfer struct {
 	r         *Replay
 	to        int32
 	remaining int32
-	src, dst  geometry.SiteID
-	class     core.MsgClass
 }
 
 // OnDeliver implements core.DeliverHandler: one packet of the edge landed.
 // The last one completes the edge and may unblock the destination op.
 func (t *transfer) OnDeliver(p *core.Packet, at sim.Time) {
 	t.r.bytesMoved += uint64(p.Bytes)
-	t.r.recycle(p)
+	t.r.packets.Put(p)
 	t.remaining--
 	if t.remaining > 0 {
 		return
 	}
-	r := t.r
+	r, to := t.r, int(t.to)
+	r.transfers.Put(t)
 	r.transfersDone++
 	r.inflight--
-	r.edgeDone(int(t.to), at)
+	r.edgeDone(to, at)
 }
 
 // Result summarizes one finished replay.
@@ -134,13 +136,10 @@ func (r *Replay) Start() error {
 	g := r.Graph
 	r.started = true
 	r.waiting = make([]int32, len(g.Ops))
-	r.done = make([]bool, len(g.Ops))
-	r.outEdges = make([][]int32, len(g.Ops))
+	r.outStart, r.outList = g.outEdges()
 	r.siteFree = make([]sim.Time, r.Params.Grid.Sites())
-	r.transfers = make([]transfer, len(g.Edges))
-	for i, e := range g.Edges {
+	for _, e := range g.Edges {
 		r.waiting[e.To]++
-		r.outEdges[e.From] = append(r.outEdges[e.From], int32(i))
 		if e.Bytes > 0 {
 			r.transfersTotal++
 		}
@@ -184,35 +183,28 @@ func (h *opDoneH) OnEvent(e *sim.Engine, arg sim.EventArg) {
 }
 
 func (r *Replay) opDone(i int, at sim.Time) {
-	r.done[i] = true
+	from := &r.Graph.Ops[i]
 	r.opsDone++
-	r.doneByKind[r.Graph.Ops[i].Kind]++
+	r.doneByKind[from.Kind]++
 	r.finish = at
-	for _, ei := range r.outEdges[i] {
+	for _, ei := range r.outList[r.outStart[i]:r.outStart[i+1]] {
 		e := r.Graph.Edges[ei]
 		if e.Bytes == 0 {
 			r.edgeDone(e.To, at)
 			continue
 		}
-		t := &r.transfers[ei]
-		t.r = r
-		t.to = int32(e.To)
-		t.src = r.Graph.Ops[e.From].Site
-		t.dst = r.Graph.Ops[e.To].Site
-		t.class = core.ClassTensor
-		if r.Graph.Ops[e.From].Kind.Collective() || r.Graph.Ops[e.To].Kind.Collective() {
-			t.class = core.ClassCollective
+		to := &r.Graph.Ops[e.To]
+		class := core.ClassTensor
+		if from.Kind.Collective() || to.Kind.Collective() {
+			class = core.ClassCollective
 		}
-		t.remaining = int32((e.Bytes + r.PacketBytes - 1) / r.PacketBytes)
+		t := r.transfers.Get()
+		*t = transfer{r: r, to: int32(e.To), remaining: int32((e.Bytes + r.PacketBytes - 1) / r.PacketBytes)}
 		r.inflight++
-		rem := e.Bytes
-		for rem > 0 {
-			sz := r.PacketBytes
-			if rem < sz {
-				sz = rem
-			}
-			r.sendPacket(t, sz)
-			rem -= sz
+		for rem := e.Bytes; rem > 0; rem -= r.PacketBytes {
+			p := r.packets.Get()
+			*p = core.Packet{Src: from.Site, Dst: to.Site, Bytes: min(rem, r.PacketBytes), Class: class, Deliver: t}
+			r.Net.Inject(p)
 		}
 	}
 }
@@ -223,34 +215,6 @@ func (r *Replay) edgeDone(to int, _ sim.Time) {
 	if r.waiting[to] == 0 {
 		r.ready(to)
 	}
-}
-
-// sendPacket injects one segment of a transfer in a recycled packet.
-func (r *Replay) sendPacket(t *transfer, bytes int) {
-	p := r.getPacket()
-	p.Src, p.Dst = t.src, t.dst
-	p.Bytes = bytes
-	p.Class = t.class
-	p.Deliver = t
-	r.Net.Inject(p)
-}
-
-// getPacket pops a recycled packet (cleared to zero) or allocates.
-func (r *Replay) getPacket() *core.Packet {
-	if n := len(r.free); n > 0 {
-		p := r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-		*p = core.Packet{}
-		return p
-	}
-	return &core.Packet{}
-}
-
-// recycle returns a delivered packet to the free list.
-func (r *Replay) recycle(p *core.Packet) {
-	p.Deliver = nil
-	r.free = append(r.free, p)
 }
 
 // Result summarizes the replay after Engine.Run has drained.

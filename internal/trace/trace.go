@@ -233,7 +233,7 @@ func (c *traceCore) reference() {
 	}
 	dir := c.m.dir
 	home := dir.Home(line, c.m.p.CacheLineBytes)
-	op := &coherence.Op{
+	op := coherence.Op{
 		Requester: c.site,
 		Home:      home,
 		OnIssued:  func() { c.run() },
