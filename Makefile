@@ -40,14 +40,16 @@ bench-build:
 
 # bench-smoke compiles and runs each pinned benchmark once — enough to catch
 # a benchmark that no longer builds or an allocation-guard regression that
-# panics, without timing noise. EngineHold holds the kernel queue at the
-# figure-6 sweep's measured median and 99th-percentile sizes; NewRNG and
-# RNGDraw give one random stream's cost, from creation through the steady
-# state, beside math/rand's. BenchCell (one figure-7 cell per network) and
-# OpGraphReplay (one prefill replay per network) report the allocs/op of
-# the two application paths, the coherence study and the inference study.
+# panics, without timing noise. EngineScheduleRun times a fresh engine's
+# warm-up, 1,000 chained events with one pending. EngineHold holds the
+# kernel queue at the figure-6 sweep's measured median and 99th-percentile
+# sizes; NewRNG and RNGDraw give one random stream's cost, from creation
+# through the steady state, beside math/rand's. BenchCell (one figure-7 cell
+# per network) and OpGraphReplay (one prefill replay per network) report the
+# allocs/op of the two application paths, the coherence study and the
+# inference study.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineScheduleCall|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
+	$(GO) test -run '^$$' -bench 'EngineScheduleCall|EngineScheduleRun|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
 	$(GO) test -run '^$$' -bench 'BenchCell|OpGraphReplay' -benchtime 1x ./internal/harness
 
 # fuzz-smoke runs eight fuzz targets briefly: the distrib frame decoder,

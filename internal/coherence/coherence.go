@@ -68,10 +68,11 @@ func (o *Op) Messages() int {
 }
 
 // MemoryBackend resolves home-site data fetches that miss the on-package
-// memory (see internal/memory). A nil backend means data is always on
-// package — the paper's §5 baseline.
+// memory (see internal/memory). Access runs h.OnEvent with arg once the data
+// is available at the home: at once, or as an event after the fetch. A nil
+// backend means data is always on package — the paper's §5 baseline.
 type MemoryBackend interface {
-	Access(site int, bytes int, done func())
+	Access(site, bytes int, h sim.Handler, arg sim.EventArg)
 }
 
 // Engine drives coherence operations over a network, enforcing the per-site
@@ -300,6 +301,14 @@ func (h *lookupH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 	(*Engine)(h).homeAction(arg.Ptr.(*tracker))
 }
 
+// fetchedH sends the home's data reply for the tracker in arg.Ptr once the
+// memory backend has the data.
+type fetchedH Engine
+
+func (h *fetchedH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
+	(*Engine)(h).sendHomeData(arg.Ptr.(*tracker))
+}
+
 // finish records a completed operation the moment its last response lands,
 // then returns its tracker to the free list.
 func (e *Engine) finish(t *tracker, at sim.Time) {
@@ -325,11 +334,9 @@ func (e *Engine) homeAction(t *tracker) {
 	switch {
 	case len(t.sharers) == 0:
 		// Unshared: the home supplies data — from its on-package memory,
-		// or after an off-package fetch when a memory backend is attached
-		// (the backend's done callback stays a closure: the off-package
-		// path is orders of magnitude colder than the network path).
+		// or after an off-package fetch when a memory backend is attached.
 		if e.mem != nil {
-			e.mem.Access(int(op.Home), e.p.DataMsgBytes, func() { e.sendHomeData(t) })
+			e.mem.Access(int(op.Home), e.p.DataMsgBytes, (*fetchedH)(e), sim.EventArg{Ptr: t})
 		} else {
 			e.sendHomeData(t)
 		}

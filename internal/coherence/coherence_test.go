@@ -10,6 +10,11 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
 func setup() (*sim.Engine, core.Params, *coherence.Engine) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -39,12 +44,12 @@ func TestMessagesCount(t *testing.T) {
 func TestUnsharedMissLatency(t *testing.T) {
 	eng, p, coh := setup()
 	var lat sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		coh.Issue(coherence.Op{
 			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
 			OnComplete: func(l sim.Time) { lat = l },
 		})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// Request 16 B at 5 GB/s (3.2 ns) + prop 0.225 + directory 2 ns +
 	// data 72 B (14.4 ns) + prop 0.225.
@@ -61,13 +66,13 @@ func TestDirtyOwnerForward(t *testing.T) {
 	eng, p, coh := setup()
 	g := p.Grid
 	var lat sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		coh.Issue(coherence.Op{
 			Requester: g.Site(0, 0), Home: g.Site(0, 1),
 			Sharers: []geometry.SiteID{g.Site(0, 2)}, Write: false,
 			OnComplete: func(l sim.Time) { lat = l },
 		})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// Request (3.2 + 0.225) + dir 2 + forward 16 B home→owner (3.2 +
 	// 0.225) + data owner→requester (14.4 + 0.45).
@@ -84,13 +89,13 @@ func TestInvalidationWaitsForAllAcks(t *testing.T) {
 	// completion is gated by the farthest ack.
 	var lat sim.Time
 	sharers := []geometry.SiteID{g.Site(0, 2), g.Site(3, 3), g.Site(7, 7)}
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		coh.Issue(coherence.Op{
 			Requester: g.Site(0, 0), Home: g.Site(0, 1),
 			Sharers: sharers, Write: true,
 			OnComplete: func(l sim.Time) { lat = l },
 		})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// Completion is gated by the slower of the data reply and the farthest
 	// ack chain. Here the 72 B data serialization dominates: request (3.2 +
@@ -112,13 +117,13 @@ func TestInvalidationWaitsForAllAcks(t *testing.T) {
 func TestOnIssuedFiresBeforeCompletion(t *testing.T) {
 	eng, p, coh := setup()
 	var issuedAt, doneAt sim.Time = -1, -1
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		coh.Issue(coherence.Op{
 			Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(4, 4),
 			OnIssued:   func() { issuedAt = eng.Now() },
 			OnComplete: func(sim.Time) { doneAt = eng.Now() },
 		})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if issuedAt != 0 {
 		t.Fatalf("issued at %v, want 0 (MSHR free)", issuedAt)
@@ -137,7 +142,7 @@ func TestMSHRLimitQueues(t *testing.T) {
 	coh := coherence.NewEngine(eng, p, net)
 	issued := 0
 	completed := 0
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 5; i++ {
 			coh.Issue(coherence.Op{
 				Requester: 0, Home: geometry.SiteID(i + 1),
@@ -154,7 +159,7 @@ func TestMSHRLimitQueues(t *testing.T) {
 		if got := coh.OutstandingAt(0); got != 2 {
 			t.Errorf("outstanding = %d, want 2", got)
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if issued != 5 || completed != 5 {
 		t.Fatalf("issued=%d completed=%d, want 5/5", issued, completed)
@@ -166,11 +171,11 @@ func TestMSHRLimitQueues(t *testing.T) {
 
 func TestLatencyAccounting(t *testing.T) {
 	eng, p, coh := setup()
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 1; i <= 3; i++ {
 			coh.Issue(coherence.Op{Requester: 0, Home: geometry.SiteID(i)})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if coh.Completed != 3 {
 		t.Fatalf("completed = %d", coh.Completed)
@@ -185,12 +190,12 @@ func TestIntraSiteOperation(t *testing.T) {
 	// Requester == home: both messages use the loop-back link.
 	eng, p, coh := setup()
 	var lat sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		coh.Issue(coherence.Op{
 			Requester: 5, Home: 5,
 			OnComplete: func(l sim.Time) { lat = l },
 		})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	want := 2*p.Cycles(1) + p.Cycles(p.DirectoryLookupCycles)
 	if lat != want {
@@ -211,7 +216,7 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 		coh.Issue(coherence.Op{Requester: 0, Home: 1})
 	}
 	stepUnshared := func() {
-		eng.Schedule(0, issueUnshared)
+		eng.ScheduleCall(0, call(issueUnshared), sim.EventArg{})
 		eng.Run()
 	}
 	stepUnshared() // prime queue capacity, path tables and free lists
@@ -224,7 +229,7 @@ func TestCoherenceSteadyStateAllocs(t *testing.T) {
 		coh.Issue(coherence.Op{Requester: 0, Home: 1, Sharers: sharers, Write: true})
 	}
 	stepWrite := func() {
-		eng.Schedule(0, issueWrite)
+		eng.ScheduleCall(0, call(issueWrite), sim.EventArg{})
 		eng.Run()
 	}
 	stepWrite()

@@ -10,6 +10,11 @@ import (
 	"macrochip/internal/sim"
 )
 
+// deliverFn adapts a test closure to DeliverHandler.
+type deliverFn func(*Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *Packet, at sim.Time) { f(p, at) }
+
 func TestDefaultParamsMatchTable4(t *testing.T) {
 	p := DefaultParams()
 	if p.Grid.Sites() != 64 {
@@ -266,7 +271,7 @@ func TestStatsThroughput(t *testing.T) {
 func TestStatsOnDeliverCallback(t *testing.T) {
 	s := NewStats(0)
 	called := false
-	p := &Packet{Bytes: 1, Deliver: DeliverFunc(func(pp *Packet, at sim.Time) {
+	p := &Packet{Bytes: 1, Deliver: deliverFn(func(pp *Packet, at sim.Time) {
 		called = true
 		if at != 7*sim.Nanosecond {
 			t.Errorf("callback at %v, want 7ns", at)

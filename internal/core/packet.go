@@ -75,15 +75,6 @@ type DeliverHandler interface {
 	OnDeliver(p *Packet, at sim.Time)
 }
 
-// DeliverFunc adapts a function to DeliverHandler, as sim's funcHandler
-// adapts a closure to sim.Handler. It suits paths off the per-packet hot
-// loop (retransmit chains, barriers): building the closure typically costs
-// one allocation.
-type DeliverFunc func(p *Packet, at sim.Time)
-
-// OnDeliver implements DeliverHandler.
-func (f DeliverFunc) OnDeliver(p *Packet, at sim.Time) { f(p, at) }
-
 // Packet is one network message. Packets are created by traffic generators
 // or the coherence engine and handed to a Network via Inject; the network
 // calls Deliver exactly once when the last byte arrives at Dst. The fields

@@ -11,6 +11,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func testSetup(t *testing.T, seed int64) (*sim.Engine, core.Params, *core.Stats, *fault.Network) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -90,10 +100,10 @@ func TestPlanRateScalesAndZeroRateEmpty(t *testing.T) {
 func TestZeroFaultWrapTransparent(t *testing.T) {
 	eng, _, st, fnet := testSetup(t, 3)
 	var lat sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { lat = at })})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.Delivered != 1 || st.Dropped != 0 || lat == 0 {
 		t.Fatalf("delivered=%d dropped=%d lat=%v", st.Delivered, st.Dropped, lat)
@@ -110,13 +120,13 @@ func TestDarkLaserDropsSourcedPackets(t *testing.T) {
 	eng, _, st, fnet := testSetup(t, 3)
 	fnet.FailLaser(5)
 	delivered := map[int]bool{}
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i, pair := range [][2]geometry.SiteID{{5, 9}, {9, 5}, {1, 2}} {
 			i := i
 			fnet.Inject(&core.Packet{Src: pair[0], Dst: pair[1], Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
+				Deliver: deliverFn(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if delivered[0] {
 		t.Fatal("packet sourced at the dark site was delivered")
@@ -132,10 +142,10 @@ func TestDarkLaserDropsSourcedPackets(t *testing.T) {
 	}
 	// After repair the site transmits again.
 	fnet.RepairLaser(5)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[3] = true })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, _ sim.Time) { delivered[3] = true })})
+	}), sim.EventArg{})
 	eng.Run()
 	if !delivered[3] {
 		t.Fatal("repaired site still dark")
@@ -146,13 +156,13 @@ func TestStuckSwitchDropsOnlyThatPath(t *testing.T) {
 	eng, _, _, fnet := testSetup(t, 3)
 	fnet.StickPath(2, 7)
 	delivered := map[int]bool{}
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i, pair := range [][2]geometry.SiteID{{2, 7}, {7, 2}, {2, 8}} {
 			i := i
 			fnet.Inject(&core.Packet{Src: pair[0], Dst: pair[1], Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
+				Deliver: deliverFn(func(_ *core.Packet, _ sim.Time) { delivered[i] = true })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if delivered[0] {
 		t.Fatal("stuck path delivered")
@@ -174,10 +184,10 @@ func TestDetuneDelaysAndCorrupts(t *testing.T) {
 			fnet.Detune(0, 4, 0)
 		}
 		var lat sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 4096,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
-		})
+				Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { lat = at })})
+		}), sim.EventArg{})
 		eng.Run()
 		if lat == 0 {
 			t.Fatal("detuned packet never delivered")
@@ -192,20 +202,20 @@ func TestDetuneDelaysAndCorrupts(t *testing.T) {
 	// With certain corruption every sourced packet is lost.
 	eng, _, st, fnet := testSetup(t, 3)
 	fnet.Detune(0, 1, 1.0)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 10; i++ {
 			fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if fnet.Drops(fault.RingDetune) != 10 || st.Delivered != 0 {
 		t.Fatalf("corruption drops = %d, delivered = %d", fnet.Drops(fault.RingDetune), st.Delivered)
 	}
 	// Retune restores clean delivery.
 	fnet.Retune(0)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.Delivered != 1 {
 		t.Fatal("retuned site still corrupting")
@@ -217,10 +227,10 @@ func TestLoopbackImmuneToFaults(t *testing.T) {
 	fnet.FailLaser(4)
 	fnet.Detune(4, 8, 1.0)
 	var lat sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 4, Dst: 4, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { lat = at })})
+	}), sim.EventArg{})
 	eng.Run()
 	if lat != p.Cycles(1) {
 		t.Fatalf("faulted loop-back = %v, want 1 cycle", lat)
@@ -242,9 +252,9 @@ func TestInjectorSchedulesFailureAndRepair(t *testing.T) {
 	}
 	// Before onset, during the outage, and after repair.
 	for _, at := range []sim.Time{50 * sim.Nanosecond, 200 * sim.Nanosecond, 400 * sim.Nanosecond} {
-		eng.At(at, func() {
+		eng.ScheduleCall(at, call(func() {
 			fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64})
-		})
+		}), sim.EventArg{})
 	}
 	eng.Run()
 	if st.Dropped != 1 || st.Delivered != 2 {
@@ -271,9 +281,9 @@ func TestOverlappingFaultsNest(t *testing.T) {
 	fnet.FailLaser(0)
 	fnet.RepairLaser(0)
 	// One outage still active: packets must still drop.
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.Dropped != 1 {
 		t.Fatalf("overlapping outage cleared early: dropped=%d", st.Dropped)
@@ -287,10 +297,10 @@ func TestOverlappingFaultsNest(t *testing.T) {
 func TestAvailabilityMetric(t *testing.T) {
 	eng, _, st, fnet := testSetup(t, 3)
 	fnet.FailLaser(0)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		fnet.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 64}) // dropped
 		fnet.Inject(&core.Packet{Src: 1, Dst: 9, Bytes: 64}) // delivered
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if got := st.Availability(); got != 0.5 {
 		t.Fatalf("availability = %v, want 0.5", got)

@@ -37,15 +37,27 @@ func (in *Injector) Install() {
 		panic("fault: Injector.Install called twice")
 	}
 	in.installed = true
-	for _, ev := range in.plan.Events {
-		ev := ev
-		in.eng.At(ev.At, func() {
-			in.net.apply(ev)
-			in.Fired++
-		})
-		in.eng.At(ev.Repair, func() {
-			in.net.clear(ev)
-			in.Repaired++
-		})
+	now := in.eng.Now()
+	for i, ev := range in.plan.Events {
+		in.eng.ScheduleCall(ev.At-now, (*onsetH)(in), sim.EventArg{A: uint64(i)})
+		in.eng.ScheduleCall(ev.Repair-now, (*repairH)(in), sim.EventArg{A: uint64(i)})
 	}
+}
+
+// onsetH applies the failure of plan event arg.A.
+type onsetH Injector
+
+func (h *onsetH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
+	in := (*Injector)(h)
+	in.net.apply(in.plan.Events[arg.A])
+	in.Fired++
+}
+
+// repairH clears the failure of plan event arg.A.
+type repairH Injector
+
+func (h *repairH) OnEvent(_ *sim.Engine, arg sim.EventArg) {
+	in := (*Injector)(h)
+	in.net.clear(in.plan.Events[arg.A])
+	in.Repaired++
 }

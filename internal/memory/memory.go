@@ -94,20 +94,20 @@ func NewController(eng *sim.Engine, sites int, tech Technology, seed int64) *Con
 // Technology returns the controller's preset.
 func (c *Controller) Technology() Technology { return c.tech }
 
-// Access resolves a home-site fetch of `bytes` bytes and calls done when
-// the data is available at the home. On-package accesses (or the hot
-// fraction) complete immediately; off-package accesses pay fiber round trip
-// + device access + channel serialization.
-func (c *Controller) Access(site int, bytes int, done func()) {
+// Access resolves a home-site fetch of `bytes` bytes and runs h.OnEvent
+// with arg when the data is available at the home. On-package accesses (or
+// the hot fraction) complete immediately; off-package accesses pay fiber
+// round trip + device access + channel serialization.
+func (c *Controller) Access(site, bytes int, h sim.Handler, arg sim.EventArg) {
 	if c.chans == nil || !c.rng.Bool(c.tech.MissFraction) {
-		done()
+		h.OnEvent(c.eng, arg)
 		return
 	}
 	c.Accesses++
 	now := c.eng.Now()
 	rt := sim.FromNanoseconds(2*c.tech.FiberMeters*fiberNSPerMeter + c.tech.AccessNS)
 	_, end := c.chans[site].Reserve(now, bytes)
-	c.eng.Schedule(end+rt-now, done)
+	c.eng.ScheduleCall(end+rt-now, h, arg)
 }
 
 // WorstCaseNS returns the zero-load off-package latency for a fetch.

@@ -10,6 +10,11 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
 func TestTechnologyPresets(t *testing.T) {
 	techs := memory.Technologies()
 	if len(techs) != 4 {
@@ -31,12 +36,12 @@ func TestOnPackageIsImmediate(t *testing.T) {
 	tech, _ := memory.ByName("on-package")
 	mc := memory.NewController(eng, 64, tech, 1)
 	called := false
-	mc.Access(0, 72, func() {
+	mc.Access(0, 72, call(func() {
 		called = true
 		if eng.Now() != 0 {
 			t.Errorf("on-package access took %v", eng.Now())
 		}
-	})
+	}), sim.EventArg{})
 	if !called {
 		t.Fatal("on-package access not synchronous")
 	}
@@ -53,9 +58,9 @@ func TestOffPackageLatency(t *testing.T) {
 	tech := memory.Technology{Name: "t", AccessNS: 50, FiberMeters: 1, ChannelGBs: 40, MissFraction: 1.0}
 	mc := memory.NewController(eng, 64, tech, 1)
 	var at sim.Time = -1
-	eng.Schedule(0, func() {
-		mc.Access(3, 72, func() { at = eng.Now() })
-	})
+	eng.ScheduleCall(0, call(func() {
+		mc.Access(3, 72, call(func() { at = eng.Now() }), sim.EventArg{})
+	}), sim.EventArg{})
 	eng.Run()
 	// 72 B at 40 GB/s (1.8 ns) + 2×1 m × 5 ns/m + 50 ns = 61.8 ns.
 	want := sim.FromNanoseconds(1.8 + 10 + 50)
@@ -75,10 +80,10 @@ func TestChannelSerializesAccesses(t *testing.T) {
 	tech := memory.Technology{Name: "t", AccessNS: 0, FiberMeters: 0, ChannelGBs: 1, MissFraction: 1.0}
 	mc := memory.NewController(eng, 4, tech, 1)
 	var t1, t2 sim.Time
-	eng.Schedule(0, func() {
-		mc.Access(0, 100, func() { t1 = eng.Now() }) // 100 ns at 1 GB/s
-		mc.Access(0, 100, func() { t2 = eng.Now() })
-	})
+	eng.ScheduleCall(0, call(func() {
+		mc.Access(0, 100, call(func() { t1 = eng.Now() }), sim.EventArg{}) // 100 ns at 1 GB/s
+		mc.Access(0, 100, call(func() { t2 = eng.Now() }), sim.EventArg{})
+	}), sim.EventArg{})
 	eng.Run()
 	if t2-t1 != 100*sim.Nanosecond {
 		t.Fatalf("second access not serialized: %v vs %v", t1, t2)
@@ -91,7 +96,7 @@ func TestMissFractionSampling(t *testing.T) {
 	mc := memory.NewController(eng, 4, tech, 7)
 	const n = 4000
 	for i := 0; i < n; i++ {
-		mc.Access(0, 72, func() {})
+		mc.Access(0, 72, call(func() {}), sim.EventArg{})
 	}
 	frac := float64(mc.Accesses) / n
 	if frac < 0.2 || frac > 0.3 {
@@ -110,12 +115,12 @@ func TestCoherenceIntegration(t *testing.T) {
 		coh := coherence.NewEngine(eng, p, net)
 		coh.SetMemory(memory.NewController(eng, p.Grid.Sites(), tech, 1))
 		var lat sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			coh.Issue(coherence.Op{
 				Requester: p.Grid.Site(0, 0), Home: p.Grid.Site(0, 1),
 				OnComplete: func(l sim.Time) { lat = l },
 			})
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		return lat
 	}

@@ -8,6 +8,11 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
 func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("b/count")
@@ -74,7 +79,7 @@ func TestProbeSampling(t *testing.T) {
 	c := r.Counter("events")
 	p := NewProbe(eng, r, 10*sim.Nanosecond)
 	p.Start(100 * sim.Nanosecond)
-	eng.Schedule(35*sim.Nanosecond, func() { c.Inc() })
+	eng.ScheduleCall(35*sim.Nanosecond, call(func() { c.Inc() }), sim.EventArg{})
 	eng.RunUntil(200 * sim.Nanosecond)
 
 	if p.Samples != 10 {
@@ -176,7 +181,7 @@ func TestTracerAttachEngine(t *testing.T) {
 	tr := NewTracer()
 	tr.AttachEngine(eng, 2)
 	for i := 0; i < 6; i++ {
-		eng.Schedule(sim.Time(i+1), func() {})
+		eng.ScheduleCall(sim.Time(i+1), call(func() {}), sim.EventArg{})
 	}
 	eng.Run()
 	// 6 dispatches, one counter sample every 2 → 3 events.

@@ -11,11 +11,12 @@ import (
 // deterministic simulated times and interleave reproducibly with model
 // events (probe callbacks only read state, so the model's own event order
 // is unperturbed and instrumented results are byte-identical to
-// un-instrumented ones).
+// un-instrumented ones). The probe is its own tick event's handler.
 type Probe struct {
 	eng      *sim.Engine
 	reg      *Registry
 	interval sim.Duration
+	until    sim.Time
 
 	// Samples counts completed sampling ticks.
 	Samples int
@@ -37,16 +38,16 @@ func NewProbe(eng *sim.Engine, reg *Registry, interval sim.Duration) *Probe {
 // Start schedules sampling ticks from one interval after now until (and
 // including ticks at) the given horizon. Call before Engine.Run.
 func (p *Probe) Start(until sim.Time) {
-	p.scheduleNext(until)
+	p.until = until
+	p.eng.ScheduleCall(p.interval, p, sim.EventArg{})
 }
 
-func (p *Probe) scheduleNext(until sim.Time) {
-	p.eng.Schedule(p.interval, func() {
-		if p.eng.Now() > until {
-			return
-		}
-		p.reg.sampleAll(p.eng.Now())
-		p.Samples++
-		p.scheduleNext(until)
-	})
+// OnEvent takes one sample and schedules the next tick.
+func (p *Probe) OnEvent(e *sim.Engine, _ sim.EventArg) {
+	if e.Now() > p.until {
+		return
+	}
+	p.reg.sampleAll(e.Now())
+	p.Samples++
+	e.ScheduleCall(p.interval, p, sim.EventArg{})
 }

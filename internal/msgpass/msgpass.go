@@ -67,13 +67,20 @@ type Result struct {
 	EffectiveGBs float64
 }
 
-// Runner executes a message-passing workload on a network.
+// Runner executes a message-passing workload on a network. Only one
+// barrier is open at a time, so the runner itself is the handler of every
+// compute phase's end and the delivery handler of every message.
 type Runner struct {
 	eng   *sim.Engine
 	p     core.Params
 	net   core.Network
 	cfg   Config
 	bytes uint64
+
+	// iter is the current iteration; stride is the current all-reduce
+	// stage's XOR stride; remaining counts the open barrier's undelivered
+	// messages.
+	iter, stride, remaining int
 }
 
 // NewRunner builds a runner; the network must share the engine.
@@ -118,58 +125,64 @@ func (r *Runner) iteration(i int) {
 	if i >= r.cfg.Iterations {
 		return
 	}
-	r.eng.Schedule(sim.FromNanoseconds(r.cfg.ComputeNS), func() {
-		switch r.cfg.Pattern {
-		case AllReduce:
-			r.allReduceStage(i, 1)
-		default:
-			r.exchange(i)
-		}
-	})
+	r.iter = i
+	r.eng.ScheduleCall(sim.FromNanoseconds(r.cfg.ComputeNS), r, sim.EventArg{})
+}
+
+// OnEvent ends the current iteration's compute phase and starts its exchange.
+func (r *Runner) OnEvent(*sim.Engine, sim.EventArg) {
+	switch r.cfg.Pattern {
+	case AllReduce:
+		r.allReduceStage(1)
+	default:
+		r.exchange()
+	}
+}
+
+// OnDeliver counts one message into the open barrier; the last one closes
+// it and moves on to the next all-reduce stage or iteration.
+func (r *Runner) OnDeliver(*core.Packet, sim.Time) {
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	if r.cfg.Pattern == AllReduce {
+		r.allReduceStage(r.stride * 2)
+	} else {
+		r.iteration(r.iter + 1)
+	}
 }
 
 // exchange posts the iteration's messages and barriers on their delivery.
-func (r *Runner) exchange(i int) {
+func (r *Runner) exchange() {
 	pairs := r.pairs()
-	remaining := len(pairs)
-	if remaining == 0 {
-		r.iteration(i + 1)
+	r.remaining = len(pairs)
+	if r.remaining == 0 {
+		r.iteration(r.iter + 1)
 		return
 	}
-	done := core.DeliverFunc(func(*core.Packet, sim.Time) {
-		remaining--
-		if remaining == 0 {
-			r.iteration(i + 1)
-		}
-	})
 	for _, pr := range pairs {
 		r.bytes += uint64(r.cfg.MessageBytes)
 		r.net.Inject(&core.Packet{
 			Src: pr[0], Dst: pr[1],
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: done,
+			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: r,
 		})
 	}
 }
 
 // allReduceStage runs recursive-doubling stage with the given XOR stride.
-func (r *Runner) allReduceStage(i, stride int) {
+func (r *Runner) allReduceStage(stride int) {
 	sites := r.p.Grid.Sites()
 	if stride >= sites {
-		r.iteration(i + 1)
+		r.iteration(r.iter + 1)
 		return
 	}
-	remaining := sites
-	done := core.DeliverFunc(func(*core.Packet, sim.Time) {
-		remaining--
-		if remaining == 0 {
-			r.allReduceStage(i, stride*2)
-		}
-	})
+	r.stride, r.remaining = stride, sites
 	for s := 0; s < sites; s++ {
 		r.bytes += uint64(r.cfg.MessageBytes)
 		r.net.Inject(&core.Packet{
 			Src: geometry.SiteID(s), Dst: geometry.SiteID(s ^ stride),
-			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: done,
+			Bytes: r.cfg.MessageBytes, Class: core.ClassData, Deliver: r,
 		})
 	}
 }

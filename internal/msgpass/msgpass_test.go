@@ -129,11 +129,31 @@ func TestPatternsList(t *testing.T) {
 	}
 }
 
+// TestDeterministic pins each pattern's runtime and payload on two
+// networks. No golden covers message passing, so a change in event order or
+// in the barrier bookkeeping must show here as a changed figure.
 func TestDeterministic(t *testing.T) {
-	cfg := msgpass.Config{Pattern: msgpass.HaloExchange, MessageBytes: 512, ComputeNS: 5, Iterations: 2}
-	a := run(t, networks.TwoPhase, cfg)
-	b := run(t, networks.TwoPhase, cfg)
-	if a.Runtime != b.Runtime {
-		t.Fatal("message-passing run not deterministic")
+	cases := []struct {
+		kind    networks.Kind
+		pattern msgpass.Pattern
+		runtime sim.Time
+		bytes   uint64
+	}{
+		{networks.TwoPhase, msgpass.HaloExchange, 142200, 262144},
+		{networks.TwoPhase, msgpass.AllToAll, 2052600, 4128768},
+		{networks.TwoPhase, msgpass.AllReduce, 236500, 393216},
+		{networks.TwoPhase, msgpass.Ring, 52000, 65536},
+		{networks.CircuitSwitched, msgpass.HaloExchange, 76150, 262144},
+		{networks.CircuitSwitched, msgpass.AllToAll, 2012950, 4128768},
+		{networks.CircuitSwitched, msgpass.AllReduce, 526500, 393216},
+		{networks.CircuitSwitched, msgpass.Ring, 91100, 65536},
+	}
+	for _, c := range cases {
+		cfg := msgpass.Config{Pattern: c.pattern, MessageBytes: 512, ComputeNS: 5, Iterations: 2}
+		r := run(t, c.kind, cfg)
+		if r.Runtime != c.runtime || r.BytesMoved != c.bytes {
+			t.Errorf("%s %s: runtime %d ps, %d B; want %d ps, %d B",
+				c.kind, c.pattern, int64(r.Runtime), r.BytesMoved, int64(c.runtime), c.bytes)
+		}
 	}
 }

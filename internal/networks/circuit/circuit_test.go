@@ -8,6 +8,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func setup() (*sim.Engine, core.Params, *core.Stats, *circuit.Network) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -29,10 +39,10 @@ func TestUnloadedLatency(t *testing.T) {
 	eng, p, _, n := setup()
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1) // 1 torus hop
 	var at sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	// Setup out + ack back (2 × ctrlHop) + data 64 B at 20 GB/s (3.2 ns) +
 	// 1 hop propagation.
@@ -45,12 +55,12 @@ func TestUnloadedLatency(t *testing.T) {
 func TestSetupScalesWithTorusHops(t *testing.T) {
 	eng, p, _, n := setup()
 	var near, far sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { near = tt })})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { near = tt })})
 		n.Inject(&core.Packet{Src: p.Grid.Site(4, 0), Dst: p.Grid.Site(0, 4), Bytes: 64, // 8 hops
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { far = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { far = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	// 8 hops vs 1: setup difference 14 × ctrlHop, prop difference 7 hops.
 	wantDiff := 14*n.CtrlHopLatency() + 7*sim.FromNanoseconds(0.225)
@@ -62,14 +72,14 @@ func TestSetupScalesWithTorusHops(t *testing.T) {
 func TestTorusWraparoundShortensPath(t *testing.T) {
 	eng, p, _, n := setup()
 	var wrap, inner sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		// (0,0)→(0,7) is 1 hop via wraparound.
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 7), Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { wrap = tt })})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { wrap = tt })})
 		// (1,0)→(1,3) is 3 hops.
 		n.Inject(&core.Packet{Src: p.Grid.Site(1, 0), Dst: p.Grid.Site(1, 3), Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { inner = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { inner = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if wrap >= inner {
 		t.Fatalf("wraparound path (%v) should beat 3-hop path (%v)", wrap, inner)
@@ -80,14 +90,14 @@ func TestGatewaySlotLimit(t *testing.T) {
 	eng, p, _, n := setup()
 	// Burst more transfers than the gateway has circuit engines: the
 	// excess must queue.
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 10; i++ {
 			n.Inject(&core.Packet{Src: 0, Dst: core.DefaultParams().Grid.Site(0, 1), Bytes: 64})
 		}
 		if got := n.PendingAt(0); got != 10-p.CircuitSlotsPerSite {
 			t.Errorf("pending = %d, want %d", got, 10-p.CircuitSlotsPerSite)
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if n.PendingAt(0) != 0 {
 		t.Fatalf("queue not drained: %d", n.PendingAt(0))
@@ -103,12 +113,12 @@ func TestSlotThroughputSerialization(t *testing.T) {
 	n := circuit.New(eng, p, st)
 	var last sim.Time
 	const N = 5
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < N; i++ {
 			n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { last = tt })})
+				Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { last = tt })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	per := 2*n.CtrlHopLatency() + sim.FromNanoseconds(3.2)
 	want := N*per + sim.FromNanoseconds(0.225)
@@ -119,9 +129,9 @@ func TestSlotThroughputSerialization(t *testing.T) {
 
 func TestControlEnergyAccounting(t *testing.T) {
 	eng, p, st, n := setup()
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 2), Bytes: 64}) // 2 hops
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// 2 hops × 2 directions = 4 control messages of 8 B each, plus the 64 B
 	// data traversal.
@@ -136,10 +146,10 @@ func TestControlEnergyAccounting(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: 2, Dst: 2, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if at != p.Cycles(1) {
 		t.Fatalf("loopback at %v", at)
@@ -163,7 +173,7 @@ func TestHotspotLandingContention(t *testing.T) {
 		st := core.NewStats(0)
 		n := circuit.New(eng, p, st)
 		var last sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for s := 1; s < 33; s++ {
 				dst := 0
 				if !hotspot {
@@ -171,13 +181,13 @@ func TestHotspotLandingContention(t *testing.T) {
 				}
 				n.Inject(&core.Packet{Src: core.DefaultParams().Grid.Site(s/8, s%8),
 					Dst: core.DefaultParams().Grid.Site(dst/8, dst%8), Bytes: 16384,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
+					Deliver: deliverFn(func(_ *core.Packet, at sim.Time) {
 						if at > last {
 							last = at
 						}
 					})})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		return last
 	}

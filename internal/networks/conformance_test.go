@@ -12,6 +12,16 @@ import (
 	"macrochip/internal/traffic"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 // The conformance suite checks invariants every network model must satisfy,
 // whatever its arbitration scheme.
 
@@ -60,12 +70,12 @@ func TestConformanceLatencyFloor(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var lat sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			net.Inject(&core.Packet{
 				Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(0, 1), Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at }),
+				Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { lat = at }),
 			})
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		// Fastest possible: 64 B at the token bundle's 320 GB/s (0.2 ns)
 		// plus one pitch of flight (0.225 ns).
@@ -112,10 +122,10 @@ func TestConformanceLoopback(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var lat sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			net.Inject(&core.Packet{Src: 13, Dst: 13, Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { lat = at })})
-		})
+				Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { lat = at })})
+		}), sim.EventArg{})
 		eng.Run()
 		if lat != p.Cycles(1) {
 			t.Fatalf("loopback = %v, want 1 cycle", lat)
@@ -131,11 +141,11 @@ func TestConformanceEnergyCounters(t *testing.T) {
 		p := core.DefaultParams()
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for i := 0; i < 8; i++ {
 				net.Inject(&core.Packet{Src: geometry.SiteID(i), Dst: geometry.SiteID(i + 8), Bytes: 64})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		if st.OpticalTraversalBytes < 8*64 {
 			t.Fatalf("optical bytes = %d, want >= %d", st.OpticalTraversalBytes, 8*64)
@@ -152,13 +162,13 @@ func TestConformanceFIFOPerFlow(t *testing.T) {
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
 		var order []uint64
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for i := 0; i < 10; i++ {
 				seq := uint64(i)
 				net.Inject(&core.Packet{Src: 3, Dst: 42, Bytes: 64,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, _ sim.Time) { order = append(order, seq) })})
+					Deliver: deliverFn(func(_ *core.Packet, _ sim.Time) { order = append(order, seq) })})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		if len(order) != 10 {
 			t.Fatalf("delivered %d of 10", len(order))
@@ -251,7 +261,7 @@ func TestConformanceHandOff(t *testing.T) {
 		net := networks.MustNew(kind, eng, p, st)
 		sites := p.Grid.Sites()
 		delivered := 0
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for s := 0; s < sites; s++ {
 				for i := 0; i < burst; i++ {
 					net.Inject(&core.Packet{
@@ -260,7 +270,7 @@ func TestConformanceHandOff(t *testing.T) {
 					})
 				}
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		if want := sites * burst * (hops + 1); delivered != want || st.Delivered != st.Injected {
 			t.Fatalf("delivered %d of %d (stats %d of %d)", delivered, want, st.Delivered, st.Injected)
@@ -292,11 +302,11 @@ func TestConformanceSmallGrid(t *testing.T) {
 		p.Grid = geometry.Grid{N: 4, PitchCM: 2.25}
 		st := core.NewStats(0)
 		net := networks.MustNew(kind, eng, p, st)
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for s := 0; s < 16; s++ {
 				net.Inject(&core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID((s + 5) % 16), Bytes: 64})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		if st.Delivered != 16 {
 			t.Fatalf("delivered %d of 16 on 4×4 grid", st.Delivered)
@@ -313,19 +323,19 @@ func TestConformanceMessageSizes(t *testing.T) {
 			st := core.NewStats(0)
 			net := networks.MustNew(kind, eng, p, st)
 			var small, big sim.Time
-			eng.Schedule(0, func() {
+			eng.ScheduleCall(0, call(func() {
 				net.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: 16,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { small = at })})
-			})
+					Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { small = at })})
+			}), sim.EventArg{})
 			eng.Run()
 			eng2 := sim.NewEngine()
 			st2 := core.NewStats(0)
 			net2 := networks.MustNew(kind, eng2, p, st2)
 			b := bytes
-			eng2.Schedule(0, func() {
+			eng2.ScheduleCall(0, call(func() {
 				net2.Inject(&core.Packet{Src: 0, Dst: 9, Bytes: b,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { big = at })})
-			})
+					Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { big = at })})
+			}), sim.EventArg{})
 			eng2.Run()
 			if bytes > 16 && big < small {
 				t.Fatalf("%d B delivered faster (%v) than 16 B (%v)", bytes, big, small)
@@ -343,9 +353,9 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		net.Inject(&core.Packet{Src: 0, Dst: 63, Bytes: 64})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	fmt.Println(net.Name(), st.Delivered)
 	// Output: Point-to-Point 1

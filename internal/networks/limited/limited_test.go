@@ -9,6 +9,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func setup() (*sim.Engine, core.Params, *core.Stats, *limited.Network) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -19,8 +29,8 @@ func setup() (*sim.Engine, core.Params, *core.Stats, *limited.Network) {
 func send(eng *sim.Engine, n *limited.Network, src, dst geometry.SiteID, bytes int) (*sim.Time, *core.Packet) {
 	var at sim.Time = -1
 	pkt := &core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-		Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })}
-	eng.Schedule(0, func() { n.Inject(pkt) })
+		Deliver: deliverFn(func(_ *core.Packet, t sim.Time) { at = t })}
+	eng.ScheduleCall(0, call(func() { n.Inject(pkt) }), sim.EventArg{})
 	return &at, pkt
 }
 
@@ -111,7 +121,7 @@ func TestAtMostOneElectronicHop(t *testing.T) {
 	// Paper §4.6: every transmission takes at most one O-E/E-O conversion.
 	eng, p, _, n := setup()
 	var pkts []*core.Packet
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for s := 0; s < p.Grid.Sites(); s++ {
 			for d := 0; d < p.Grid.Sites(); d++ {
 				pkt := &core.Packet{Src: geometry.SiteID(s), Dst: geometry.SiteID(d), Bytes: 64}
@@ -119,7 +129,7 @@ func TestAtMostOneElectronicHop(t *testing.T) {
 				n.Inject(pkt)
 			}
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	for _, pkt := range pkts {
 		if pkt.Hops > 1 {
@@ -144,17 +154,17 @@ func TestForwarderLoadBalancing(t *testing.T) {
 	g := p.Grid
 	src, dst := g.Site(0, 0), g.Site(3, 3)
 	rf, _ := n.Forwarders(src, dst)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		// Jam the src→rowFirst channel with unrelated traffic.
 		for i := 0; i < 50; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: rf, Bytes: 64})
 		}
-	})
+	}), sim.EventArg{})
 	var at sim.Time
-	eng.Schedule(1, func() {
+	eng.ScheduleCall(1, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	// Via the idle column-first leg the packet needs ~8 ns; behind the jam
 	// it would need > 50 × 3.2 ns.
@@ -166,7 +176,7 @@ func TestForwarderLoadBalancing(t *testing.T) {
 func TestNeighborTrafficAllDirect(t *testing.T) {
 	eng, p, st, n := setup()
 	g := p.Grid
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for r := 0; r < g.N; r++ {
 			for c := 0; c < g.N; c++ {
 				src := g.Site(r, c)
@@ -174,7 +184,7 @@ func TestNeighborTrafficAllDirect(t *testing.T) {
 				n.Inject(&core.Packet{Src: src, Dst: g.Site((r+1)%g.N, c), Bytes: 64})
 			}
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.RouterBytes != 0 {
 		t.Fatalf("neighbor traffic used routers: %d bytes", st.RouterBytes)

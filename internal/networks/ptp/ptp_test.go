@@ -9,6 +9,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func setup() (*sim.Engine, core.Params, *core.Stats, *ptp.Network) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -18,10 +28,10 @@ func setup() (*sim.Engine, core.Params, *core.Stats, *ptp.Network) {
 
 func send(eng *sim.Engine, n *ptp.Network, src, dst geometry.SiteID, bytes int) *sim.Time {
 	var at sim.Time = -1
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: bytes, Class: core.ClassData,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, t sim.Time) { at = t })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, t sim.Time) { at = t })})
+	}), sim.EventArg{})
 	return &at
 }
 
@@ -101,12 +111,12 @@ func TestSingleFlowThroughputCap(t *testing.T) {
 	// 64-byte packets take 100 × 12.8 ns of serialization.
 	eng, _, st, n := setup()
 	var last sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 100; i++ {
 			n.Inject(&core.Packet{Src: 0, Dst: 1, Bytes: 64, Class: core.ClassData,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
+				Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { last = at })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	want := 100*sim.FromNanoseconds(12.8) + sim.FromNanoseconds(0.225)
 	if last != want {

@@ -9,6 +9,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func setup() (*sim.Engine, core.Params, *core.Stats, *tokenring.Network) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -28,10 +38,10 @@ func TestTokenHopPace(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: 3, Dst: 3, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if at != p.Cycles(1) {
 		t.Fatalf("loopback at %v", at)
@@ -46,10 +56,10 @@ func TestFirstAcquisitionWaitsForToken(t *testing.T) {
 	dst := ringOrder[0]
 	src := ringOrder[5]
 	var at sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	hop := p.Cycles(p.TokenRoundTripCycles) / sim.Time(p.Grid.Sites())
 	// Token travel (5 hops) + 1-cycle transmit + data propagation back to
@@ -66,12 +76,12 @@ func TestReacquisitionCostsFullRoundTrip(t *testing.T) {
 	ringOrder := p.Grid.RingPositions()
 	dst, src := ringOrder[0], ringOrder[5]
 	var times []sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 3; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+				Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if len(times) != 3 {
 		t.Fatalf("delivered %d", len(times))
@@ -97,13 +107,12 @@ func TestSingleFlowThroughputBelowOnePercent(t *testing.T) {
 	st.MeasureEnd = 10 * sim.Microsecond
 	ringOrder := p.Grid.RingPositions()
 	dst, src := ringOrder[0], ringOrder[5]
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 2000; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64})
 		}
-	})
+	}), sim.EventArg{})
 	eng.RunUntil(10 * sim.Microsecond)
-	eng.Stop()
 	frac := st.ThroughputGBs() / 320
 	if frac < 0.008 || frac > 0.016 {
 		t.Fatalf("single-flow throughput = %.2f%% of site peak, want ~1.2%%", frac*100)
@@ -119,16 +128,16 @@ func TestTokenDivertsToNearerWaiter(t *testing.T) {
 	far := ringOrder[40]
 	near := ringOrder[10]
 	var farAt, nearAt sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: far, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { farAt = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { farAt = tt })})
+	}), sim.EventArg{})
 	// The near waiter requests shortly after, while the token (released at
 	// position 0 at t=0) is still upstream of position 10.
-	eng.Schedule(100*sim.Picosecond, func() {
+	eng.ScheduleCall(100*sim.Picosecond, call(func() {
 		n.Inject(&core.Packet{Src: near, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { nearAt = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { nearAt = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if nearAt == 0 || farAt == 0 {
 		t.Fatal("not all delivered")
@@ -147,10 +156,10 @@ func TestTokenDivertsToNearerWaiter(t *testing.T) {
 
 func TestEnergyAndTokenOps(t *testing.T) {
 	eng, _, st, n := setup()
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: 1, Dst: 2, Bytes: 64})
 		n.Inject(&core.Packet{Src: 3, Dst: 4, Bytes: 16})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.OpticalTraversalBytes != 80 {
 		t.Fatalf("optical bytes = %d, want 80", st.OpticalTraversalBytes)
@@ -162,14 +171,14 @@ func TestEnergyAndTokenOps(t *testing.T) {
 
 func TestQueuedFor(t *testing.T) {
 	eng, _, _, n := setup()
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 5; i++ {
 			n.Inject(&core.Packet{Src: 9, Dst: 2, Bytes: 64})
 		}
 		if q := n.QueuedFor(9, 2); q != 5 {
 			t.Errorf("QueuedFor = %d, want 5", q)
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if q := n.QueuedFor(geometry.SiteID(9), geometry.SiteID(2)); q != 0 {
 		t.Fatalf("residual queue = %d", q)
@@ -194,12 +203,12 @@ func TestBurstGrabPolicy(t *testing.T) {
 		st := core.NewStats(0)
 		n := tokenring.New(eng, p, st)
 		var last sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for i := 0; i < 32; i++ {
 				n.Inject(&core.Packet{Src: 5, Dst: 9, Bytes: 64,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) { last = at })})
+					Deliver: deliverFn(func(_ *core.Packet, at sim.Time) { last = at })})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		return last
 	}

@@ -9,6 +9,11 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
 // TestNextWaiterMatchesRingScan checks the bitmask pick against the
 // brute-force scan it replaced — the waiter with the least RingDist from the
 // releasing position, that position itself counting as a full circulation —
@@ -61,11 +66,11 @@ func TestLargeGridDrainsEveryWaiter(t *testing.T) {
 	st := core.NewStats(0)
 	n := New(eng, p, st)
 	const dst = geometry.SiteID(17)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for s := 0; s < p.Grid.Sites(); s++ {
 			n.Inject(&core.Packet{Src: geometry.SiteID(s), Dst: dst, Bytes: 64})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if st.Delivered != uint64(p.Grid.Sites()) {
 		t.Fatalf("delivered %d of %d packets", st.Delivered, p.Grid.Sites())

@@ -8,6 +8,16 @@ import (
 	"macrochip/internal/sim"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
+// deliverFn adapts a test closure to core.DeliverHandler.
+type deliverFn func(*core.Packet, sim.Time)
+
+func (f deliverFn) OnDeliver(p *core.Packet, at sim.Time) { f(p, at) }
+
 func setup() (*sim.Engine, core.Params, *core.Stats, *twophase.Network) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -30,10 +40,10 @@ func TestUnloadedLatency(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	// arbLead + retune gap (cold switch) + 64 B at 40 GB/s rounded to slots
 	// (1.6 ns = 4 slots exactly) + propagation.
@@ -47,17 +57,17 @@ func TestSlotRounding(t *testing.T) {
 	eng, p, _, n := setup()
 	var at16, at64 sim.Time
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 16,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at16 = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at16 = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	eng2 := sim.NewEngine()
 	n2 := twophase.New(eng2, p, core.NewStats(0))
-	eng2.Schedule(0, func() {
+	eng2.ScheduleCall(0, call(func() {
 		n2.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at64 = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at64 = tt })})
+	}), sim.EventArg{})
 	eng2.Run()
 	// 16 B = 0.4 ns = exactly one slot; 64 B = 4 slots. The difference in
 	// delivery must be exactly 3 slots.
@@ -70,12 +80,12 @@ func TestBackToBackSameFlowSerializesPerColumn(t *testing.T) {
 	eng, p, _, n := setup()
 	src, dst := p.Grid.Site(0, 0), p.Grid.Site(0, 1)
 	var times []sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 3; i++ {
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+				Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// The single switch tree permits one in-flight packet per column: the
 	// next packet re-arbitrates when the previous one delivers, so the
@@ -95,16 +105,16 @@ func TestAlternatingSendersPayRetuneGap(t *testing.T) {
 	dst := g.Site(0, 0)
 	a, b := g.Site(0, 1), g.Site(0, 2)
 	var times []sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		for i := 0; i < 4; i++ {
 			src := a
 			if i%2 == 1 {
 				src = b
 			}
 			n.Inject(&core.Packet{Src: src, Dst: dst, Bytes: 64,
-				Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
+				Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { times = append(times, tt) })})
 		}
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	if len(times) != 4 {
 		t.Fatalf("delivered %d", len(times))
@@ -131,7 +141,7 @@ func TestSwitchTreeSerializesColumn(t *testing.T) {
 		n := twophase.New(eng, p, core.NewStats(0))
 		g := p.Grid
 		var last sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for r := 0; r < g.N; r++ {
 				dst := g.Site(r, 3)
 				if !sameColumn {
@@ -141,13 +151,13 @@ func TestSwitchTreeSerializesColumn(t *testing.T) {
 					dst = g.Site(4, 4)
 				}
 				n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: dst, Bytes: 64,
-					Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
+					Deliver: deliverFn(func(_ *core.Packet, at sim.Time) {
 						if at > last {
 							last = at
 						}
 					})})
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		return last
 	}
@@ -172,18 +182,18 @@ func TestALTHasMoreTrees(t *testing.T) {
 		}
 		g := p.Grid
 		var last sim.Time
-		eng.Schedule(0, func() {
+		eng.ScheduleCall(0, call(func() {
 			for r := 0; r < g.N; r++ {
 				for i := 0; i < 4; i++ {
 					n.Inject(&core.Packet{Src: g.Site(0, 0), Dst: g.Site(r, 3), Bytes: 64,
-						Deliver: core.DeliverFunc(func(_ *core.Packet, at sim.Time) {
+						Deliver: deliverFn(func(_ *core.Packet, at sim.Time) {
 							if at > last {
 								last = at
 							}
 						})})
 				}
 			}
-		})
+		}), sim.EventArg{})
 		eng.Run()
 		return last
 	}
@@ -206,9 +216,9 @@ func TestNames(t *testing.T) {
 
 func TestArbMessageAccounting(t *testing.T) {
 	eng, p, st, n := setup()
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: p.Grid.Site(0, 0), Dst: p.Grid.Site(1, 1), Bytes: 64})
-	})
+	}), sim.EventArg{})
 	eng.Run()
 	// One request + one notification (no wasted slots at zero load).
 	if st.ArbMessages != 2 {
@@ -222,10 +232,10 @@ func TestArbMessageAccounting(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	eng, p, _, n := setup()
 	var at sim.Time
-	eng.Schedule(0, func() {
+	eng.ScheduleCall(0, call(func() {
 		n.Inject(&core.Packet{Src: 7, Dst: 7, Bytes: 64,
-			Deliver: core.DeliverFunc(func(_ *core.Packet, tt sim.Time) { at = tt })})
-	})
+			Deliver: deliverFn(func(_ *core.Packet, tt sim.Time) { at = tt })})
+	}), sim.EventArg{})
 	eng.Run()
 	if at != p.Cycles(1) {
 		t.Fatalf("loopback at %v", at)

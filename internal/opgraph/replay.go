@@ -166,12 +166,10 @@ func (r *Replay) ready(i int) {
 		}
 		dur = sim.Duration(float64(dur) * f)
 	}
-	start := r.Eng.Now()
-	if r.siteFree[op.Site] > start {
-		start = r.siteFree[op.Site]
-	}
+	now := r.Eng.Now()
+	start := max(now, r.siteFree[op.Site])
 	r.siteFree[op.Site] = start + dur
-	r.Eng.CallAt(start+dur, (*opDoneH)(r), sim.EventArg{A: uint64(i)})
+	r.Eng.ScheduleCall(start+dur-now, (*opDoneH)(r), sim.EventArg{A: uint64(i)})
 }
 
 // opDoneH dispatches operator completions without a closure; EventArg.A

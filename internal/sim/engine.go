@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// Handler is the closure-free scheduling target: models implement OnEvent on
-// a (usually pointer-shaped) type and schedule it with ScheduleCall, passing
-// per-event state through the EventArg instead of capturing it in a closure.
+// Handler is what an event runs: models implement OnEvent on a (usually
+// pointer-shaped) type and schedule it with ScheduleCall, passing per-event
+// state through the EventArg instead of capturing it in a closure.
 // Converting a pointer to a Handler allocates nothing, so steady-state
 // ScheduleCall dispatch runs allocation-free (pinned by a benchmark guard).
 //
@@ -28,13 +28,6 @@ type EventArg struct {
 	Ptr  any
 	A, B uint64
 }
-
-// funcHandler adapts a closure to Handler, so Schedule and At feed the same
-// queue as ScheduleCall. A func value is pointer-shaped, so the conversion
-// to Handler allocates nothing beyond the closure the caller already built.
-type funcHandler func()
-
-func (f funcHandler) OnEvent(*Engine, EventArg) { f() }
 
 // Queue key packing: a key's id holds the event's sequence number in the
 // high seqBits and its payload slot in the low slotBits. Comparing ids
@@ -97,17 +90,19 @@ type payload struct {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // not usable; create one with NewEngine.
 //
-// The engine is deliberately minimal: models schedule callbacks, the engine
-// runs them in (time, sequence) order and exposes the current simulated time.
-// There is no process abstraction — every model in this repository is written
-// in event-callback style, which keeps runs fast and deterministic.
+// The engine is deliberately minimal: models schedule handlers through
+// ScheduleCall, the one entry point, and the engine runs them in (time,
+// sequence) order and exposes the current simulated time. There is no process
+// abstraction — every model in this repository is written in event-handler
+// style, which keeps runs fast and deterministic.
 //
 // The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990)
 // of 16-byte pointer-free keys over a slab of payloads (handler and argument)
 // with a free-slot stack. It rests on one invariant: every queued key is
-// greater than last, the key most recently dispatched. CallAt refuses a time
-// before now, sequence numbers strictly increase, and RunUntil only moves now
-// forward, so no push can break it. A key waits in the bucket numbered one
+// greater than last, the key most recently dispatched. ScheduleCall refuses a
+// negative delay and one that overflows the time axis, sequence numbers
+// strictly increase, and RunUntil only moves now forward, so no push can
+// break it. A key waits in the bucket numbered one
 // plus the highest bit in which it differs from last, and a 3-word mask marks
 // the non-empty buckets. A push appends to one bucket. A dispatch takes the
 // minimum of the lowest non-empty bucket, makes it last, and refiles that
@@ -124,7 +119,6 @@ type Engine struct {
 	buckets [numBuckets][]key
 	slab    []payload
 	free    []uint32 // vacated slab slots, reused last-in first-out
-	stopped bool
 	// executed counts events dispatched since construction; useful both in
 	// tests and for reporting simulation effort.
 	executed uint64
@@ -147,42 +141,17 @@ func (e *Engine) Pending() int { return e.pending }
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Schedule runs fn after delay. A negative delay panics: the kernel never
-// travels backwards in time. Prefer ScheduleCall on hot paths — Schedule
-// typically costs one closure allocation at the call site.
-func (e *Engine) Schedule(delay Duration, fn func()) {
-	e.ScheduleCall(delay, funcHandler(fn), EventArg{})
-}
-
-// deadlineFor converts a validated non-negative delay into an absolute
-// timestamp, catching int64 overflow explicitly. Before this check a huge
-// delay (e.g. a misconverted duration) wrapped negative and surfaced as the
-// misleading "schedule before now" panic from At/CallAt.
-func (e *Engine) deadlineFor(delay Duration) Time {
-	t := e.now + delay
-	if t < e.now {
-		panic(fmt.Sprintf("sim: delay %d ps overflows the time axis (now %v)", int64(delay), e.now))
-	}
-	return t
-}
-
-// At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) { e.CallAt(t, funcHandler(fn), EventArg{}) }
-
-// ScheduleCall runs h.OnEvent(e, arg) after delay, without allocating a
-// closure. A negative delay panics.
+// ScheduleCall runs h.OnEvent(e, arg) after delay; an event at an absolute
+// time t is scheduled with delay t-Now(). A negative delay panics, because
+// the kernel never travels backwards in time, and so does a delay that
+// overflows the time axis, which would otherwise wrap negative.
 func (e *Engine) ScheduleCall(delay Duration, h Handler, arg EventArg) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	e.CallAt(e.deadlineFor(delay), h, arg)
-}
-
-// CallAt runs h.OnEvent(e, arg) at absolute time t, which must not precede
-// the current time.
-func (e *Engine) CallAt(t Time, h Handler, arg EventArg) {
+	t := e.now + delay
 	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+		panic(fmt.Sprintf("sim: delay %d ps overflows the time axis (now %v)", int64(delay), e.now))
 	}
 	var slot uint64
 	if n := len(e.free); n > 0 {
@@ -252,40 +221,33 @@ func (e *Engine) popMin(b, i int) (Time, Handler, EventArg) {
 }
 
 // SetDispatchHook installs (or, with nil, removes) an observer invoked for
-// every dispatched event at its timestamp. The hook must not schedule,
-// stop, or otherwise drive the engine — it is a read-only probe; the
-// observability layer uses it to trace simulation effort over time.
+// every dispatched event at its timestamp. The hook must not schedule or
+// otherwise drive the engine — it is a read-only probe; the observability
+// layer uses it to trace simulation effort over time.
 func (e *Engine) SetDispatchHook(fn func(at Time)) { e.hook = fn }
 
-// Stop makes Run and RunUntil return after the current event completes.
-// Pending events are retained, so a stopped engine can be resumed.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It returns
-// the time of the last executed event (or the current time if none ran).
+// Run executes events until the queue is empty. It returns the time of the
+// last executed event (or the current time if none ran).
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for e.pending > 0 && !e.stopped {
+	for e.pending > 0 {
 		e.step(e.head())
 	}
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if the deadline is in the future) and returns. It
-// also honors Stop. The loop peeks the minimum before dispatching it, so an
-// event scheduled past the deadline stays queued untouched and last stays
-// at or before now.
+// clock to the deadline (if the deadline is in the future) and returns. The
+// loop peeks the minimum before dispatching it, so an event scheduled past
+// the deadline stays queued untouched and last stays at or before now.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for e.pending > 0 && !e.stopped {
+	for e.pending > 0 {
 		b, i := e.head()
 		if e.buckets[b][i].at > deadline {
 			break
 		}
 		e.step(b, i)
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now

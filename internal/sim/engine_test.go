@@ -8,6 +8,11 @@ import (
 	"testing/quick"
 )
 
+// call adapts a test closure to Handler.
+type call func()
+
+func (f call) OnEvent(*Engine, EventArg) { f() }
+
 func TestTimeUnits(t *testing.T) {
 	if Nanosecond != 1000 {
 		t.Fatalf("Nanosecond = %d, want 1000", int64(Nanosecond))
@@ -61,11 +66,11 @@ func TestNanosecondsRoundTrip(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.ScheduleCall(30, call(func() { order = append(order, 3) }), EventArg{})
+	e.ScheduleCall(10, call(func() { order = append(order, 1) }), EventArg{})
+	e.ScheduleCall(20, call(func() { order = append(order, 2) }), EventArg{})
 	// Same timestamp: insertion order must win.
-	e.Schedule(20, func() { order = append(order, 4) })
+	e.ScheduleCall(20, call(func() { order = append(order, 4) }), EventArg{})
 	end := e.Run()
 	if end != 30 {
 		t.Fatalf("Run returned %v, want 30ps", end)
@@ -85,10 +90,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 100 {
-			e.Schedule(5, tick)
+			e.ScheduleCall(5, call(tick), EventArg{})
 		}
 	}
-	e.Schedule(0, tick)
+	e.ScheduleCall(0, call(tick), EventArg{})
 	e.Run()
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -106,7 +111,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
+		e.ScheduleCall(d, call(func() { fired = append(fired, d) }), EventArg{})
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -124,75 +129,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(10, func() { ran++; e.Stop() })
-	e.Schedule(20, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d after Stop, want 1", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	// Resume.
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran = %d after resume, want 2", ran)
-	}
-}
-
-func TestEngineStopInsideEventHaltsRunUntil(t *testing.T) {
-	// Stop fired from inside an event must halt RunUntil after the current
-	// event, leave later events pending, keep the clock at the stopping
-	// event's timestamp, and allow a clean resume.
-	e := NewEngine()
-	var ran []Time
-	e.Schedule(10, func() { ran = append(ran, e.Now()) })
-	e.Schedule(20, func() { ran = append(ran, e.Now()); e.Stop() })
-	e.Schedule(30, func() { ran = append(ran, e.Now()) })
-	e.Schedule(40, func() { ran = append(ran, e.Now()) })
-	end := e.RunUntil(100)
-	if len(ran) != 2 {
-		t.Fatalf("ran %d events before Stop, want 2", len(ran))
-	}
-	if end != 20 || e.Now() != 20 {
-		t.Fatalf("stopped at %v (Now %v), want 20ps — clock must not jump to the deadline", end, e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d after Stop, want 2", e.Pending())
-	}
-	// Resume: RunUntil clears the stop flag, drains the rest, then advances
-	// the clock to the deadline.
-	end = e.RunUntil(100)
-	if len(ran) != 4 {
-		t.Fatalf("ran %d events after resume, want 4", len(ran))
-	}
-	if end != 100 || e.Pending() != 0 {
-		t.Fatalf("resume ended at %v with %d pending, want 100ps/0", end, e.Pending())
-	}
-}
-
-func TestEngineEventPoolingAllocationFree(t *testing.T) {
-	// Once the queue slice has grown to its working capacity, schedule/run
-	// cycles must reuse it — the value-typed queue has no per-event
-	// allocation to make.
-	e := NewEngine()
-	fn := func() {}
-	burst := func() {
-		for i := 0; i < 8; i++ {
-			e.Schedule(Time(i), fn)
-		}
-		e.Run()
-	}
-	burst() // prime the queue capacity
-	allocs := testing.AllocsPerRun(100, burst)
-	if allocs > 0 {
-		t.Fatalf("schedule/run burst allocated %.1f per iteration, want 0", allocs)
-	}
-}
-
 func TestEngineQueueReusesCapacity(t *testing.T) {
 	// White-box: dispatching must shrink the live queue without releasing
 	// its bucket arrays or payload slab, every vacated payload slot must be
@@ -200,9 +136,9 @@ func TestEngineQueueReusesCapacity(t *testing.T) {
 	// must be the next one reused.
 	e := NewEngine()
 	h := &recordingHandler{}
-	e.Schedule(0, func() {})
+	e.ScheduleCall(0, call(func() {}), EventArg{})
 	e.ScheduleCall(1, h, EventArg{Ptr: &struct{ v int }{}, A: 7, B: 9})
-	e.Schedule(2, func() {})
+	e.ScheduleCall(2, call(func() {}), EventArg{})
 	_, capacity := queuedKeys(e)
 	e.RunUntil(1)
 	keys, after := queuedKeys(e)
@@ -259,55 +195,41 @@ func queuedKeys(e *Engine) (keys []key, capacity int) {
 	return keys, capacity
 }
 
+// TestEngineNegativeDelayPanics: once the clock has advanced, a delay that
+// lands before now, though after time zero, must still panic — the kernel
+// never travels backwards in time.
 func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule(-1) did not panic")
-		}
-	}()
-	NewEngine().Schedule(-1, func() {})
-}
-
-func TestEnginePastAtPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {})
+	e.ScheduleCall(100, new(countHandler), EventArg{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At(past) did not panic")
+			t.Fatal("ScheduleCall(-1) at 100 ps did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	e.ScheduleCall(-1, new(countHandler), EventArg{})
 }
 
 // TestScheduleOverflowPanicsExplicitly is the regression test for the
-// Schedule/ScheduleCall overflow bug: a delay that wraps e.now+delay past
-// MaxInt64 used to fall through to At/CallAt and panic with the misleading
-// "schedule at -… before now" message. It must now name the overflow.
+// ScheduleCall overflow bug: a delay that wraps e.now+delay past MaxInt64
+// used to surface as a misleading "schedule at -… before now" panic. It
+// must name the overflow.
 func TestScheduleOverflowPanicsExplicitly(t *testing.T) {
-	for _, closure := range []bool{true, false} {
-		e := NewEngine()
-		// Advance the clock so now+MaxInt64 wraps.
-		e.At(10, func() {})
-		e.Run()
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("closure=%v: overflowing delay did not panic", closure)
-				}
-				msg := fmt.Sprint(r)
-				if want := "overflows the time axis"; !strings.Contains(msg, want) {
-					t.Fatalf("closure=%v: panic %q does not mention %q", closure, msg, want)
-				}
-			}()
-			if closure {
-				e.Schedule(Duration(math.MaxInt64), func() {})
-			} else {
-				e.ScheduleCall(Duration(math.MaxInt64), new(countHandler), EventArg{})
-			}
-		}()
-	}
+	e := NewEngine()
+	// Advance the clock so now+MaxInt64 wraps.
+	e.ScheduleCall(10, new(countHandler), EventArg{})
+	e.Run()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("overflowing delay did not panic")
+		}
+		msg := fmt.Sprint(r)
+		if want := "overflows the time axis"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}()
+	e.ScheduleCall(Duration(math.MaxInt64), new(countHandler), EventArg{})
 }
 
 // The queue must stay consistent under arbitrary interleavings of schedule
@@ -317,7 +239,7 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		e := NewEngine()
 		var seen []Time
 		for _, d := range delays {
-			e.Schedule(Time(d), func() { seen = append(seen, e.Now()) })
+			e.ScheduleCall(Time(d), call(func() { seen = append(seen, e.Now()) }), EventArg{})
 		}
 		e.Run()
 		for i := 1; i < len(seen); i++ {
@@ -447,40 +369,24 @@ func TestRNGBool(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the steady-state schedule/dispatch cycle
-// on a primed engine; with event pooling it runs allocation-free (watch the
-// allocs/op column).
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), fn)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Time(i%17), fn)
-		if i%64 == 63 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
+// BenchmarkEngineScheduleRun times a fresh engine's warm-up: 1,000 events,
+// one pending at a time, each scheduling the next, so every bucket grows
+// its slice on first use.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
-		var tick func()
-		n := 0
-		tick = func() {
-			n++
-			if n < 1000 {
-				e.Schedule(Time(n%17), tick)
-			}
-		}
-		e.Schedule(0, tick)
+		e.ScheduleCall(0, new(chainHandler), EventArg{})
 		e.Run()
+	}
+}
+
+// chainHandler schedules its next event until it has run 1,000 times.
+type chainHandler int
+
+func (h *chainHandler) OnEvent(e *Engine, _ EventArg) {
+	*h++
+	if *h < 1000 {
+		e.ScheduleCall(Duration(*h%17), h, EventArg{})
 	}
 }

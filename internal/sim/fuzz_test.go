@@ -116,7 +116,7 @@ func (r *fuzzRun) add(at Time, h Handler) {
 	r.want = append(r.want, refEvent{at: at, seq: id})
 	cell := new(int)
 	*cell = id
-	r.e.CallAt(at, h, EventArg{Ptr: cell, A: uint64(id), B: ^uint64(id)})
+	r.e.ScheduleCall(at-r.e.Now(), h, EventArg{Ptr: cell, A: uint64(id), B: ^uint64(id)})
 }
 
 func (r *fuzzRun) OnEvent(e *Engine, arg EventArg) {

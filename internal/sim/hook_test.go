@@ -8,7 +8,7 @@ func TestDispatchHook(t *testing.T) {
 	var ran []Time
 	e.SetDispatchHook(func(at Time) { hooked = append(hooked, at) })
 	for _, d := range []Time{10, 20, 30} {
-		e.Schedule(d, func() { ran = append(ran, e.Now()) })
+		e.ScheduleCall(d, call(func() { ran = append(ran, e.Now()) }), EventArg{})
 	}
 	e.Run()
 	if len(hooked) != 3 {
@@ -24,7 +24,7 @@ func TestDispatchHook(t *testing.T) {
 	}
 	// Detach: no further callbacks.
 	e.SetDispatchHook(nil)
-	e.Schedule(5, func() {})
+	e.ScheduleCall(5, call(func() {}), EventArg{})
 	e.Run()
 	if len(hooked) != 3 {
 		t.Fatalf("hook fired after detach: %d calls", len(hooked))
@@ -40,7 +40,7 @@ func TestDispatchHookAllocationFree(t *testing.T) {
 	fn := func() {}
 	burst := func() {
 		for i := 0; i < 8; i++ {
-			e.Schedule(Time(i), fn)
+			e.ScheduleCall(Time(i), call(fn), EventArg{})
 		}
 		e.Run()
 	}

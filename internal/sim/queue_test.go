@@ -36,14 +36,14 @@ func TestQueueDispatchOrderProperty(t *testing.T) {
 			id := seq
 			seq++
 			want = append(want, refEvent{at: at, seq: id})
-			e.At(at, func() {
+			e.ScheduleCall(at-e.Now(), call(func() {
 				got = append(got, refEvent{at: e.Now(), seq: id})
 				if nested {
 					// Child at a delay drawn from the same small range so
 					// it collides with already-queued timestamps.
 					add(e.Now()+Time(rng.Intn(4)), false)
 				}
-			})
+			}), EventArg{})
 		}
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
@@ -51,10 +51,10 @@ func TestQueueDispatchOrderProperty(t *testing.T) {
 			add(Time(rng.Intn(8)), rng.Intn(2) == 0)
 		}
 		e.Run()
-		// The engine assigns seq in At/CallAt order, and nested adds happen
-		// in dispatch order, so insertion order in `want` matches engine
-		// sequence order. Stable-sort by time only: ties stay in insertion
-		// order, which is exactly the (time, seq) contract.
+		// The engine assigns seq in ScheduleCall order, and nested adds
+		// happen in dispatch order, so insertion order in `want` matches
+		// engine sequence order. Stable-sort by time only: ties stay in
+		// insertion order, which is exactly the (time, seq) contract.
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: dispatched %d events, want %d", trial, len(got), len(want))
@@ -87,7 +87,7 @@ type orderProbe struct {
 func (p *orderProbe) add(e *Engine, at Time) {
 	id := len(p.want)
 	p.want = append(p.want, refEvent{at: at, seq: id})
-	e.CallAt(at, p, EventArg{Ptr: &p.cells[id], A: uint64(id), B: ^uint64(id)})
+	e.ScheduleCall(at-e.Now(), p, EventArg{Ptr: &p.cells[id], A: uint64(id), B: ^uint64(id)})
 }
 
 func (p *orderProbe) OnEvent(e *Engine, arg EventArg) {
@@ -291,8 +291,8 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	// without popping it.
 	e := NewEngine()
 	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(200, func() { ran++ })
+	e.ScheduleCall(10, call(func() { ran++ }), EventArg{})
+	e.ScheduleCall(200, call(func() { ran++ }), EventArg{})
 	e.RunUntil(100)
 	if ran != 1 || e.Pending() != 1 {
 		t.Fatalf("ran=%d pending=%d after RunUntil(100), want 1/1", ran, e.Pending())
@@ -306,31 +306,7 @@ func TestRunUntilLeavesFutureEventsQueued(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopInsideScheduleCall(t *testing.T) {
-	// Stop fired from inside a handler must halt RunUntil exactly like the
-	// closure path: later events stay pending, the clock stays put.
-	e := NewEngine()
-	h := &recordingHandler{}
-	e.ScheduleCall(10, h, EventArg{A: 1})
-	e.ScheduleCall(20, stopHandler{}, EventArg{})
-	e.ScheduleCall(30, h, EventArg{A: 2})
-	end := e.RunUntil(100)
-	if end != 20 || e.Now() != 20 {
-		t.Fatalf("stopped at %v (Now %v), want 20", end, e.Now())
-	}
-	if len(h.calls) != 1 || h.calls[0].A != 1 {
-		t.Fatalf("handler calls before Stop = %+v, want just A=1", h.calls)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after Stop, want 1", e.Pending())
-	}
-	e.RunUntil(100)
-	if len(h.calls) != 2 || h.calls[1].A != 2 {
-		t.Fatalf("handler calls after resume = %+v, want A=1,2", h.calls)
-	}
-}
-
-// --- closure-free scheduling API -----------------------------------------
+// --- ScheduleCall ----------------------------------------------------------
 
 type recordingHandler struct {
 	calls []EventArg
@@ -341,10 +317,6 @@ func (h *recordingHandler) OnEvent(e *Engine, arg EventArg) {
 	h.calls = append(h.calls, arg)
 	h.times = append(h.times, e.Now())
 }
-
-type stopHandler struct{}
-
-func (stopHandler) OnEvent(e *Engine, _ EventArg) { e.Stop() }
 
 func TestScheduleCallDelivery(t *testing.T) {
 	e := NewEngine()
@@ -364,46 +336,13 @@ func TestScheduleCallDelivery(t *testing.T) {
 	}
 }
 
-func TestScheduleCallInterleavesWithSchedule(t *testing.T) {
-	// Closure events and handler events share one (time, seq) order.
-	e := NewEngine()
-	var order []int
-	h := &recordingHandler{}
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.ScheduleCall(10, h, EventArg{A: 2})
-	e.Schedule(10, func() { order = append(order, 3) })
-	e.ScheduleCall(5, h, EventArg{A: 0})
-	e.Run()
-	if len(h.calls) != 2 || h.calls[0].A != 0 || h.calls[1].A != 2 {
-		t.Fatalf("handler order = %+v, want A=0 then A=2", h.calls)
-	}
-	if h.times[0] != 5 || h.times[1] != 10 {
-		t.Fatalf("handler times = %v, want [5 10]", h.times)
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("closure order = %v, want [1 3]", order)
-	}
-}
-
 func TestScheduleCallNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScheduleCall(-1) did not panic")
 		}
 	}()
-	NewEngine().ScheduleCall(-1, stopHandler{}, EventArg{})
-}
-
-func TestCallAtPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CallAt(past) did not panic")
-		}
-	}()
-	e.CallAt(50, stopHandler{}, EventArg{})
+	NewEngine().ScheduleCall(-1, new(countHandler), EventArg{})
 }
 
 // countHandler is pointer-shaped: converting it to Handler never allocates,
@@ -431,9 +370,9 @@ func TestScheduleCallAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineScheduleCall measures the steady-state closure-free
-// schedule/dispatch cycle on a primed engine; it must report 0 allocs/op
-// (the perf-guard companion to BenchmarkEngineSchedule).
+// BenchmarkEngineScheduleCall measures the steady-state schedule/dispatch
+// cycle on a primed engine; it must report 0 allocs/op (the perf-guard
+// companion to TestScheduleCallAllocationFree).
 func BenchmarkEngineScheduleCall(b *testing.B) {
 	e := NewEngine()
 	var h countHandler

@@ -219,10 +219,11 @@ func (c *traceCore) run() {
 	}
 	c.remain--
 	gap := c.rng.Geometric(c.m.prof.MeanGapInstr)
-	c.m.eng.Schedule(c.m.p.Cycles(gap), func() { c.reference() })
+	c.m.eng.ScheduleCall(c.m.p.Cycles(gap), c, sim.EventArg{})
 }
 
-func (c *traceCore) reference() {
+// OnEvent ends the instruction gap with the next reference.
+func (c *traceCore) OnEvent(*sim.Engine, sim.EventArg) {
 	addr, write := c.next()
 	l2 := c.m.L2[c.site]
 	line := l2.LineAddr(addr)

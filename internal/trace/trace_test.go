@@ -120,18 +120,30 @@ func TestWritebacksOccurWhenCacheOverflows(t *testing.T) {
 	}
 }
 
+// TestTraceDeterministic pins one workload's runtime and operation count
+// on two networks. No golden covers trace mode, so a change in event order
+// must show here as a changed figure.
 func TestTraceDeterministic(t *testing.T) {
-	r1 := func() sim.Time {
-		prof, _ := trace.ProfileByName("radix", 0.05)
+	cases := []struct {
+		kind    networks.Kind
+		runtime sim.Time
+		ops     uint64
+	}{
+		{networks.PointToPoint, 322775, 19116},
+		{networks.TwoPhase, 1673200, 19119},
+	}
+	prof, _ := trace.ProfileByName("radix", 0.05)
+	for _, c := range cases {
 		p := core.DefaultParams()
 		p.CoresPerSite = 2
 		eng := sim.NewEngine()
 		st := core.NewStats(0)
-		net := networks.MustNew(networks.PointToPoint, eng, p, st)
-		return trace.NewMachine(eng, p, net, st, prof).Run(4).Runtime
-	}
-	if r1() != r1() {
-		t.Fatal("trace-driven run not deterministic")
+		net := networks.MustNew(c.kind, eng, p, st)
+		res := trace.NewMachine(eng, p, net, st, prof).Run(4)
+		if res.Runtime != c.runtime || res.Ops != c.ops {
+			t.Errorf("%s: runtime %d ps, %d ops; want %d ps, %d ops",
+				c.kind, int64(res.Runtime), res.Ops, int64(c.runtime), c.ops)
+		}
 	}
 }
 

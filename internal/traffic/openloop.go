@@ -116,22 +116,35 @@ func (o *OpenLoop) send(src, dst geometry.SiteID, attempt int) {
 		o.Net.Inject(p)
 		return
 	}
-	p := &core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData}
-	delivered := false
-	p.Deliver = core.DeliverFunc(func(*core.Packet, sim.Time) { delivered = true })
-	o.Net.Inject(p)
-	o.Eng.Schedule(o.backoff(attempt), func() {
-		if delivered {
-			return
-		}
-		st := o.Net.Stats()
-		if attempt >= o.Retry.MaxRetries {
-			st.AddAbort()
-			return
-		}
-		st.AddRetry()
-		o.send(src, dst, attempt+1)
-	})
+	t := &transmission{o: o, src: src, dst: dst, attempt: attempt}
+	o.Net.Inject(&core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData, Deliver: t})
+	o.Eng.ScheduleCall(o.backoff(attempt), t, sim.EventArg{})
+}
+
+// transmission is one attempt of a retried packet: the packet's delivery
+// handler and the attempt's timeout event.
+type transmission struct {
+	o         *OpenLoop
+	src, dst  geometry.SiteID
+	attempt   int
+	delivered bool
+}
+
+func (t *transmission) OnDeliver(*core.Packet, sim.Time) { t.delivered = true }
+
+// OnEvent fires at the timeout: an undelivered packet is sent again, or
+// abandoned once its retries are spent.
+func (t *transmission) OnEvent(*sim.Engine, sim.EventArg) {
+	if t.delivered {
+		return
+	}
+	st := t.o.Net.Stats()
+	if t.attempt >= t.o.Retry.MaxRetries {
+		st.AddAbort()
+		return
+	}
+	st.AddRetry()
+	t.o.send(t.src, t.dst, t.attempt+1)
 }
 
 // Instrument implements metrics.Instrumentable: progress gauges derived

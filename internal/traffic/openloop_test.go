@@ -11,6 +11,11 @@ import (
 	"macrochip/internal/traffic"
 )
 
+// call adapts a test closure to sim.Handler.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.EventArg) { f() }
+
 func TestOpenLoopOfferedRate(t *testing.T) {
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
@@ -24,7 +29,6 @@ func TestOpenLoopOfferedRate(t *testing.T) {
 	}
 	gen.Start()
 	eng.RunUntil(3 * sim.Microsecond)
-	eng.Stop()
 	// Offered: 10% of 320 GB/s per site × 64 sites over 2 µs.
 	wantPkts := 0.10 * 320e9 / 64.0 * 2e-6 * 64
 	got := float64(st.Injected)
@@ -90,8 +94,8 @@ func TestOpenLoopRetryRecoversOutage(t *testing.T) {
 		Until: 2 * sim.Microsecond, Seed: 9,
 		Retry: traffic.RetryPolicy{Timeout: 200 * sim.Nanosecond, MaxRetries: 5},
 	}
-	eng.At(1, func() { fnet.FailLaser(0) })
-	eng.At(500*sim.Nanosecond, func() { fnet.RepairLaser(0) })
+	eng.ScheduleCall(1, call(func() { fnet.FailLaser(0) }), sim.EventArg{})
+	eng.ScheduleCall(500*sim.Nanosecond, call(func() { fnet.RepairLaser(0) }), sim.EventArg{})
 	gen.Start()
 	eng.Run()
 	if st.Dropped == 0 {
@@ -130,7 +134,7 @@ func TestOpenLoopRetryExhaustionAborts(t *testing.T) {
 		Until: 500 * sim.Nanosecond, Seed: 10,
 		Retry: traffic.RetryPolicy{Timeout: 100 * sim.Nanosecond, MaxRetries: 1},
 	}
-	eng.At(1, func() { fnet.FailLaser(1) }) // transpose: site 1 → site 8
+	eng.ScheduleCall(1, call(func() { fnet.FailLaser(1) }), sim.EventArg{}) // transpose: site 1 → site 8
 	gen.Start()
 	end := eng.Run()
 	if st.Aborts == 0 {
