@@ -35,7 +35,6 @@ import (
 	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
 	"macrochip/internal/networks"
-	"macrochip/internal/sim"
 	"macrochip/internal/workload"
 )
 
@@ -176,12 +175,11 @@ func splitList(s string) []string {
 
 func runFig6(p core.Params, quick bool, seed int64) {
 	cfg := harness.DefaultLoadPointConfig()
+	if quick {
+		cfg = harness.QuickLoadPointConfig()
+	}
 	cfg.Params = p
 	cfg.Seed = seed
-	if quick {
-		cfg.Warmup = 500 * sim.Nanosecond
-		cfg.Measure = 1500 * sim.Nanosecond
-	}
 	emit := func(panel harness.Figure6Panel) {
 		fmt.Println(harness.RenderFigure6(panel))
 		writeCSV("fig6_"+panel.Pattern+".csv", func(w io.Writer) error {

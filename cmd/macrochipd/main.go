@@ -50,7 +50,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "maximum wait for in-flight simulations on shutdown")
 	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
 	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
-	seed := flag.Int64("dist-seed", 1, "retry-backoff jitter seed for the distributed coordinator")
 	df := distflags.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -60,7 +59,7 @@ func main() {
 		log.Warn("cache disabled", "error", err)
 	}
 	df.AttachRemote(cache)
-	dist, err := df.Coordinator(*seed, *cacheDir, *noCache)
+	dist, err := df.Coordinator(1, *cacheDir, *noCache)
 	if err != nil {
 		log.Error("coordinator failed", "error", err)
 		os.Exit(1)

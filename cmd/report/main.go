@@ -25,7 +25,6 @@ import (
 	"macrochip/internal/core"
 	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
-	"macrochip/internal/networks"
 	"macrochip/internal/sim"
 	"macrochip/internal/workload"
 )
@@ -94,14 +93,7 @@ func main() {
 	sys := macrochip.NewSystem(macrochip.WithSeed(*seed))
 
 	fmt.Fprintf(&b, "## Extensions\n\n### Scalability (§6.4 quantified)\n\n```\n")
-	for _, r := range harness.ScalingStudyWith(runner, []int{4, 8, 16}) {
-		fmt.Fprintf(&b, "%d×%d (%d sites, %.0f TB/s peak)\n", r.N, r.N, r.Sites, r.PeakTBs)
-		for _, k := range networks.Six() {
-			c := r.Networks[k]
-			fmt.Fprintf(&b, "  %-24s wgs=%-8d switches=%-7d loss=%6.1f dB  laser=%12.4g W\n",
-				k, c.Waveguides, c.Switches, c.ExtraLossDB, c.LaserWatts)
-		}
-	}
+	b.WriteString(harness.RenderScaling(harness.ScalingStudyWith(runner, []int{4, 8, 16})))
 	fmt.Fprintf(&b, "```\n\n### Message passing (future work, §8)\n\n```\n")
 	mpIters := 4
 	fmt.Fprintf(&b, "ring exchange, mean ns/iteration\n%10s %22s %22s\n", "msg size",

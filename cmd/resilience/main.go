@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -86,6 +87,9 @@ func main() {
 	defer writeMemProfile(*memprofile)
 
 	cfg := harness.DefaultResilienceConfig()
+	if *quick {
+		cfg = harness.QuickResilienceConfig()
+	}
 	cfg.Seed = *seed
 	if *load > 0 {
 		cfg.Load = *load
@@ -93,16 +97,10 @@ func main() {
 	if *mttrUS > 0 {
 		cfg.MTTR = sim.FromNanoseconds(*mttrUS * 1e3)
 	}
-	if *quick {
-		cfg.Warmup = 250 * sim.Nanosecond
-		cfg.Measure = 1 * sim.Microsecond
-		cfg.MTTR = 500 * sim.Nanosecond
-		cfg.Retry.Timeout = 500 * sim.Nanosecond
-	}
 	if *nets != "" {
 		for _, s := range strings.Split(*nets, ",") {
 			k := networks.Kind(strings.TrimSpace(s))
-			if !known(k) {
+			if !slices.Contains(networks.Six(), k) {
 				log.Fatalf("unknown network %q (have %v)", k, networks.Six())
 			}
 			cfg.Networks = append(cfg.Networks, k)
@@ -145,15 +143,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
-}
-
-func known(k networks.Kind) bool {
-	for _, have := range networks.Six() {
-		if k == have {
-			return true
-		}
-	}
-	return false
 }
 
 // writeMemProfile snapshots the heap into path (no-op for ""); a GC first

@@ -49,6 +49,23 @@ func TestRunLoadPointSaturated(t *testing.T) {
 	}
 }
 
+// TestRunLoadPointTinyLoadInjectsNothing offers loads whose mean gap
+// passes the end of the time axis: no site injects within the run.
+func TestRunLoadPointTinyLoadInjectsNothing(t *testing.T) {
+	for _, load := range []float64{1e-17, 1e-300} {
+		cfg := DefaultLoadPointConfig()
+		cfg.Warmup, cfg.Measure = sim.Nanosecond, sim.Nanosecond
+		cfg.Network = networks.PointToPoint
+		cfg.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}
+		cfg.Load = load
+		r := RunLoadPoint(cfg)
+		if r.Delivered != 0 || r.InFlight != 0 || r.Events != 0 {
+			t.Errorf("load %g: %d delivered, %d in flight, %d events; want none",
+				load, r.Delivered, r.InFlight, r.Events)
+		}
+	}
+}
+
 func TestSaturationSearchPointToPointTranspose(t *testing.T) {
 	// The transpose ceiling for the point-to-point network is the 5 GB/s
 	// pair channel: 1.5625% of 320 GB/s.

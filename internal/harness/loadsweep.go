@@ -71,6 +71,15 @@ func DefaultLoadPointConfig() LoadPointConfig {
 	}
 }
 
+// QuickLoadPointConfig is DefaultLoadPointConfig with the short windows
+// of -quick, shared by cmd/figures and the daemon.
+func QuickLoadPointConfig() LoadPointConfig {
+	cfg := DefaultLoadPointConfig()
+	cfg.Warmup = 500 * sim.Nanosecond
+	cfg.Measure = 1500 * sim.Nanosecond
+	return cfg
+}
+
 // RunLoadPoint simulates one point of the latency-vs-offered-load curve.
 func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 	eng := sim.NewEngine()

@@ -57,6 +57,18 @@ func DefaultResilienceConfig() ResilienceConfig {
 	}
 }
 
+// QuickResilienceConfig is DefaultResilienceConfig with the short windows,
+// repair time and retry timeout of -quick, shared by cmd/resilience and the
+// daemon.
+func QuickResilienceConfig() ResilienceConfig {
+	cfg := DefaultResilienceConfig()
+	cfg.Warmup = 250 * sim.Nanosecond
+	cfg.Measure = 1 * sim.Microsecond
+	cfg.MTTR = 500 * sim.Nanosecond
+	cfg.Retry.Timeout = 500 * sim.Nanosecond
+	return cfg
+}
+
 // ResiliencePoint is one (network, class, rate) cell of the sweep.
 type ResiliencePoint struct {
 	Network networks.Kind

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
+
 	"macrochip/internal/complexity"
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
@@ -65,6 +68,21 @@ func cachedScalingRow(r Runner, n int) ScalingRow {
 		Params core.Params `json:"params"`
 	}{n, ScaledParams(n)}
 	return newCell("scalingrow", spec, func() ScalingRow { return scalingRow(n) }).run(r.Cache, nil)
+}
+
+// RenderScaling renders the scaling study as text: one header line per
+// grid size, then one line per network.
+func RenderScaling(rows []ScalingRow) string {
+	var b strings.Builder
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%d×%d (%d sites, %.0f TB/s peak)\n", row.N, row.N, row.Sites, row.PeakTBs)
+		for _, k := range networks.Six() {
+			c := row.Networks[k]
+			fmt.Fprintf(&b, "  %-24s wgs=%-8d switches=%-7d loss=%6.1f dB  laser=%12.4g W\n",
+				k, c.Waveguides, c.Switches, c.ExtraLossDB, c.LaserWatts)
+		}
+	}
+	return b.String()
 }
 
 // scalingRow computes the complexity/power analysis for one grid size.

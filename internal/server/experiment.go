@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,106 +265,77 @@ func parseKinds(names []string, allowed []networks.Kind) ([]networks.Kind, error
 	return kinds, nil
 }
 
-// Result is one finished experiment in every format the daemon serves. CSV
-// bytes come from the same harness writers cmd/figures uses, so they are
-// byte-identical to the CLI artifacts for the same config.
-type Result struct {
-	CSV   []byte
-	Text  string
-	Value any
+// result is a done job's answer: its typed rows, kept once, and the
+// harness writers the CLIs use, which render them on each GET.
+type result struct {
+	rows any
+	csv  func(io.Writer) error
+	text func() string
+}
+
+func newResult[T any](rows T, csv func(io.Writer, T) error, text func(T) string) *result {
+	return &result{rows, func(w io.Writer) error { return csv(w, rows) }, func() string { return text(rows) }}
 }
 
 // run executes one normalized config on the shared Runner. It is called
 // from queue workers only; the Runner's cache single-flights identical
 // concurrent experiments down to one simulation per point.
-func (cfg ExperimentConfig) run(r harness.Runner) (*Result, error) {
+func (cfg ExperimentConfig) run(r harness.Runner) (*result, error) {
+	// normalize has validated every name, so parsing them cannot fail.
+	kinds, _ := parseKinds(cfg.Networks, networks.Six())
 	switch cfg.Kind {
 	case "figure6":
-		return cfg.runFigure6(r)
+		panel, err := harness.Figure6PanelWith(r, cfg.loadPointConfig(), cfg.Pattern, kinds, cfg.Loads)
+		return newResult(panel, harness.WriteFigure6CSV, harness.RenderFigure6), err
 	case "study":
-		return cfg.runStudy(r)
+		s := workload.Scale(cfg.Scale)
+		if cfg.Quick {
+			s = workload.Scale(cfg.Scale * 0.1)
+		}
+		rows := harness.FullStudyWith(r, core.DefaultParams(), s, cfg.Seed)
+		return newResult(rows, harness.WriteStudyCSV, renderStudy), nil
 	case "scaling":
-		return cfg.runScaling(r)
+		rows := harness.ScalingStudyWith(r, cfg.GridSizes)
+		return newResult(rows, harness.WriteScalingCSV, harness.RenderScaling), nil
 	case "resilience":
-		return cfg.runResilience(r)
+		points := harness.ResilienceStudyWith(r, cfg.resilienceConfig(kinds))
+		return newResult(points, harness.WriteResilienceCSV, harness.RenderResilience), nil
 	case "inference":
-		return cfg.runInference(r)
+		points, err := harness.InferenceStudyWith(r, cfg.inferenceConfig(kinds))
+		return newResult(points, harness.WriteInferenceCSV, harness.RenderInference), err
 	}
 	return nil, badField("kind", "unknown kind %q", cfg.Kind)
 }
 
-func (cfg ExperimentConfig) runFigure6(r harness.Runner) (*Result, error) {
+// renderStudy renders figures 7–10 from one study's rows.
+func renderStudy(rows []harness.StudyRow) string {
+	return strings.Join([]string{
+		harness.RenderFigure7(rows), harness.RenderFigure8(rows),
+		harness.RenderFigure9(rows), harness.RenderFigure10(rows),
+	}, "\n")
+}
+
+func (cfg ExperimentConfig) loadPointConfig() harness.LoadPointConfig {
 	base := harness.DefaultLoadPointConfig()
-	base.Seed = cfg.Seed
 	if cfg.Quick {
-		base.Warmup = 500 * sim.Nanosecond
-		base.Measure = 1500 * sim.Nanosecond
+		base = harness.QuickLoadPointConfig()
 	}
+	base.Seed = cfg.Seed
 	if cfg.WarmupNS > 0 {
 		base.Warmup = sim.FromNanoseconds(cfg.WarmupNS)
 	}
 	if cfg.MeasureNS > 0 {
 		base.Measure = sim.FromNanoseconds(cfg.MeasureNS)
 	}
-	kinds, err := parseKinds(cfg.Networks, networks.Five())
-	if err != nil {
-		return nil, err
-	}
-	panel, err := harness.Figure6PanelWith(r, base, cfg.Pattern, kinds, cfg.Loads)
-	if err != nil {
-		return nil, err
-	}
-	var csv bytes.Buffer
-	if err := harness.WriteFigure6CSV(&csv, panel); err != nil {
-		return nil, err
-	}
-	return &Result{CSV: csv.Bytes(), Text: harness.RenderFigure6(panel), Value: panel}, nil
+	return base
 }
 
-func (cfg ExperimentConfig) runStudy(r harness.Runner) (*Result, error) {
-	s := workload.Scale(cfg.Scale)
-	if cfg.Quick {
-		s = workload.Scale(cfg.Scale * 0.1)
-	}
-	rows := harness.FullStudyWith(r, core.DefaultParams(), s, cfg.Seed)
-	var csv bytes.Buffer
-	if err := harness.WriteStudyCSV(&csv, rows); err != nil {
-		return nil, err
-	}
-	text := strings.Join([]string{
-		harness.RenderFigure7(rows), harness.RenderFigure8(rows),
-		harness.RenderFigure9(rows), harness.RenderFigure10(rows),
-	}, "\n")
-	return &Result{CSV: csv.Bytes(), Text: text, Value: rows}, nil
-}
-
-func (cfg ExperimentConfig) runScaling(r harness.Runner) (*Result, error) {
-	rows := harness.ScalingStudyWith(r, cfg.GridSizes)
-	var csv bytes.Buffer
-	if err := harness.WriteScalingCSV(&csv, rows); err != nil {
-		return nil, err
-	}
-	var text strings.Builder
-	for _, row := range rows {
-		fmt.Fprintf(&text, "%d×%d (%d sites, %.0f TB/s peak)\n", row.N, row.N, row.Sites, row.PeakTBs)
-		for _, k := range networks.Six() {
-			c := row.Networks[k]
-			fmt.Fprintf(&text, "  %-24s wgs=%-8d switches=%-7d loss=%6.1f dB  laser=%12.4g W\n",
-				k, c.Waveguides, c.Switches, c.ExtraLossDB, c.LaserWatts)
-		}
-	}
-	return &Result{CSV: csv.Bytes(), Text: text.String(), Value: rows}, nil
-}
-
-func (cfg ExperimentConfig) runResilience(r harness.Runner) (*Result, error) {
+func (cfg ExperimentConfig) resilienceConfig(kinds []networks.Kind) harness.ResilienceConfig {
 	rcfg := harness.DefaultResilienceConfig()
-	rcfg.Seed = cfg.Seed
 	if cfg.Quick {
-		rcfg.Warmup = 250 * sim.Nanosecond
-		rcfg.Measure = 1 * sim.Microsecond
-		rcfg.MTTR = 500 * sim.Nanosecond
-		rcfg.Retry.Timeout = 500 * sim.Nanosecond
+		rcfg = harness.QuickResilienceConfig()
 	}
+	rcfg.Seed = cfg.Seed
 	if cfg.WarmupNS > 0 {
 		rcfg.Warmup = sim.FromNanoseconds(cfg.WarmupNS)
 	}
@@ -378,30 +348,18 @@ func (cfg ExperimentConfig) runResilience(r harness.Runner) (*Result, error) {
 	if cfg.MTTRMicros > 0 {
 		rcfg.MTTR = sim.FromNanoseconds(cfg.MTTRMicros * 1e3)
 	}
-	kinds, err := parseKinds(cfg.Networks, networks.Six())
-	if err != nil {
-		return nil, err
-	}
 	rcfg.Networks = kinds
 	for _, s := range cfg.Classes {
-		c, err := fault.ParseClass(s)
-		if err != nil {
-			return nil, badField("classes", "%v", err)
-		}
+		c, _ := fault.ParseClass(s) // validated by normalize
 		rcfg.Classes = append(rcfg.Classes, c)
 	}
 	if cfg.Rates != nil {
 		rcfg.Rates = cfg.Rates
 	}
-	points := harness.ResilienceStudyWith(r, rcfg)
-	var csv bytes.Buffer
-	if err := harness.WriteResilienceCSV(&csv, points); err != nil {
-		return nil, err
-	}
-	return &Result{CSV: csv.Bytes(), Text: harness.RenderResilience(points), Value: points}, nil
+	return rcfg
 }
 
-func (cfg ExperimentConfig) runInference(r harness.Runner) (*Result, error) {
+func (cfg ExperimentConfig) inferenceConfig(kinds []networks.Kind) harness.InferenceConfig {
 	icfg := harness.DefaultInferenceConfig()
 	if cfg.Quick {
 		// The quick sweep is the golden-pinned config shared with
@@ -410,10 +368,6 @@ func (cfg ExperimentConfig) runInference(r harness.Runner) (*Result, error) {
 		icfg = harness.QuickInferenceConfig()
 	}
 	icfg.Seed = cfg.Seed
-	kinds, err := parseKinds(cfg.Networks, networks.Six())
-	if err != nil {
-		return nil, err
-	}
 	icfg.Networks = kinds
 	if cfg.Graphs != nil {
 		icfg.Graphs = cfg.Graphs
@@ -425,13 +379,5 @@ func (cfg ExperimentConfig) runInference(r harness.Runner) (*Result, error) {
 		icfg.SeqLens = cfg.SeqLens
 	}
 	icfg.PacketBytes = cfg.MTU
-	points, err := harness.InferenceStudyWith(r, icfg)
-	if err != nil {
-		return nil, err
-	}
-	var csv bytes.Buffer
-	if err := harness.WriteInferenceCSV(&csv, points); err != nil {
-		return nil, err
-	}
-	return &Result{CSV: csv.Bytes(), Text: harness.RenderInference(points), Value: points}, nil
+	return icfg
 }

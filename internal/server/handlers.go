@@ -34,81 +34,88 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view, err := s.queue.Submit(cfg)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "experiment queue full", "")
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server draining, not accepting new experiments", "")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error(), "")
+	if err != nil { // ErrQueueFull or ErrDraining
+		if errors.Is(err, ErrQueueFull) {
+			w.Header().Set("Retry-After", "1")
+		}
+		writeError(w, http.StatusServiceUnavailable, err.Error(), "")
 		return
 	}
 	w.Header().Set("Location", "/v1/experiments/"+view.ID)
 	writeJSON(w, http.StatusAccepted, view)
 }
 
-// handleList is GET /v1/experiments: every job in submission order.
+// handleList is GET /v1/experiments: every retained job in submission
+// order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": s.queue.List()})
 }
 
+// findJob looks the path's job up once; the handler keeps the pointer, so
+// a later eviction cannot race the request. An id the queue issued and has
+// since evicted is 410, one it never issued 404; either way findJob writes
+// the error and returns nil.
+func (s *Server) findJob(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	j, gone := s.queue.lookup(id)
+	switch {
+	case gone:
+		writeError(w, http.StatusGone,
+			fmt.Sprintf("experiment %s was evicted from the job table; resubmit its config", id), "")
+	case j == nil:
+		writeError(w, http.StatusNotFound, "no such experiment", "")
+	}
+	return j
+}
+
 // handleStatus is GET /v1/experiments/{id}: one job's status document.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such experiment", "")
-		return
+	if j := s.findJob(w, r); j != nil {
+		view, _ := s.queue.view(j)
+		writeJSON(w, http.StatusOK, view)
 	}
-	writeJSON(w, http.StatusOK, view)
 }
 
 // handleResult is GET /v1/experiments/{id}/result?format=csv|json|text.
 // format defaults to csv — the headline artifact, byte-identical to what
-// cmd/figures writes for the same config. ?wait=true blocks (within the
-// route timeout) until the job turns terminal instead of answering 409.
+// cmd/figures writes for the same config. Each format is rendered from the
+// job's typed rows with the harness writers the CLIs use. ?wait=true
+// blocks (within the route timeout) until the job turns terminal instead
+// of answering 409.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.queue.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such experiment", "")
+	j := s.findJob(w, r)
+	if j == nil {
 		return
 	}
 	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
 		select {
-		case <-done:
+		case <-j.done:
 		case <-r.Context().Done():
 			return
 		}
 	}
-	res, view, ok := s.queue.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such experiment", "")
-		return
-	}
-	if !Terminal(view.Status) {
+	view, res := s.queue.view(j)
+	switch {
+	case !Terminal(view.Status):
 		writeError(w, http.StatusConflict,
-			fmt.Sprintf("experiment %s is %s; retry later or pass ?wait=true", id, view.Status), "")
+			fmt.Sprintf("experiment %s is %s; retry later or pass ?wait=true", view.ID, view.Status), "")
 		return
-	}
-	if res == nil {
+	case view.Status != StatusDone:
 		writeError(w, http.StatusConflict,
-			fmt.Sprintf("experiment %s %s: %s", id, view.Status, view.Error), "")
+			fmt.Sprintf("experiment %s %s: %s", view.ID, view.Status, view.Error), "")
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		w.Write(res.CSV) //nolint:errcheck // response already committed
+		res.csv(w) //nolint:errcheck // response already committed
 	case "json":
-		writeJSON(w, http.StatusOK, map[string]any{"id": view.ID, "config": view.Config, "result": res.Value})
+		writeJSON(w, http.StatusOK, map[string]any{"id": view.ID, "config": view.Config, "result": res.rows})
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(res.Text)) //nolint:errcheck // response already committed
+		io.WriteString(w, res.text()) //nolint:errcheck // response already committed
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want csv, json or text)", format), "format")
 	}
@@ -125,10 +132,8 @@ type progressEvent struct {
 // per poll tick (with live shared-cache counters as the progress signal),
 // and a final line when the job turns terminal.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.queue.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such experiment", "")
+	j := s.findJob(w, r)
+	if j == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -136,10 +141,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	emit := func() bool {
-		view, ok := s.queue.Get(id)
-		if !ok {
-			return false
-		}
+		view, _ := s.queue.view(j)
 		if err := enc.Encode(progressEvent{Time: s.cfg.Now(), Job: view, Cache: s.Cache().Stats()}); err != nil {
 			return false
 		}
@@ -157,7 +159,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-done:
+		case <-j.done:
 			emit()
 			return
 		case <-ticker.C:

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,16 +41,19 @@ var (
 // job is one submitted experiment. All mutable fields are guarded by the
 // queue mutex; done closes exactly once, when the status turns terminal.
 type job struct {
-	id       string
+	seq      int
 	cfg      ExperimentConfig
 	status   string
 	errMsg   string
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	result   *Result
+	res      *result // set when the job is done
 	done     chan struct{}
 }
+
+// jobID is the public name of the seq-th submission.
+func jobID(seq int) string { return fmt.Sprintf("exp-%06d", seq) }
 
 // JobView is the JSON shape of one job's status, the payload of
 // GET /v1/experiments/{id} and of every NDJSON progress line.
@@ -62,22 +68,23 @@ type JobView struct {
 }
 
 func (j *job) viewLocked() JobView {
-	v := JobView{
-		ID:      j.id,
-		Config:  j.cfg,
-		Status:  j.status,
-		Error:   j.errMsg,
-		Created: j.created,
+	return JobView{
+		ID:       jobID(j.seq),
+		Config:   j.cfg,
+		Status:   j.status,
+		Error:    j.errMsg,
+		Created:  j.created,
+		Started:  timeOrNil(j.started),
+		Finished: timeOrNil(j.finished),
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
+}
+
+// timeOrNil is nil for the zero time, so JSON omits a stage not reached.
+func timeOrNil(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
-	}
-	return v
+	return &t
 }
 
 // Queue is the bounded experiment queue plus its worker pool. Submissions
@@ -86,30 +93,44 @@ func (j *job) viewLocked() JobView {
 // workers execute on one shared harness.Runner, so concurrent identical
 // experiments rendezvous in Runner.Cache's single-flight layer and the
 // simulation runs once.
+//
+// The job table is bounded too: it keeps every queued and running job and
+// the newest keep (4 × depth) terminal ones, evicting the oldest terminal
+// job first.
 type Queue struct {
 	runner harness.Runner
-	log    *slog.Logger
-	now    func() time.Time
+	// run executes one job: ExperimentConfig.run, or a substitute in tests.
+	run  func(ExperimentConfig, harness.Runner) (*result, error)
+	log  *slog.Logger
+	now  func() time.Time
+	keep int
 
 	pending chan *job
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string
+	mu sync.Mutex
+	// jobs holds the retained jobs by sequence number; finished lists the
+	// retained terminal ones, oldest first.
+	jobs     map[int]*job
+	finished []int
 	seq      int
 	draining bool
 }
 
+// newQueue starts workers on a queue of the given depth. It keeps four
+// terminal jobs per queue slot: a client that fetches its result soon
+// after the job ends finds it, while memory stays bounded by the depth.
 func newQueue(runner harness.Runner, depth, workers int, log *slog.Logger, now func() time.Time) *Queue {
 	q := &Queue{
 		runner:  runner,
+		run:     ExperimentConfig.run,
 		log:     log,
 		now:     now,
+		keep:    4 * depth,
 		pending: make(chan *job, depth),
 		stop:    make(chan struct{}),
-		jobs:    map[string]*job{},
+		jobs:    map[int]*job{},
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -125,9 +146,8 @@ func (q *Queue) Submit(cfg ExperimentConfig) (JobView, error) {
 	if q.draining {
 		return JobView{}, ErrDraining
 	}
-	q.seq++
 	j := &job{
-		id:      fmt.Sprintf("exp-%06d", q.seq),
+		seq:     q.seq + 1,
 		cfg:     cfg,
 		status:  StatusQueued,
 		created: q.now(),
@@ -138,56 +158,48 @@ func (q *Queue) Submit(cfg ExperimentConfig) (JobView, error) {
 	default:
 		return JobView{}, ErrQueueFull
 	}
-	q.jobs[j.id] = j
-	q.order = append(q.order, j.id)
+	q.seq = j.seq
+	q.jobs[j.seq] = j
 	return j.viewLocked(), nil
 }
 
-// Get returns one job's status snapshot.
-func (q *Queue) Get(id string) (JobView, bool) {
+// lookup finds the job named id. gone reports an id the queue issued and
+// has since evicted; an id it never issued is neither found nor gone.
+func (q *Queue) lookup(id string) (j *job, gone bool) {
+	seq, err := strconv.Atoi(strings.TrimPrefix(id, "exp-"))
+	if err != nil || jobID(seq) != id {
+		return nil, false
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return JobView{}, false
-	}
-	return j.viewLocked(), true
+	j = q.jobs[seq]
+	return j, j == nil && seq >= 1 && seq <= q.seq
 }
 
-// List returns every job's status in submission order.
+// view returns j's status and, once it is done, its result.
+func (q *Queue) view(j *job) (JobView, *result) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return j.viewLocked(), j.res
+}
+
+// List returns every retained job's status in submission order.
 func (q *Queue) List() []JobView {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	views := make([]JobView, 0, len(q.order))
-	for _, id := range q.order {
-		views = append(views, q.jobs[id].viewLocked())
+	jobs := make([]*job, 0, len(q.jobs))
+	for _, j := range q.jobs {
+		jobs = append(jobs, j)
+	}
+	slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.viewLocked()
 	}
 	return views
 }
 
-// Result returns a finished job's result (nil until the job is done).
-func (q *Queue) Result(id string) (*Result, JobView, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, JobView{}, false
-	}
-	return j.result, j.viewLocked(), true
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (q *Queue) Done(id string) (<-chan struct{}, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.done, true
-}
-
-// Counts reports queue occupancy for /healthz and /v1/cache/stats.
+// Counts reports the retained jobs by state for /healthz.
 func (q *Queue) Counts() (queued, running, finished int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -204,6 +216,18 @@ func (q *Queue) Counts() (queued, running, finished int) {
 	return
 }
 
+// finishLocked moves j to a terminal status, wakes its waiters and evicts
+// the oldest terminal jobs past the bound. The caller holds q.mu.
+func (q *Queue) finishLocked(j *job, status, errMsg string) {
+	j.status, j.errMsg, j.finished = status, errMsg, q.now()
+	close(j.done)
+	q.finished = append(q.finished, j.seq)
+	for len(q.finished) > q.keep {
+		delete(q.jobs, q.finished[0])
+		q.finished = q.finished[1:]
+	}
+}
+
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
@@ -218,49 +242,40 @@ func (q *Queue) worker() {
 		case <-q.stop:
 			return
 		case j := <-q.pending:
-			q.run(j)
+			q.execute(j)
 		}
 	}
 }
 
-// run executes one job, converting panics (including propagated expcache
+// execute runs one job, converting panics (including propagated expcache
 // compute panics) into a failed job instead of a dead daemon.
-func (q *Queue) run(j *job) {
+func (q *Queue) execute(j *job) {
 	q.mu.Lock()
-	if j.status != StatusQueued {
-		// Drain's abort sweep claimed the job between the channel handoff
-		// and here; its done channel is already closed.
-		q.mu.Unlock()
-		return
-	}
 	j.status = StatusRunning
 	j.started = q.now()
 	q.mu.Unlock()
 
-	res, err := func() (res *Result, err error) {
+	res, err := func() (res *result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("experiment panicked: %v", r)
 			}
 		}()
-		return j.cfg.run(q.runner)
+		return q.run(j.cfg, q.runner)
 	}()
 
 	q.mu.Lock()
-	j.finished = q.now()
 	if err != nil {
-		j.status = StatusFailed
-		j.errMsg = err.Error()
+		q.finishLocked(j, StatusFailed, err.Error())
 	} else {
-		j.status = StatusDone
-		j.result = res
+		j.res = res
+		q.finishLocked(j, StatusDone, "")
 	}
 	elapsed := j.finished.Sub(j.started)
 	status := j.status
 	q.mu.Unlock()
-	close(j.done)
 	q.log.Info("experiment finished",
-		"id", j.id, "kind", j.cfg.Kind, "status", status,
+		"id", jobID(j.seq), "kind", j.cfg.Kind, "status", status,
 		"elapsed_ms", elapsed.Milliseconds())
 }
 
@@ -289,17 +304,18 @@ func (q *Queue) Drain(ctx context.Context) error {
 	}
 
 	// Whatever never started is aborted; waiters on its done channel wake.
+	// Each queued job leaves the channel once, to a worker or to this loop,
+	// and Submit adds none once draining is set.
 	q.mu.Lock()
-	for _, j := range q.jobs {
-		if j.status == StatusQueued {
-			j.status = StatusAborted
-			j.errMsg = "server shut down before the experiment started"
-			j.finished = q.now()
-			close(j.done)
+	defer q.mu.Unlock()
+	for {
+		select {
+		case j := <-q.pending:
+			q.finishLocked(j, StatusAborted, "server shut down before the experiment started")
+		default:
+			return err
 		}
 	}
-	q.mu.Unlock()
-	return err
 }
 
 // Draining reports whether a drain has begun.

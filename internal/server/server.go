@@ -151,9 +151,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Cache returns the shared result cache handle (nil when disabled).
 func (s *Server) Cache() *expcache.Cache { return s.cfg.Runner.Cache }
 
-// Queue exposes the experiment queue (used by cmd/macrochipd and tests).
-func (s *Server) Queue() *Queue { return s.queue }
-
 // Drain gracefully shuts the experiment queue down: new submissions are
 // rejected with 503, in-flight simulations finish (bounded by ctx), and
 // still-queued jobs are aborted. The HTTP listener itself is the caller's

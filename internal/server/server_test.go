@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,8 +13,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +90,29 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, resp.Header, raw
+}
+
+// jobStatus reads one job's status through the queue ("" when the table
+// holds no such job).
+func jobStatus(s *Server, id string) string {
+	j, _ := s.queue.lookup(id)
+	if j == nil {
+		return ""
+	}
+	view, _ := s.queue.view(j)
+	return view.Status
+}
+
+// awaitRunning polls until the job named id has started.
+func awaitRunning(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for jobStatus(s, id) != StatusRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("experiment %s never started running", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // tinyFigure6 is a two-point figure-6 panel with quickCfg-sized windows —
@@ -203,16 +229,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("second POST = %d: %s", code, raw)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if view, ok := s.Queue().Get(running.ID); ok && view.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first experiment never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitRunning(t, s, running.ID)
 
 	drained := make(chan error, 1)
 	go func() {
@@ -240,11 +257,11 @@ func TestGracefulDrain(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if view, _ := s.Queue().Get(running.ID); view.Status != StatusDone {
-		t.Fatalf("in-flight job after drain = %s, want done (drain must finish in-flight work)", view.Status)
+	if got := jobStatus(s, running.ID); got != StatusDone {
+		t.Fatalf("in-flight job after drain = %s, want done (drain must finish in-flight work)", got)
 	}
-	if view, _ := s.Queue().Get(queued.ID); view.Status != StatusAborted {
-		t.Fatalf("queued job after drain = %s, want aborted", view.Status)
+	if got := jobStatus(s, queued.ID); got != StatusAborted {
+		t.Fatalf("queued job after drain = %s, want aborted", got)
 	}
 	if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatal("healthz must stay serving during drain")
@@ -445,16 +462,7 @@ func TestQueueFull(t *testing.T) {
 	}
 	// Wait until the worker picked the first job up, so the second one is
 	// guaranteed to occupy the single queue slot.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if view, ok := s.Queue().Get(running.ID); ok && view.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first experiment never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitRunning(t, s, running.ID)
 	if code, _, raw := postExperiment(t, ts, tinyFigure6); code != http.StatusAccepted {
 		t.Fatalf("POST 2 = %d: %s", code, raw)
 	}
@@ -471,26 +479,162 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-// TestRecoveryMiddleware: a panicking compute inside an experiment must
-// fail that job with a structured error, not kill the daemon.
+// TestFailedExperimentReportsError: a panic inside an experiment fails
+// that job with a structured error, not the daemon, and the same queue
+// runs the next job.
 func TestFailedExperimentReportsError(t *testing.T) {
-	// An unknown format deep in run() is unreachable through validation, so
-	// drive a panic through the queue directly.
-	s, ts, _ := newTestServer(t, nil)
-	_ = ts
-	view, err := s.Queue().Submit(ExperimentConfig{Kind: "panic-for-test"})
-	if err != nil {
+	s, ts, _ := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		if cfg.Kind == "study" {
+			panic("boom")
+		}
+		return cfg.run(r)
+	}
+	code, failed, raw := postExperiment(t, ts, `{"kind":"study"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d: %s", code, raw)
+	}
+	code, _, raw = get(t, ts.URL+"/v1/experiments/"+failed.ID+"/result?wait=true")
+	if code != http.StatusConflict || !bytes.Contains(raw, []byte("experiment panicked: boom")) {
+		t.Fatalf("result of the panicked job = %d: %s", code, raw)
+	}
+	code, _, raw = get(t, ts.URL+"/v1/experiments/"+failed.ID)
+	var view JobView
+	if err := json.Unmarshal(raw, &view); err != nil || code != http.StatusOK {
+		t.Fatalf("status = %d: %s", code, raw)
+	}
+	if view.Status != StatusFailed || !strings.HasPrefix(view.Error, "experiment panicked") {
+		t.Fatalf("job = %+v, want failed with \"experiment panicked\"", view)
+	}
+
+	code, next, raw := postExperiment(t, ts, `{"kind":"scaling","grid_sizes":[2]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("second POST = %d: %s", code, raw)
+	}
+	if code, _, raw := get(t, ts.URL+"/v1/experiments/"+next.ID+"/result?wait=true"); code != http.StatusOK {
+		t.Fatalf("job after the panic = %d: %s", code, raw)
+	}
+}
+
+// TestJobTableBound submits more jobs than the table keeps. QueueDepth 1
+// keeps four terminal jobs, so after six finish the first two answer 410,
+// while a job still running is never evicted.
+func TestJobTableBound(t *testing.T) {
+	s, ts, _ := newTestServer(t, func(c *Config) { c.QueueDepth = 1 })
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		if cfg.Kind == "figure6" {
+			<-gate
+		}
+		return cfg.run(r)
+	}
+	code, slow, raw := postExperiment(t, ts, tinyFigure6)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST slow = %d: %s", code, raw)
+	}
+	awaitRunning(t, s, slow.ID)
+
+	scaling := func(n int) string { return fmt.Sprintf(`{"kind":"scaling","grid_sizes":[%d]}`, n) }
+	var ids []string
+	var first []byte
+	for n := 2; n < 8; n++ {
+		code, view, raw := postExperiment(t, ts, scaling(n))
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %d = %d: %s", n, code, raw)
+		}
+		code, _, body := get(t, ts.URL+"/v1/experiments/"+view.ID+"/result?wait=true")
+		if code != http.StatusOK {
+			t.Fatalf("result %d = %d: %s", n, code, body)
+		}
+		if first == nil {
+			first = body
+		}
+		ids = append(ids, view.ID)
+	}
+
+	for _, id := range ids[:2] {
+		for _, path := range []string{"", "/result", "/events"} {
+			if code, _, raw := get(t, ts.URL+"/v1/experiments/"+id+path); code != http.StatusGone {
+				t.Fatalf("evicted %s%s = %d, want 410: %s", id, path, code, raw)
+			}
+		}
+	}
+	for _, id := range []string{jobID(100), "exp-1"} {
+		if code, _, _ := get(t, ts.URL+"/v1/experiments/"+id); code != http.StatusNotFound {
+			t.Fatalf("never-issued %s = %d, want 404", id, code)
+		}
+	}
+
+	code, _, raw = get(t, ts.URL+"/v1/experiments")
+	var list struct {
+		Experiments []JobView `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &list); err != nil || code != http.StatusOK {
+		t.Fatalf("list = %d: %s", code, raw)
+	}
+	var listed []string
+	for _, v := range list.Experiments {
+		listed = append(listed, v.ID)
+	}
+	if want := append([]string{slow.ID}, ids[2:]...); !slices.Equal(listed, want) {
+		t.Fatalf("listed %v, want the running job and the newest four %v", listed, want)
+	}
+	_, _, raw = get(t, ts.URL+"/healthz")
+	var health struct {
+		Queue map[string]int `json:"queue"`
+	}
+	if err := json.Unmarshal(raw, &health); err != nil {
 		t.Fatal(err)
 	}
-	done, _ := s.Queue().Done(view.ID)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job never finished")
+	if health.Queue["finished"] != 4 || health.Queue["running"] != 1 {
+		t.Fatalf("healthz queue = %v, want 4 finished and 1 running", health.Queue)
 	}
-	got, _ := s.Queue().Get(view.ID)
-	if got.Status != StatusFailed || got.Error == "" {
-		t.Fatalf("job = %+v, want failed with an error message", got)
+
+	code, again, raw := postExperiment(t, ts, scaling(2))
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit = %d: %s", code, raw)
+	}
+	if _, _, body := get(t, ts.URL+"/v1/experiments/"+again.ID+"/result?wait=true"); !bytes.Equal(body, first) {
+		t.Fatalf("resubmitted config returned different bytes:\n%s\nwant\n%s", body, first)
+	}
+
+	release()
+	if code, _, body := get(t, ts.URL+"/v1/experiments/"+slow.ID+"/result?wait=true"); code != http.StatusOK {
+		t.Fatalf("slow job's result = %d: %s", code, body)
+	}
+}
+
+// TestTinyLoadInjectsNothing submits a load whose mean gap passes the end
+// of the time axis: the job is done with nothing accepted or in flight,
+// and the daemon keeps serving. The windows are short so that a generator
+// that floods the network fails here in milliseconds instead of exhausting
+// memory.
+func TestTinyLoadInjectsNothing(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	code, view, raw := postExperiment(t, ts, `{"kind":"figure6","pattern":"uniform",`+
+		`"networks":["point-to-point"],"loads":[1e-300],"warmup_ns":1,"measure_ns":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d: %s", code, raw)
+	}
+	code, _, body := get(t, ts.URL+"/v1/experiments/"+view.ID+"/result?wait=true")
+	if code != http.StatusOK {
+		t.Fatalf("result = %d: %s", code, body)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("CSV = %v: %s", err, body)
+	}
+	for i, col := range rows[0] {
+		if col == "accepted_gbs" || col == "inflight" {
+			if v, err := strconv.ParseFloat(rows[1][i], 64); err != nil || v != 0 {
+				t.Fatalf("%s = %s, want 0:\n%s", col, rows[1][i], body)
+			}
+		}
+	}
+	if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the job = %d", code)
 	}
 }
 

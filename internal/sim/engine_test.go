@@ -354,6 +354,30 @@ func TestRNGExpDuration(t *testing.T) {
 	}
 }
 
+// TestRNGExpDurationSaturates draws with a mean at the end of the time
+// axis: a gap past MaxTime saturates there instead of wrapping negative and
+// clamping to one picosecond.
+func TestRNGExpDurationSaturates(t *testing.T) {
+	g, ref := NewRNG(1), NewRNG(1)
+	saturated := 0
+	for i := 0; i < 100; i++ {
+		d := g.ExpDuration(MaxTime)
+		x := ref.r.ExpFloat64() * float64(MaxTime)
+		switch {
+		case x >= float64(MaxTime):
+			saturated++
+			if d != MaxTime {
+				t.Fatalf("draw %d: gap %g ps = %d, want MaxTime", i, x, int64(d))
+			}
+		case math.Abs(float64(d)-x) > 1e-9*x:
+			t.Fatalf("draw %d: gap %g ps = %d", i, x, int64(d))
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no draw reached MaxTime; the test checks nothing")
+	}
+}
+
 func TestRNGBool(t *testing.T) {
 	g := NewRNG(3)
 	hits := 0

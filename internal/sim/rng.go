@@ -97,14 +97,11 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // ExpDuration returns an exponentially distributed duration with the given
-// mean, rounded to the nearest picosecond and never less than one
-// picosecond. It is used for Poisson packet-injection processes.
+// mean, rounded to the nearest picosecond, never less than one picosecond
+// and saturating at MaxTime. Poisson packet injection calls it once per
+// packet, so it must stay within the compiler's inlining budget.
 func (g *RNG) ExpDuration(mean Duration) Duration {
-	d := Time(g.r.ExpFloat64()*float64(mean) + 0.5)
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(FromPicoseconds(g.r.ExpFloat64()*float64(mean)), 1)
 }
 
 // Normal returns a normally distributed value with the given mean and

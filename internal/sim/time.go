@@ -19,6 +19,9 @@ type Time int64
 // for documentation purposes only; Time and Duration are freely convertible.
 type Duration = Time
 
+// MaxTime is the last instant of the time axis.
+const MaxTime Time = 1<<63 - 1
+
 // Convenient duration units.
 const (
 	Picosecond  Time = 1
@@ -59,6 +62,15 @@ func FromNanoseconds(ns float64) Time {
 		return Time(ns*float64(Nanosecond) - 0.5)
 	}
 	return Time(ns*float64(Nanosecond) + 0.5)
+}
+
+// FromPicoseconds rounds a non-negative picosecond quantity to a Time,
+// saturating at MaxTime where a plain conversion would wrap negative.
+func FromPicoseconds(ps float64) Time {
+	if ps < float64(MaxTime) {
+		return Time(ps + 0.5)
+	}
+	return MaxTime
 }
 
 // FromSeconds converts a floating-point second quantity to a Time, rounding

@@ -78,6 +78,26 @@ func TestOpenLoopZeroLoadInert(t *testing.T) {
 	}
 }
 
+// TestOpenLoopTinyLoadStaysOnTheTimeAxis offers a load whose mean gap
+// saturates at sim.MaxTime, over a horizon long enough that some sites
+// inject: a next gap that would pass the end of the time axis is dropped
+// rather than overflowing it.
+func TestOpenLoopTinyLoadStaysOnTheTimeAxis(t *testing.T) {
+	eng := sim.NewEngine()
+	p := core.DefaultParams()
+	st := core.NewStats(0)
+	gen := &traffic.OpenLoop{
+		Eng: eng, Params: p, Net: ptp.New(eng, p, st),
+		Pattern: traffic.Uniform{Grid: p.Grid},
+		Load:    1e-17, PacketBytes: 64, Until: sim.MaxTime / 8, Seed: 8,
+	}
+	gen.Start()
+	eng.Run()
+	if st.Injected == 0 || st.Delivered != st.Injected {
+		t.Fatalf("%d injected, %d delivered; want some, all delivered", st.Injected, st.Delivered)
+	}
+}
+
 func TestOpenLoopRetryRecoversOutage(t *testing.T) {
 	// Site 0's laser is dark for a window mid-run. With a retry policy the
 	// generator retransmits dropped packets after the repair: every loss is

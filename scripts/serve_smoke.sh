@@ -4,9 +4,10 @@
 #
 # Boots the daemon on an ephemeral port with a throwaway cache directory,
 # checks /healthz, runs one tiny scaling experiment and one tiny inference
-# experiment through the full POST → wait → CSV round trip, re-submits each
-# identical config to prove it comes back as a byte-identical cache hit,
-# then shuts down via SIGTERM and requires a clean (exit 0) graceful drain.
+# experiment through the full POST → wait → CSV round trip, fetches the
+# scaling job as text and JSON too, re-submits each identical config to
+# prove it comes back as a byte-identical cache hit, then shuts down via
+# SIGTERM and requires a clean (exit 0) graceful drain.
 set -eu
 
 if ! command -v curl >/dev/null 2>&1; then
@@ -67,6 +68,19 @@ curl -fsS "$base/v1/experiments/$id/result?wait=true&format=csv" >"$tmp/first.cs
 head -1 "$tmp/first.csv" | grep -q '^n,sites,' || {
     echo "serve-smoke: unexpected CSV:" >&2
     cat "$tmp/first.csv" >&2
+    exit 1
+}
+
+# The same job as text and as JSON: each format is rendered on GET from
+# the job's rows.
+curl -fsS "$base/v1/experiments/$id/result?format=text" >"$tmp/first.txt"
+head -1 "$tmp/first.txt" | grep -q '^2×2' || {
+    echo "serve-smoke: unexpected text result:" >&2
+    cat "$tmp/first.txt" >&2
+    exit 1
+}
+curl -fsS "$base/v1/experiments/$id/result?format=json" | grep -q '"result":' || {
+    echo "serve-smoke: JSON result has no \"result\" key" >&2
     exit 1
 }
 
