@@ -11,83 +11,50 @@
 //	figures -all              everything
 //
 // -quick shrinks the simulation windows/quotas for a fast smoke run;
-// -scale and -seed control the benchmark studies. -j bounds the worker
-// pool that fans the independent simulations across cores (0, the
-// default, uses every core; 1 runs serially — output is identical either
-// way because each point's seed derives purely from the point identity).
-// Results are cached content-addressed under -cache-dir (default
-// os.UserCacheDir()/macrochip/expcache; -no-cache or -cache-dir "" opts
-// out), so repeated runs replay from disk with byte-identical output.
+// -scale and -seed control the benchmark studies. The -j, cache, fleet
+// and profile flags are the ones every command shares (internal/runflags);
+// output is byte-identical at any -j, cached or not.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
 	"macrochip/internal/core"
-	"macrochip/internal/distflags"
-	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
 	"macrochip/internal/networks"
-	"macrochip/internal/workload"
+	"macrochip/internal/runflags"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("figures: ")
 	fig := flag.Int("fig", 0, "figure number to regenerate (6-10)")
 	table := flag.Int("table", 0, "table number to regenerate (5 or 6)")
 	all := flag.Bool("all", false, "regenerate every figure and table")
 	quick := flag.Bool("quick", false, "use short simulation windows")
 	scale := flag.Float64("scale", 1.0, "workload instruction-quota scale for figures 7-10")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	patterns := flag.String("patterns", "", "comma-separated figure-6 patterns to run (default: all four)")
 	nets := flag.String("networks", "", "comma-separated figure-6 networks to run (default: the paper's five)")
-	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
-	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	df := distflags.Register(flag.CommandLine)
+	rf := runflags.Register(flag.CommandLine, "figures", runflags.Fleet|runflags.Profile)
 	flag.Parse()
 	outDir = *csvDir
-	cache, err := expcache.OpenOrDisable(*cacheDir, *noCache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures: cache disabled:", err)
+	fig6Patterns = runflags.Split(*patterns)
+	var err error
+	if fig6Networks, err = runflags.List(*nets, runflags.Network); err != nil {
+		log.Fatal(err)
 	}
-	df.AttachRemote(cache)
-	dist, err := df.Coordinator(*seed, *cacheDir, *noCache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+	var finish func()
+	if runner, finish, err = rf.Start(*seed, nil); err != nil {
+		log.Fatal(err)
 	}
-	if dist != nil {
-		defer func() { fmt.Fprintln(os.Stderr, "figures:", dist.Summary()) }()
-		defer dist.Close()
-	}
-	runner = harness.Runner{Workers: *jobs, Cache: cache, Dist: dist}
-	if *patterns != "" {
-		fig6Patterns = splitList(*patterns)
-	}
-	for _, s := range splitList(*nets) {
-		fig6Networks = append(fig6Networks, networks.Kind(s))
-	}
-	defer func() { fmt.Fprintln(os.Stderr, "figures:", cache.Summary()) }()
-
-	if *cpuprofile != "" {
-		stop, err := startCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		defer stop()
-	}
-	defer writeMemProfile(*memprofile)
+	defer finish()
 
 	p := core.DefaultParams()
 	if *all {
@@ -112,45 +79,11 @@ func main() {
 	}
 }
 
-// startCPUProfile begins CPU profiling into path and returns the stop
-// function to defer.
-func startCPUProfile(path string) (func(), error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
-// writeMemProfile snapshots the heap into path (no-op for ""); a GC first
-// makes the profile reflect live objects, not collection timing.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-	}
-}
-
 // outDir, when non-empty, receives CSV copies of every generated series.
 var outDir string
 
-// runner carries the -j worker-pool setting into every study.
+// runner carries the -j worker pool, the cache and the fleet into every
+// study.
 var runner harness.Runner
 
 // fig6Patterns / fig6Networks restrict the figure-6 grid (-patterns /
@@ -161,17 +94,6 @@ var (
 	fig6Patterns []string
 	fig6Networks []networks.Kind
 )
-
-// splitList parses a comma-separated flag value, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
 
 func runFig6(p core.Params, quick bool, seed int64) {
 	cfg := harness.DefaultLoadPointConfig()
@@ -199,8 +121,7 @@ func runFig6(p core.Params, quick bool, seed int64) {
 	for _, pat := range pats {
 		panel, err := harness.Figure6PanelWith(runner, cfg, pat, fig6Networks, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		emit(panel)
 	}
@@ -212,27 +133,20 @@ func writeCSV(name string, fn func(io.Writer) error) {
 		return
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	f, err := os.Create(filepath.Join(outDir, name))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	defer f.Close()
 	if err := fn(f); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 }
 
 func runStudyFigures(p core.Params, quick bool, scale float64, seed int64, figs ...int) {
-	s := workload.Scale(scale)
-	if quick {
-		s = workload.Scale(scale * 0.1)
-	}
-	rows := harness.FullStudyWith(runner, p, s, seed)
+	rows := harness.FullStudyWith(runner, p, harness.StudyScale(scale, quick), seed)
 	writeCSV("study.csv", func(w io.Writer) error { return harness.WriteStudyCSV(w, rows) })
 	for _, f := range figs {
 		switch f {

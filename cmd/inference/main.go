@@ -13,11 +13,9 @@
 //	inference -csv inference.csv                 also write the CSV
 //
 // -quick runs the one-point-per-graph sweep pinned by the committed golden
-// (harness.QuickInferenceConfig); -j bounds the worker pool (0 = all
-// cores, 1 = serial; output is byte-identical either way because each
-// point's seed derives purely from its identity). Results are cached
-// content-addressed under -cache-dir (default
-// os.UserCacheDir()/macrochip/expcache; -no-cache opts out).
+// (harness.QuickInferenceConfig). The -j, cache, fleet and profile flags
+// are the ones every command shares (internal/runflags); output is
+// byte-identical at any -j, cached or not.
 package main
 
 import (
@@ -25,16 +23,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
-	"macrochip/internal/distflags"
-	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
-	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
+	"macrochip/internal/runflags"
 )
 
 func main() {
@@ -49,45 +43,9 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "compute-window jitter fraction (0 = none)")
 	quick := flag.Bool("quick", false, "run the golden-pinned quick sweep (one point per graph)")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	csvPath := flag.String("csv", "", "also write the sweep as CSV to this file")
-	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
-	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	df := distflags.Register(flag.CommandLine)
+	rf := runflags.Register(flag.CommandLine, "inference", runflags.Fleet|runflags.Profile)
 	flag.Parse()
-
-	cache, cerr := expcache.OpenOrDisable(*cacheDir, *noCache)
-	if cerr != nil {
-		log.Print("cache disabled: ", cerr)
-	}
-	df.AttachRemote(cache)
-	dist, derr := df.Coordinator(*seed, *cacheDir, *noCache)
-	if derr != nil {
-		log.Fatal(derr)
-	}
-	if dist != nil {
-		defer func() { log.Print(dist.Summary()) }()
-		defer dist.Close()
-	}
-	defer func() { log.Print(cache.Summary()) }()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	defer writeMemProfile(*memprofile)
 
 	cfg := harness.DefaultInferenceConfig()
 	if *quick {
@@ -96,36 +54,42 @@ func main() {
 	cfg.Seed = *seed
 	cfg.PacketBytes = *mtu
 	cfg.JitterFrac = *jitter
-	if *nets != "" {
-		for _, s := range strings.Split(*nets, ",") {
-			k := networks.Kind(strings.TrimSpace(s))
-			if !known(k) {
-				log.Fatalf("unknown network %q (have %v)", k, networks.Six())
-			}
-			cfg.Networks = append(cfg.Networks, k)
-		}
+	var err error
+	if cfg.Networks, err = runflags.List(*nets, runflags.Network); err != nil {
+		log.Fatal(err)
 	}
-	if *graphs != "" {
-		cfg.Graphs = splitList(*graphs)
-	}
+	cfg.Graphs = runflags.Split(*graphs)
 	if *graphJSON != "" {
 		g, err := opgraph.LoadJSONFile(*graphJSON, cfg.Params.Grid)
 		if err != nil {
 			log.Fatal(err)
 		}
 		cfg.Custom = g
-		if *graphs == "" {
+		if cfg.Graphs == nil {
 			cfg.Graphs = []string{g.Name}
 		}
 	}
-	if *batches != "" {
-		cfg.Batches = parseInts(*batches, "batch")
+	b, err := runflags.List(*batches, strconv.Atoi)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *seqs != "" {
-		cfg.SeqLens = parseInts(*seqs, "seq")
+	if b != nil {
+		cfg.Batches = b
+	}
+	q, err := runflags.List(*seqs, strconv.Atoi)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if q != nil {
+		cfg.SeqLens = q
 	}
 
-	points, err := harness.InferenceStudyWith(harness.Runner{Workers: *jobs, Cache: cache, Dist: dist}, cfg)
+	runner, finish, err := rf.Start(*seed, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer finish()
+	points, err := harness.InferenceStudyWith(runner, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,52 +108,5 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		out = append(out, strings.TrimSpace(v))
-	}
-	return out
-}
-
-func parseInts(s, what string) []int {
-	var out []int
-	for _, v := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			log.Fatalf("bad %s %q: %v", what, v, err)
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-func known(k networks.Kind) bool {
-	for _, have := range networks.Six() {
-		if k == have {
-			return true
-		}
-	}
-	return false
-}
-
-// writeMemProfile snapshots the heap into path (no-op for ""); a GC first
-// makes the profile reflect live objects, not collection timing.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Print(err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Print(err)
 	}
 }

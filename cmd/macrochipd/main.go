@@ -32,15 +32,12 @@ import (
 	"syscall"
 	"time"
 
-	"macrochip/internal/distflags"
-	"macrochip/internal/expcache"
-	"macrochip/internal/harness"
+	"macrochip/internal/runflags"
 	"macrochip/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks an ephemeral port)")
-	jobs := flag.Int("j", 0, "simulation workers per experiment (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 2, "experiments executed concurrently")
 	queueDepth := flag.Int("queue", 64, "bounded queue depth for waiting experiments")
 	rate := flag.Float64("rate", 5, "per-client submissions per second")
@@ -48,30 +45,19 @@ func main() {
 	bodyLimit := flag.Int64("body-limit", 1<<20, "maximum request body bytes")
 	reqTimeout := flag.Duration("timeout", 30*time.Second, "per-request timeout on non-streaming routes")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "maximum wait for in-flight simulations on shutdown")
-	cacheDir := flag.String("cache-dir", expcache.DefaultDir(), `experiment result cache directory ("" disables)`)
-	noCache := flag.Bool("no-cache", false, "disable the experiment result cache")
-	df := distflags.Register(flag.CommandLine)
+	rf := runflags.Register(flag.CommandLine, "macrochipd", runflags.Fleet)
 	flag.Parse()
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	cache, err := expcache.OpenOrDisable(*cacheDir, *noCache)
-	if err != nil {
-		log.Warn("cache disabled", "error", err)
-	}
-	df.AttachRemote(cache)
-	dist, err := df.Coordinator(1, *cacheDir, *noCache)
+	runner, finish, err := rf.Start(1, log)
 	if err != nil {
 		log.Error("coordinator failed", "error", err)
 		os.Exit(1)
 	}
-	if dist != nil {
-		defer func() { log.Info("dist summary", "summary", dist.Summary()) }()
-		defer dist.Close()
-	}
+	defer finish()
 
 	srv := server.New(server.Config{
-		Runner:         harness.Runner{Workers: *jobs, Cache: cache, Dist: dist},
-		Dist:           dist,
+		Runner:         runner,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RatePerSec:     *rate,
@@ -89,7 +75,7 @@ func main() {
 	// The bound address goes to stdout so scripts (make serve-smoke) can
 	// discover an ephemeral port; everything else logs to stderr.
 	fmt.Printf("macrochipd: listening on %s\n", ln.Addr())
-	log.Info("serving", "addr", ln.Addr().String(), "cache", cache.Dir(),
+	log.Info("serving", "addr", ln.Addr().String(), "cache", runner.Cache.Dir(),
 		"workers", *workers, "queue", *queueDepth)
 
 	hs := &http.Server{
@@ -125,5 +111,4 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Warn("http shutdown incomplete", "error", err)
 	}
-	log.Info("stopped", "cache_summary", cache.Summary())
 }

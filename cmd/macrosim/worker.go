@@ -9,8 +9,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"macrochip/internal/expcache"
 	"macrochip/internal/harness"
+	"macrochip/internal/runflags"
 )
 
 // runWorker is macrosim's worker mode: execute distributed-sweep cells for
@@ -25,12 +25,9 @@ import (
 // via -cache-url — is the only place results are persisted, through the
 // same atomic temp-file+rename publish every local run uses.
 func runWorker(connect, cacheDir string, noCache bool, cacheURL string, depth int) int {
-	cache, err := expcache.OpenOrDisable(cacheDir, noCache)
+	cache, err := runflags.OpenCache(cacheDir, noCache, cacheURL)
 	if err != nil {
 		log.Printf("result cache disabled: %v", err)
-	}
-	if cache != nil && cacheURL != "" {
-		cache.SetRemote(expcache.NewHTTPRemote(cacheURL))
 	}
 	r := harness.Runner{Workers: 1, Cache: cache}
 

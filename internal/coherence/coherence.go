@@ -28,7 +28,6 @@ import (
 
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
-	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
 )
 
@@ -97,10 +96,6 @@ type Engine struct {
 	LatencySum sim.Time
 	MaxLatency sim.Time
 
-	// latHist records per-operation latency when a registry is attached
-	// (nil otherwise; Observe on nil is a no-op).
-	latHist *metrics.Histogram
-
 	// trackers and packets are the free lists. A tracker returns when its
 	// operation finishes; a packet returns in its delivery handler, the
 	// packet's last holder under the core.DeliverHandler contract.
@@ -150,33 +145,6 @@ func (e *Engine) MeanLatency() sim.Time {
 		return 0
 	}
 	return e.LatencySum / sim.Time(e.Completed)
-}
-
-// Instrument implements metrics.Instrumentable: aggregate MSHR-occupancy and
-// MSHR-queue gauges, a completed-operations gauge, and a per-operation
-// latency histogram.
-func (e *Engine) Instrument(o metrics.Observer) {
-	if o.Reg == nil {
-		return
-	}
-	o.Reg.Gauge("coherence/mshr_used", func(sim.Time) float64 {
-		total := 0
-		for _, free := range e.mshrFree {
-			total += e.p.MSHRsPerSite - free
-		}
-		return float64(total)
-	})
-	o.Reg.Gauge("coherence/mshr_queued", func(sim.Time) float64 {
-		total := 0
-		for _, q := range e.waiting {
-			total += len(q)
-		}
-		return float64(total)
-	})
-	o.Reg.Gauge("coherence/completed", func(sim.Time) float64 {
-		return float64(e.Completed)
-	})
-	e.latHist = o.Reg.Histogram("coherence/op_latency")
 }
 
 // tracker follows one operation's outstanding responses: pending counts the
@@ -315,7 +283,6 @@ func (e *Engine) finish(t *tracker, at sim.Time) {
 	lat := at - t.issued
 	e.Completed++
 	e.LatencySum += lat
-	e.latHist.Observe(lat)
 	if lat > e.MaxLatency {
 		e.MaxLatency = lat
 	}

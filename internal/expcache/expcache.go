@@ -171,17 +171,6 @@ func DefaultDir() string {
 	return filepath.Join(base, "macrochip", "expcache")
 }
 
-// OpenOrDisable resolves the standard -cache-dir/-no-cache flag pair: it
-// returns nil (caching disabled) when disable is set or dir is empty, and
-// otherwise opens dir. An open failure also disables caching and reports the
-// error, so callers can warn and continue uncached rather than die.
-func OpenOrDisable(dir string, disable bool) (*Cache, error) {
-	if disable || dir == "" {
-		return nil, nil
-	}
-	return Open(dir)
-}
-
 // Summary formats a one-line hit/miss report for end-of-run logging.
 func (c *Cache) Summary() string {
 	if c == nil {

@@ -105,11 +105,14 @@ type PlanConfig struct {
 	Horizon sim.Time
 	// MTTR is the mean repair duration (exponentially distributed).
 	MTTR sim.Time
-	// DetuneDerate and DetuneCorruptProb shape RingDetune faults; zero
-	// values default to 4× derating and 5% corruption.
-	DetuneDerate      float64
-	DetuneCorruptProb float64
 }
+
+// A RingDetune fault derates its site's channels 4× and corrupts 5% of the
+// packets they carry.
+const (
+	detuneDerate      = 4
+	detuneCorruptProb = 0.05
+)
 
 // NewPlan generates the fault schedule for one run. Generation is pure:
 // each (class, site) pair draws from its own stream derived from the seed,
@@ -120,33 +123,26 @@ func NewPlan(cfg PlanConfig, seed int64) Plan {
 	if classes == nil {
 		classes = AllClasses()
 	}
-	derate := cfg.DetuneDerate
-	if derate == 0 {
-		derate = 4
-	}
-	corrupt := cfg.DetuneCorruptProb
-	if corrupt == 0 {
-		corrupt = 0.05
-	}
 	var events []Event
 	if cfg.RatePerSitePerMs > 0 && cfg.Horizon > 0 {
-		// Mean gap between failures of one (class, site): 1 ms / rate.
-		gap := sim.Duration(float64(sim.Millisecond)/cfg.RatePerSitePerMs + 0.5)
+		// Mean gap between failures of one (class, site): 1 ms / rate,
+		// saturating at the end of the time axis for a vanishing rate.
+		gap := sim.FromPicoseconds(float64(sim.Millisecond) / cfg.RatePerSitePerMs)
 		sites := cfg.Grid.Sites()
 		for _, c := range classes {
 			for s := 0; s < sites; s++ {
 				rng := sim.NewRNG(sim.DeriveSeed(seed, uint64(c), uint64(s)))
-				for at := rng.ExpDuration(gap); at <= cfg.Horizon; at += rng.ExpDuration(gap) {
+				for at := rng.ExpDuration(gap); at <= cfg.Horizon; at = after(at, rng.ExpDuration(gap)) {
 					ev := Event{
 						At:     at,
-						Repair: at + rng.ExpDuration(cfg.MTTR),
+						Repair: after(at, rng.ExpDuration(cfg.MTTR)),
 						Class:  c,
 						Site:   geometry.SiteID(s),
 					}
 					switch c {
 					case RingDetune:
-						ev.Derate = derate
-						ev.CorruptProb = corrupt
+						ev.Derate = detuneDerate
+						ev.CorruptProb = detuneCorruptProb
 					case StuckSwitch:
 						d := rng.Intn(sites - 1)
 						if d >= s {
@@ -170,6 +166,15 @@ func NewPlan(cfg PlanConfig, seed int64) Plan {
 		return a.Site < b.Site
 	})
 	return Plan{Events: events}
+}
+
+// after is the instant d after t, saturating at sim.MaxTime: a fault
+// never repaired within the time axis is repaired at its end.
+func after(t sim.Time, d sim.Duration) sim.Time {
+	if d > sim.MaxTime-t {
+		return sim.MaxTime
+	}
+	return t + d
 }
 
 // String summarizes the plan for logs.

@@ -95,6 +95,40 @@ func TestPlanRateScalesAndZeroRateEmpty(t *testing.T) {
 	if n := len(fault.NewPlan(zero, 1).Events); n != 0 {
 		t.Fatalf("zero rate produced %d events", n)
 	}
+	// A vanishing rate saturates the mean gap at the end of the time axis
+	// instead of wrapping it into a 1-ps gap.
+	for _, rate := range []float64{1e-300, 1e-12} {
+		tiny := base
+		tiny.RatePerSitePerMs, tiny.Horizon = rate, 1000*sim.Picosecond
+		if n := len(fault.NewPlan(tiny, 1).Events); n != 0 {
+			t.Fatalf("rate %g over 1000 ps produced %d events", rate, n)
+		}
+	}
+}
+
+// TestNeverRepairedFaultStaysOnAxis gives the plan a mean repair time at
+// the end of the time axis: each repair saturates at MaxTime instead of
+// wrapping before its onset, and the plan installs without overflowing
+// the engine's time axis.
+func TestNeverRepairedFaultStaysOnAxis(t *testing.T) {
+	cfg := fault.PlanConfig{
+		Grid:             geometry.Default8x8(),
+		RatePerSitePerMs: 50,
+		Horizon:          10 * sim.Microsecond,
+		MTTR:             sim.MaxTime,
+	}
+	plan := fault.NewPlan(cfg, 7)
+	if len(plan.Events) == 0 {
+		t.Fatal("expected events at 50 faults/site/ms over 10us")
+	}
+	for i, ev := range plan.Events {
+		if ev.Repair <= ev.At {
+			t.Fatalf("event %d repairs (%v) before failing (%v)", i, ev.Repair, ev.At)
+		}
+	}
+	eng, _, _, fn := testSetup(t, 1)
+	fault.NewInjector(eng, fn, plan).Install()
+	eng.RunUntil(cfg.Horizon)
 }
 
 func TestZeroFaultWrapTransparent(t *testing.T) {

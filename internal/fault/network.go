@@ -3,7 +3,6 @@ package fault
 import (
 	"macrochip/internal/core"
 	"macrochip/internal/geometry"
-	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
 )
 
@@ -208,25 +207,6 @@ func (n *Network) RepairPath(src, dst geometry.SiteID) {
 		delete(n.stuck, k)
 	}
 	n.active--
-}
-
-// Instrument implements metrics.Instrumentable: it forwards the observer to
-// the wrapped network and adds an active-fault-count gauge plus one
-// cumulative-drop gauge per fault class.
-func (n *Network) Instrument(o metrics.Observer) {
-	metrics.Instrument(n.inner, o)
-	if o.Reg == nil {
-		return
-	}
-	o.Reg.Gauge("fault/active", func(sim.Time) float64 {
-		return float64(n.active)
-	})
-	for c := Class(0); c < NumClasses; c++ {
-		c := c
-		o.Reg.Gauge("fault/drops/"+c.String(), func(sim.Time) float64 {
-			return float64(n.drops[c])
-		})
-	}
 }
 
 // apply activates one planned event; clear reverses it at repair time.

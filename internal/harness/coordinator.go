@@ -40,7 +40,7 @@ import (
 //   - A protocol violation, transport error, reply for any cell but the
 //     oldest in the window (out of order, credit overflow or stale
 //     answer), or per-cell deadline tears the connection down; every cell
-//     in its window is reassigned (with seeded backoff) up to Retries
+//     in its window is reassigned (with seeded backoff) up to cellRetries
 //     times each, then falls back to local compute. Cells are never lost,
 //     and a cell can never run twice: a job re-enters the queue only from
 //     the torn-down window that owned it, and the enqueue guard refuses a
@@ -49,9 +49,9 @@ import (
 //     function elsewhere cannot help — so the cell falls back to local
 //     compute, where the failure reproduces under the caller's own error
 //     handling.
-//   - A dead local worker process is respawned up to Restarts times per
-//     slot. When every slot and connection is gone, the coordinator drains
-//     itself and the rest of the sweep computes locally.
+//   - A dead local worker process is respawned up to workerRestarts times
+//     per slot. When every slot and connection is gone, the coordinator
+//     drains itself and the rest of the sweep computes locally.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
@@ -117,22 +117,25 @@ type CoordinatorConfig struct {
 	// whatever its hello advertises (default distrib.DefaultCredits,
 	// hard-capped at distrib.MaxCredits).
 	MaxDepth int
-	// CellTimeout is the per-cell deadline: a worker that holds a cell
-	// longer is presumed hung, torn down, and every cell in its window
-	// reassigned (default 2 minutes).
-	CellTimeout time.Duration
-	// Retries bounds reassignments per cell before local fallback
-	// (default 3).
-	Retries int
-	// Restarts bounds respawns per local worker slot (default 2).
-	Restarts int
 	// Seed seeds the retry-backoff jitter, keeping even the failure path
 	// reproducible under a fixed fault schedule.
 	Seed int64
 	// Log receives worker stderr and reassignment warnings (default
 	// discard).
 	Log io.Writer
+
+	// cellTimeout is the per-cell deadline: a worker that holds a cell
+	// longer is presumed hung, torn down, and every cell in its window
+	// reassigned (default 2 minutes; tests shorten it).
+	cellTimeout time.Duration
 }
+
+const (
+	// cellRetries bounds reassignments per cell before local fallback.
+	cellRetries = 3
+	// workerRestarts bounds respawns per local worker slot.
+	workerRestarts = 2
+)
 
 // workerStat is one worker's throughput accounting, read by Stats via
 // atomics.
@@ -195,16 +198,8 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.MaxDepth > distrib.MaxCredits {
 		cfg.MaxDepth = distrib.MaxCredits
 	}
-	if cfg.CellTimeout <= 0 {
-		cfg.CellTimeout = 2 * time.Minute
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
-	if cfg.Restarts < 0 {
-		cfg.Restarts = 0
-	} else if cfg.Restarts == 0 {
-		cfg.Restarts = 2
+	if cfg.cellTimeout <= 0 {
+		cfg.cellTimeout = 2 * time.Minute
 	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
@@ -230,7 +225,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := newCoordinator(cfg)
 	spawned := 0
 	for slot := 0; slot < cfg.Workers; slot++ {
-		if err := c.spawnProc(slot, c.cfg.Restarts, true); err != nil {
+		if err := c.spawnProc(slot, workerRestarts, true); err != nil {
 			c.logf("spawning worker %d: %v", slot, err)
 			continue
 		}
@@ -542,7 +537,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 			id := c.nextID
 			c.mu.Unlock()
 			now := time.Now()
-			fc := inflightCell{id: id, j: j, start: now, deadline: now.Add(c.cfg.CellTimeout)}
+			fc := inflightCell{id: id, j: j, start: now, deadline: now.Add(c.cfg.cellTimeout)}
 			if wd, ok := cn.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
 				wd.SetWriteDeadline(fc.deadline) //nolint:errcheck // best-effort
 			}
@@ -567,7 +562,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 		if len(window) > 0 {
 			d := time.Until(window[0].deadline)
 			if d <= 0 {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(window)))
+				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.cellTimeout, len(window)))
 				return
 			}
 			deadlineTimer = time.NewTimer(d)
@@ -633,7 +628,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 			// Re-check against the clock: the timer may have raced a
 			// reply that already cleared the oldest cell this iteration.
 			if len(window) > 0 && !time.Now().Before(window[0].deadline) {
-				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.CellTimeout, len(window)))
+				teardown(fmt.Sprintf("cell deadline (%v) exceeded with %d in flight", c.cfg.cellTimeout, len(window)))
 				return
 			}
 		case <-jobsC:
@@ -650,7 +645,7 @@ func (c *Coordinator) serve(cn *distConn, r io.Reader) {
 // trusted to this connection. The reader has already checked its version
 // and credits; the credits set the window, capped by MaxDepth.
 func (c *Coordinator) awaitHello(cn *distConn) bool {
-	timer := time.NewTimer(c.cfg.CellTimeout)
+	timer := time.NewTimer(c.cfg.cellTimeout)
 	defer timer.Stop()
 	select {
 	case m := <-cn.incoming:
@@ -680,7 +675,7 @@ func (c *Coordinator) awaitHello(cn *distConn) bool {
 		c.logf("worker %s: %v before hello; dropping", cn.name, err)
 		return false
 	case <-timer.C:
-		c.logf("worker %s: no hello within %v; dropping", cn.name, c.cfg.CellTimeout)
+		c.logf("worker %s: no hello within %v; dropping", cn.name, c.cfg.cellTimeout)
 		return false
 	case <-c.quit:
 		return false
@@ -694,8 +689,8 @@ func (c *Coordinator) awaitHello(cn *distConn) bool {
 func (c *Coordinator) requeue(j *distJob, worker, reason string) {
 	c.logf("worker %s: %s; reassigning cell", worker, reason)
 	j.attempts++
-	if j.attempts > c.cfg.Retries {
-		c.logf("cell out of retries (%d); computing locally", c.cfg.Retries)
+	if j.attempts > cellRetries {
+		c.logf("cell out of retries (%d); computing locally", cellRetries)
 		c.resolve(j, nil)
 		return
 	}

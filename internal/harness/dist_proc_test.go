@@ -88,8 +88,8 @@ func TestDistKillWorkerMidSweep(t *testing.T) {
 		Exec:        bin,
 		Args:        []string{"-cache-dir", cacheDir, "-dist-depth", "8"},
 		MaxDepth:    8,
-		CellTimeout: 30 * time.Second,
 		Seed:        7,
+		cellTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func pipeFleetDepth(tb testing.TB, n, depth int, delay time.Duration, cfg Coordi
 // testFleetConfig keeps unit-test fleets snappy without touching the
 // production defaults.
 func testFleetConfig() CoordinatorConfig {
-	return CoordinatorConfig{CellTimeout: 30 * time.Second, Seed: 7}
+	return CoordinatorConfig{Seed: 7, cellTimeout: 30 * time.Second}
 }
 
 // TestDistFigure6ByteIdentity pins the headline guarantee: a figure-6 panel
@@ -276,7 +276,7 @@ func attachScripted(tb testing.TB, c *Coordinator, name string, script func(rd *
 // for good, and the sweep's results still match serial exactly.
 func TestDistChaosMisbehavingWorkers(t *testing.T) {
 	cfg := testFleetConfig()
-	cfg.CellTimeout = 500 * time.Millisecond // the hang worker must trip it quickly
+	cfg.cellTimeout = 500 * time.Millisecond // the hang worker must trip it quickly
 	c := newCoordinator(cfg)
 
 	hello := func(w io.Writer) {

@@ -147,6 +147,15 @@ func FullStudyWith(r Runner, p core.Params, scale workload.Scale, seed int64) []
 	return RunStudyWith(r, workload.All(p.Grid, scale), networks.Six(), p, seed)
 }
 
+// StudyScale is the workload scale of the benchmark study at -scale scale:
+// -quick shrinks it tenfold, for cmd/figures, cmd/report and the daemon.
+func StudyScale(scale float64, quick bool) workload.Scale {
+	if quick {
+		scale *= 0.1
+	}
+	return workload.Scale(scale)
+}
+
 // RenderFigure7 renders the speedup chart (normalized to circuit-switched).
 func RenderFigure7(rows []StudyRow) string {
 	return renderStudyTable(rows, "Figure 7 — speedup vs circuit-switched",

@@ -27,12 +27,10 @@ type LoadPointConfig struct {
 	Seed            int64
 
 	// Obs, when enabled, wires the observability layer into the network and
-	// generator. Sampling is read-only, so instrumented results are
-	// byte-identical to uninstrumented ones (pinned by a test).
+	// generator; a registry is sampled every Measure/64. Sampling is
+	// read-only, so instrumented results are byte-identical to
+	// uninstrumented ones (pinned by a test).
 	Obs metrics.Observer
-	// SampleInterval is the metrics-probe period; zero with a non-nil
-	// Obs.Reg falls back to Measure/64.
-	SampleInterval sim.Duration
 }
 
 // LoadPoint is the outcome of one load-sweep simulation.
@@ -105,11 +103,7 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 		// trace small at any simulation length.
 		cfg.Obs.Trace.AttachEngine(eng, 1024)
 		if cfg.Obs.Reg != nil {
-			interval := cfg.SampleInterval
-			if interval <= 0 {
-				interval = cfg.Measure / 64
-			}
-			metrics.NewProbe(eng, cfg.Obs.Reg, interval).Start(end + cfg.Measure)
+			metrics.NewProbe(eng, cfg.Obs.Reg, cfg.Measure/64).Start(end + cfg.Measure)
 		}
 	}
 	// Run past the injection horizon so in-flight packets drain enough for

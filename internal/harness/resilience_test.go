@@ -67,6 +67,25 @@ func TestResilienceStudyCoversAllNetworksAndClasses(t *testing.T) {
 	}
 }
 
+// TestResilienceMTTRPastTheAxis converts MTTRs of 1e12 and 1e13 µs as
+// -mttr and mttr_us do. Neither repairs a fault within the run, so both
+// give the same point; a conversion that wrapped the larger one negative
+// would repair every fault within a picosecond.
+func TestResilienceMTTRPastTheAxis(t *testing.T) {
+	cfg := quickResilienceCfg()
+	point := func(mttrUS float64) ResiliencePoint {
+		cfg.MTTR = sim.FromNanoseconds(mttrUS * 1e3)
+		return RunResiliencePoint(cfg, networks.PointToPoint, fault.DarkLaser, 80)
+	}
+	long, past := point(1e12), point(1e13)
+	if long != past {
+		t.Fatalf("MTTR 1e13 us gave %+v, want the 1e12 us point %+v", past, long)
+	}
+	if long.Dropped == 0 {
+		t.Fatalf("faults never repaired dropped nothing: %+v", long)
+	}
+}
+
 func TestResilienceFaultsDegradeAvailability(t *testing.T) {
 	// At a high fault rate without retry recovery, availability must dip
 	// below the perfect baseline on at least one network/class cell.

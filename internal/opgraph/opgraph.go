@@ -11,8 +11,8 @@
 // transfers ride core.Packet and the closure-free ScheduleCall hot path,
 // retries and timeouts reuse the traffic.OpenLoop RetryPolicy shape,
 // per-class accounting extends core.Stats (ClassTensor/ClassCollective),
-// instruments register through metrics.Instrumentable, the fault.Network
-// decorator wraps transparently, and every random stream derives via
+// the fault.Network decorator wraps transparently, and every random
+// stream derives via
 // sim.DeriveSeed — a replay is a pure function of (graph, config, seed).
 package opgraph
 

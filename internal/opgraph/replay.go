@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"macrochip/internal/core"
-	"macrochip/internal/metrics"
 	"macrochip/internal/sim"
 )
 
@@ -51,10 +50,8 @@ type Replay struct {
 	siteFree []sim.Time
 
 	opsDone        int
-	doneByKind     [numKinds]int
 	transfersTotal int
 	transfersDone  int
-	inflight       int
 	bytesMoved     uint64
 	finish         sim.Time
 	started        bool
@@ -90,7 +87,6 @@ func (t *transfer) OnDeliver(p *core.Packet, at sim.Time) {
 	r, to := t.r, int(t.to)
 	r.transfers.Put(t)
 	r.transfersDone++
-	r.inflight--
 	r.edgeDone(to, at)
 }
 
@@ -183,7 +179,6 @@ func (h *opDoneH) OnEvent(e *sim.Engine, arg sim.EventArg) {
 func (r *Replay) opDone(i int, at sim.Time) {
 	from := &r.Graph.Ops[i]
 	r.opsDone++
-	r.doneByKind[from.Kind]++
 	r.finish = at
 	for _, ei := range r.outList[r.outStart[i]:r.outStart[i+1]] {
 		e := r.Graph.Edges[ei]
@@ -198,7 +193,6 @@ func (r *Replay) opDone(i int, at sim.Time) {
 		}
 		t := r.transfers.Get()
 		*t = transfer{r: r, to: int32(e.To), remaining: int32((e.Bytes + r.PacketBytes - 1) / r.PacketBytes)}
-		r.inflight++
 		for rem := e.Bytes; rem > 0; rem -= r.PacketBytes {
 			p := r.packets.Get()
 			*p = core.Packet{Src: from.Site, Dst: to.Site, Bytes: min(rem, r.PacketBytes), Class: class, Deliver: t}
@@ -226,31 +220,4 @@ func (r *Replay) Result() Result {
 		BytesMoved:     r.bytesMoved,
 		Stalled:        r.opsDone < len(r.Graph.Ops),
 	}
-}
-
-// Instrument implements metrics.Instrumentable: replay progress gauges —
-// completed operators (total and per kind), transfer progress, in-flight
-// transfer count, and delivered payload bytes.
-func (r *Replay) Instrument(ob metrics.Observer) {
-	if ob.Reg == nil {
-		return
-	}
-	ob.Reg.Gauge("opgraph/ops_done", func(sim.Time) float64 {
-		return float64(r.opsDone)
-	})
-	for _, k := range Kinds() {
-		k := k
-		ob.Reg.Gauge("opgraph/ops_done/"+k.String(), func(sim.Time) float64 {
-			return float64(r.doneByKind[k])
-		})
-	}
-	ob.Reg.Gauge("opgraph/transfers_done", func(sim.Time) float64 {
-		return float64(r.transfersDone)
-	})
-	ob.Reg.Gauge("opgraph/transfers_inflight", func(sim.Time) float64 {
-		return float64(r.inflight)
-	})
-	ob.Reg.Gauge("opgraph/bytes_moved", func(sim.Time) float64 {
-		return float64(r.bytesMoved)
-	})
 }

@@ -237,7 +237,7 @@ func TestDistStatsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dist.Close()
-	_, ts2, _ := newTestServer(t, func(c *Config) { c.Dist = dist })
+	_, ts2, _ := newTestServer(t, func(c *Config) { c.Runner.Dist = dist })
 	code, _, body = get(t, ts2.URL+"/v1/dist/stats")
 	if code != http.StatusOK {
 		t.Fatalf("dist stats = %d: %s", code, body)

@@ -14,7 +14,6 @@ import (
 	"macrochip/internal/opgraph"
 	"macrochip/internal/sim"
 	"macrochip/internal/traffic"
-	"macrochip/internal/workload"
 )
 
 // ExperimentConfig is the request body of POST /v1/experiments: one
@@ -59,7 +58,8 @@ type ExperimentConfig struct {
 
 	// Classes, Rates, Load and MTTRMicros configure kind "resilience",
 	// mirroring cmd/resilience's -classes/-rates/-load/-mttr flags. Each
-	// fault class is named at most once; at most 16 rates.
+	// fault class is named at most once; at most 16 rates, each at most
+	// 1,000 per site per ms.
 	Classes    []string  `json:"classes,omitempty"`
 	Rates      []float64 `json:"rates,omitempty"`
 	Load       float64   `json:"load,omitempty"`
@@ -81,6 +81,11 @@ type ExperimentConfig struct {
 // worker for an unbounded simulated horizon; the paper's own figure-6
 // window is 8 µs, two orders of magnitude under the cap.
 const maxWindowNS = 1e6
+
+// maxRate bounds each resilience fault rate, in faults per site per
+// simulated ms: 12.5× the largest default rate, 80, so at the window cap a
+// one-class plan holds at most 64,000 events per cell.
+const maxRate = 1000
 
 // ConfigError is a request-validation failure; Field names the offending
 // JSON field when known. Handlers render it as a structured 400 body.
@@ -181,8 +186,8 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 			return cfg, badField("rates", "at most 16 rates per request")
 		}
 		for _, r := range cfg.Rates {
-			if r < 0 {
-				return cfg, badField("rates", "negative fault rate %g", r)
+			if r < 0 || r > maxRate {
+				return cfg, badField("rates", "fault rate %g outside [0, %g] per site per ms", r, float64(maxRate))
 			}
 		}
 		if cfg.Load < 0 || cfg.Load > 1 {
@@ -288,11 +293,7 @@ func (cfg ExperimentConfig) run(r harness.Runner) (*result, error) {
 		panel, err := harness.Figure6PanelWith(r, cfg.loadPointConfig(), cfg.Pattern, kinds, cfg.Loads)
 		return newResult(panel, harness.WriteFigure6CSV, harness.RenderFigure6), err
 	case "study":
-		s := workload.Scale(cfg.Scale)
-		if cfg.Quick {
-			s = workload.Scale(cfg.Scale * 0.1)
-		}
-		rows := harness.FullStudyWith(r, core.DefaultParams(), s, cfg.Seed)
+		rows := harness.FullStudyWith(r, core.DefaultParams(), harness.StudyScale(cfg.Scale, cfg.Quick), cfg.Seed)
 		return newResult(rows, harness.WriteStudyCSV, renderStudy), nil
 	case "scaling":
 		rows := harness.ScalingStudyWith(r, cfg.GridSizes)

@@ -15,7 +15,8 @@ import (
 // (decodeConfig: the strict JSON decode, then normalize). It never panics,
 // a config it accepts normalizes to itself again, and every list in an
 // accepted config is within its documented cap, so no body under the
-// request size limit describes an unbounded number of cells.
+// request size limit describes an unbounded number of cells. Each fault
+// rate is within its cap too, so no cell holds an unbounded fault plan.
 func FuzzExperimentConfig(f *testing.F) {
 	for _, tc := range malformedConfigs {
 		f.Add([]byte(tc.body))
@@ -65,6 +66,11 @@ func FuzzExperimentConfig(f *testing.F) {
 		} {
 			if l.n > l.limit {
 				t.Fatalf("accepted %d %s, over the cap of %d: %s", l.n, l.field, l.limit, data)
+			}
+		}
+		for _, r := range cfg.Rates {
+			if r > maxRate {
+				t.Fatalf("accepted rate %g, over the cap of %d: %s", r, maxRate, data)
 			}
 		}
 	})

@@ -153,7 +153,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !emit() {
 		return
 	}
-	ticker := time.NewTicker(s.cfg.PollInterval)
+	ticker := time.NewTicker(s.cfg.pollInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -323,7 +323,7 @@ func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 // handleDistStats is GET /v1/dist/stats: the attached coordinator's live
 // counters, or enabled=false when the daemon is not fronting a sweep.
 func (s *Server) handleDistStats(w http.ResponseWriter, r *http.Request) {
-	d := s.cfg.Dist
+	d := s.cfg.Runner.Dist
 	if d == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return

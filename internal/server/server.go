@@ -33,7 +33,10 @@ import (
 // Config assembles a Server; zero fields take the documented defaults.
 type Config struct {
 	// Runner executes every experiment. Its Cache (may be nil) is the
-	// shared rendezvous store that collapses duplicate requests.
+	// shared rendezvous store that collapses duplicate requests; its Dist
+	// (may be nil) is the distributed-sweep coordinator whose live counters
+	// the daemon exposes at GET /v1/dist/stats. The daemon does not own or
+	// drain the coordinator.
 	Runner harness.Runner
 	// QueueDepth bounds queued-but-not-started experiments (default 64).
 	QueueDepth int
@@ -49,13 +52,9 @@ type Config struct {
 	// RequestTimeout bounds the non-streaming API routes (default 30 s).
 	// The progress stream and pprof endpoints are exempt.
 	RequestTimeout time.Duration
-	// PollInterval is the NDJSON progress heartbeat (default 1 s).
-	PollInterval time.Duration
-	// Dist, when non-nil, is a distributed-sweep coordinator whose live
-	// counters the daemon exposes at GET /v1/dist/stats. The daemon does
-	// not own or drain it — it is a read-only window for operators watching
-	// a sweep.
-	Dist *harness.Coordinator
+	// pollInterval is the NDJSON progress heartbeat (default 1 s; tests
+	// shorten it).
+	pollInterval time.Duration
 	// Log receives structured access and lifecycle logs (default
 	// slog.Default()).
 	Log *slog.Logger
@@ -99,8 +98,8 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = time.Second
+	if cfg.pollInterval <= 0 {
+		cfg.pollInterval = time.Second
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.Default()

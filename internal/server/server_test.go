@@ -37,7 +37,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 	cfg := Config{
 		Runner:       harness.Runner{Cache: cache},
 		Workers:      2,
-		PollInterval: 10 * time.Millisecond,
+		pollInterval: 10 * time.Millisecond,
 		// Tests fire many submissions back to back; keep the limiter out of
 		// the way unless a test overrides it.
 		RatePerSec: 1000,
@@ -313,6 +313,7 @@ var malformedConfigs = []struct {
 	{"bad grid size", `{"kind":"scaling","grid_sizes":[1]}`, "grid_sizes"},
 	{"bad class", `{"kind":"resilience","classes":["meteor-strike"]}`, "classes"},
 	{"negative rate", `{"kind":"resilience","rates":[-1]}`, "rates"},
+	{"over-cap rate", `{"kind":"resilience","rates":[0,1001]}`, "rates"},
 	{"bad scale", `{"kind":"study","scale":99}`, "scale"},
 	{"negative mtu", `{"kind":"inference","mtu":-4096}`, "mtu"},
 	{"oversized mtu", `{"kind":"inference","mtu":2097152}`, "mtu"},

@@ -51,6 +51,14 @@ func TestFromNanoseconds(t *testing.T) {
 	if got := FromSeconds(1e-9); got != Nanosecond {
 		t.Errorf("FromSeconds(1ns) = %d, want %d", int64(got), int64(Nanosecond))
 	}
+	// Past the ends of the axis the conversion saturates instead of
+	// wrapping to the other sign.
+	if got := FromNanoseconds(1e16); got != MaxTime {
+		t.Errorf("FromNanoseconds(1e16) = %d, want MaxTime", int64(got))
+	}
+	if got := FromNanoseconds(-1e16); got != -MaxTime {
+		t.Errorf("FromNanoseconds(-1e16) = %d, want -MaxTime", int64(got))
+	}
 }
 
 func TestNanosecondsRoundTrip(t *testing.T) {

@@ -56,12 +56,13 @@ func (t Time) String() string {
 }
 
 // FromNanoseconds converts a floating-point nanosecond quantity to a Time,
-// rounding to the nearest picosecond.
+// rounding to the nearest picosecond and saturating at ±MaxTime where a
+// plain conversion would wrap.
 func FromNanoseconds(ns float64) Time {
 	if ns < 0 {
-		return Time(ns*float64(Nanosecond) - 0.5)
+		return -FromPicoseconds(-ns * float64(Nanosecond))
 	}
-	return Time(ns*float64(Nanosecond) + 0.5)
+	return FromPicoseconds(ns * float64(Nanosecond))
 }
 
 // FromPicoseconds rounds a non-negative picosecond quantity to a Time,

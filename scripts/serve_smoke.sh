@@ -6,8 +6,11 @@
 # checks /healthz, runs one tiny scaling experiment and one tiny inference
 # experiment through the full POST → wait → CSV round trip, fetches the
 # scaling job as text and JSON too, re-submits each identical config to
-# prove it comes back as a byte-identical cache hit, then shuts down via
-# SIGTERM and requires a clean (exit 0) graceful drain.
+# prove it comes back as a byte-identical cache hit, requires
+# cmd/resilience and cmd/inference to print the daemon's CSV bytes for one
+# config each (and the quick inference sweep to print the committed
+# golden), then shuts down via SIGTERM and requires a clean (exit 0)
+# graceful drain.
 set -eu
 
 if ! command -v curl >/dev/null 2>&1; then
@@ -24,7 +27,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-$GO build -o "$tmp/macrochipd" ./cmd/macrochipd
+$GO build -o "$tmp/" ./cmd/macrochipd ./cmd/resilience ./cmd/inference
 
 "$tmp/macrochipd" -addr 127.0.0.1:0 -cache-dir "$tmp/cache" \
     >"$tmp/stdout" 2>"$tmp/stderr" &
@@ -130,6 +133,47 @@ hits_after=$(curl -fsS "$base/v1/cache/stats" | sed -n 's/.*"Hits": \([0-9]*\).*
     exit 1
 }
 
+# daemon_csv <config> <file>: the daemon's CSV body for one config.
+daemon_csv() {
+    job=$(curl -fsS -X POST "$base/v1/experiments" -d "$1" |
+        sed -n 's/.*"id": "\(exp-[0-9]*\)".*/\1/p')
+    [ -n "$job" ] || { echo "serve-smoke: no id for $1" >&2; exit 1; }
+    curl -fsS "$base/v1/experiments/$job/result?wait=true&format=csv" >"$2"
+}
+
+# cli_csv <file> <command> <flags...>: the CSV one study CLI writes.
+cli_csv() {
+    out=$1 cmd=$2
+    shift 2
+    "$tmp/$cmd" "$@" -csv "$out" >"$out.log" 2>&1 || {
+        echo "serve-smoke: $cmd $* failed:" >&2
+        cat "$out.log" >&2
+        exit 1
+    }
+}
+
+# same <want> <got> <label>
+same() {
+    cmp -s "$1" "$2" || {
+        echo "serve-smoke: $3" >&2
+        diff "$1" "$2" >&2 || true
+        exit 1
+    }
+}
+
+# The CLIs print the daemon's bytes for the same config.
+daemon_csv '{"kind":"resilience","quick":true,"networks":["point-to-point"],"classes":["dark-laser"],"rates":[0,80],"mttr_us":3}' "$tmp/resilience-daemon.csv"
+cli_csv "$tmp/resilience-cli.csv" resilience -quick -no-cache \
+    -networks point-to-point -classes dark-laser -rates 0,80 -mttr 3
+same "$tmp/resilience-daemon.csv" "$tmp/resilience-cli.csv" "resilience CLI CSV differs from the daemon's"
+
+daemon_csv '{"kind":"inference","quick":true,"networks":["point-to-point","two-phase"]}' "$tmp/inference-daemon.csv"
+cli_csv "$tmp/inference-cli.csv" inference -quick -no-cache -networks point-to-point,two-phase
+same "$tmp/inference-daemon.csv" "$tmp/inference-cli.csv" "inference CLI CSV differs from the daemon's"
+
+cli_csv "$tmp/inference-quick.csv" inference -quick -no-cache
+same internal/harness/testdata/inference.csv.golden "$tmp/inference-quick.csv" "inference -quick CSV differs from the golden"
+
 # SIGTERM must drain gracefully and exit 0.
 kill -TERM "$pid"
 if ! wait "$pid"; then
@@ -139,4 +183,4 @@ if ! wait "$pid"; then
 fi
 pid=""
 
-echo "serve-smoke: ok ($base, 4 experiments, cached re-runs)"
+echo "serve-smoke: ok ($base, 6 experiments, cached re-runs, CLI bytes)"
