@@ -76,9 +76,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchEnvelope$$' -fuzztime 10s ./internal/expcache
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
-# cache, drives one tiny experiment through the HTTP API twice (the second
-# must be a cache hit with byte-identical CSV), and requires a clean SIGTERM
-# drain. Skips with a notice when curl is not installed.
+# cache, drives tiny experiments through the HTTP API (an identical
+# resubmission must come back byte-identical from the job table without a
+# cache lookup, a config sharing points must get them from the cache),
+# and requires a clean SIGTERM drain. Skips with a notice when curl is not
+# installed.
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 

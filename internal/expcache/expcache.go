@@ -13,9 +13,11 @@
 //
 // Durability: entries are written to a temp file in the cache directory and
 // published with an atomic rename, so a reader can never observe a partial
-// entry and a crashed or concurrent writer can never corrupt one. Unreadable
-// or undecodable entries are deleted and treated as misses. Cache write
-// failures are counted, never fatal: the cache degrades to recomputation.
+// entry and a crashed or concurrent writer can never corrupt one. Bytes from
+// outside the process (PublishEntry) are hard-linked into place instead, so
+// they never replace an entry. Unreadable or undecodable entries are
+// deleted and treated as misses. Cache write failures are counted, never
+// fatal: the cache degrades to recomputation.
 //
 // Concurrency: the cache is safe for concurrent use by the experiment
 // harness's worker pool, and an in-process single-flight layer deduplicates
@@ -33,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -102,8 +105,8 @@ func Open(dir string) (*Cache, error) {
 }
 
 // hotGet returns the in-memory bytes for key, if resident. The returned
-// slice is shared and must not be mutated — entries are immutable by
-// construction (content-addressed, published once).
+// slice is shared and must not be mutated: it is what the key serves until
+// evicted.
 func (c *Cache) hotGet(key Key) ([]byte, bool) {
 	c.hotMu.Lock()
 	defer c.hotMu.Unlock()
@@ -113,7 +116,8 @@ func (c *Cache) hotGet(key Key) ([]byte, bool) {
 
 // hotPut admits entry bytes to the hot tier, evicting oldest-first to make
 // room. An entry larger than the whole budget is skipped; re-admitting a
-// resident key is a no-op (same key, same bytes — content addressing).
+// resident key is a no-op, so a resident entry keeps the bytes it was
+// admitted with.
 func (c *Cache) hotPut(key Key, data []byte) {
 	c.hotMu.Lock()
 	defer c.hotMu.Unlock()
@@ -391,36 +395,47 @@ func (c *Cache) store(key Key, v any) {
 	}
 }
 
-// storeBytes publishes pre-encoded entry bytes atomically: write to a temp
-// file in the cache directory (same filesystem, so rename is atomic),
-// fsync-free rename into place.
+// storeBytes publishes pre-encoded entry bytes atomically: write a temp
+// file, then rename it into place (fsync-free), replacing any entry there.
 func (c *Cache) storeBytes(key Key, data []byte) bool {
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
+	tmp, err := c.writeTemp(data)
+	if err == nil {
+		if err = os.Rename(tmp, c.path(key)); err != nil {
+			os.Remove(tmp)
+		}
+	}
 	if err != nil {
-		c.writeErrors.Add(1)
-		return false
-	}
-	// CreateTemp opens 0600; loosen to the conventional 0644 before the
-	// rename publishes it, so entries in a shared cache directory stay
-	// readable by other users' runners and daemons.
-	_, werr := tmp.Write(data)
-	if merr := tmp.Chmod(0o644); werr == nil {
-		werr = merr
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		c.writeErrors.Add(1)
-		return false
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
 		c.writeErrors.Add(1)
 		return false
 	}
 	c.bytesWritten.Add(uint64(len(data)))
 	c.hotPut(key, data)
 	return true
+}
+
+// writeTemp writes data to a new temp file in the cache directory (same
+// filesystem as the entries, so a rename or link of it is atomic) and
+// returns its name.
+func (c *Cache) writeTemp(data []byte) (string, error) {
+	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	// CreateTemp opens 0600; loosen to the conventional 0644 before the
+	// entry is published, so entries in a shared cache directory stay
+	// readable by other users' runners and daemons.
+	_, werr := tmp.Write(data)
+	if merr := tmp.Chmod(0o644); werr == nil {
+		werr = merr
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+		return "", werr
+	}
+	return tmp.Name(), nil
 }
 
 // EntryBytes returns the raw bytes of one published entry, hot tier first
@@ -498,11 +513,21 @@ func (c *Cache) Prefetch(keys []Key) {
 	}
 }
 
-// PublishEntry atomically publishes externally supplied entry bytes — the
-// daemon's PUT path. The bytes must be a JSON object (the invariant every
-// local writer maintains); anything else is rejected before touching the
-// directory. Publishing an existing key again simply renames identical
-// content over identical content.
+// ErrConflict is PublishEntry's answer to bytes that differ from the entry
+// the key already holds. Keys name configs, not bytes, so such a publish
+// is a forgery or a nondeterministic model; either way the held entry
+// stays.
+var ErrConflict = errors.New("expcache: key already holds a different entry")
+
+// PublishEntry publishes externally supplied entry bytes — the daemon's
+// PUT path — under a key that holds no entry yet. The bytes must be a JSON
+// object (the invariant every local writer maintains); anything else is
+// rejected before touching the directory. The held bytes again are
+// accepted and change nothing; different bytes are ErrConflict. A file
+// that is not a valid entry does not count as held: it is removed and
+// replaced, as load heals it. The temp file is hard-linked into place,
+// which fails if the entry exists, so of two racing publishers one wins
+// and the other is compared against it.
 func (c *Cache) PublishEntry(key Key, data []byte) error {
 	if c == nil {
 		return errors.New("expcache: cache disabled")
@@ -510,10 +535,33 @@ func (c *Cache) PublishEntry(key Key, data []byte) error {
 	if !validEntry(data) {
 		return fmt.Errorf("expcache: entry %s: not a JSON object", key.Hex())
 	}
-	if !c.storeBytes(key, data) {
+	if held, ok := c.EntryBytes(key); ok {
+		return sameEntry(key, held, data)
+	}
+	tmp, err := c.writeTemp(data)
+	if err == nil {
+		err = os.Link(tmp, c.path(key))
+		os.Remove(tmp)
+	}
+	if err != nil {
+		if held, ok := c.EntryBytes(key); ok && errors.Is(err, fs.ErrExist) {
+			return sameEntry(key, held, data)
+		}
+		c.writeErrors.Add(1)
 		return fmt.Errorf("expcache: entry %s: publish failed", key.Hex())
 	}
+	c.bytesWritten.Add(uint64(len(data)))
+	c.hotPut(key, data)
 	return nil
+}
+
+// sameEntry is nil if data is held, the bytes key holds, and ErrConflict
+// otherwise.
+func sameEntry(key Key, held, data []byte) error {
+	if bytes.Equal(held, data) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrConflict, key.Hex())
 }
 
 // validEntry reports whether data is a well-formed entry: one JSON object.

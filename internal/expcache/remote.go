@@ -22,9 +22,9 @@ type Remote interface {
 	// answer is not an error); an error means the batch as a whole could
 	// not be served.
 	GetBatch(keys []Key) (map[Key][]byte, error)
-	// Put publishes the entry bytes for key. Publishing the same key twice
-	// must be harmless (entries are content-addressed: same key, same
-	// bytes).
+	// Put publishes the entry bytes for key. Publishing the bytes the key
+	// already holds must be harmless; the daemon refuses different bytes
+	// (a 409, which HTTPRemote returns as an error).
 	Put(key Key, data []byte) error
 }
 

@@ -405,6 +405,46 @@ func TestEntryBytesAndPublishEntry(t *testing.T) {
 	}
 }
 
+// TestPublishEntryKeepsHeldEntry: PublishEntry cannot replace a key's
+// entry. The held bytes again succeed; different bytes are ErrConflict and
+// leave both tiers as they were, also for a handle whose hot tier is
+// empty; a file that is not a valid entry is replaced.
+func TestPublishEntryKeepsHeldEntry(t *testing.T) {
+	c, _ := Open(t.TempDir())
+	key, held, forged := testKey(47), []byte(`{"v":1}`), []byte(`{"v":666}`)
+	if err := c.PublishEntry(key, held); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishEntry(key, held); err != nil {
+		t.Fatalf("publishing the held bytes again: %v", err)
+	}
+	cold, _ := Open(c.dir)
+	for _, h := range []*Cache{c, cold} {
+		if err := h.PublishEntry(key, forged); !errors.Is(err, ErrConflict) {
+			t.Fatalf("publishing different bytes = %v, want ErrConflict", err)
+		}
+	}
+	for _, h := range []*Cache{c, cold} {
+		if got, ok := h.EntryBytes(key); !ok || string(got) != string(held) {
+			t.Fatalf("EntryBytes after the refused publish = %q, %v; want %s", got, ok, held)
+		}
+	}
+	if disk, err := os.ReadFile(c.path(key)); err != nil || string(disk) != string(held) {
+		t.Fatalf("disk holds %q (%v), want %s", disk, err, held)
+	}
+
+	torn := testKey(48)
+	if err := os.WriteFile(c.path(torn), []byte(`{"v":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishEntry(torn, held); err != nil {
+		t.Fatalf("publishing over a torn file: %v", err)
+	}
+	if got, ok := cold.EntryBytes(torn); !ok || string(got) != string(held) {
+		t.Fatalf("healed entry = %q, %v; want %s", got, ok, held)
+	}
+}
+
 // TestParseKey pins the strict hex-key grammar shared by the HTTP routes.
 func TestParseKey(t *testing.T) {
 	key := testKey(45)

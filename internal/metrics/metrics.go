@@ -1,7 +1,7 @@
 // Package metrics is the simulator's observability layer: a registry of
-// named instruments (counters, gauges, log₂ histograms), a periodic
-// sampling probe that turns gauges into time series (probe.go), and a
-// Chrome-trace-format event tracer (tracer.go).
+// named instruments (counters and gauges), a periodic sampling probe that
+// turns them into time series (probe.go), and a Chrome-trace-format event
+// tracer (tracer.go).
 //
 // The whole layer is opt-in and zero-cost when disabled. Every instrument
 // handle and the Tracer are nil-safe: a nil *Registry hands out nil
@@ -13,9 +13,7 @@
 // without any configuration plumbing. Instrumented components implement
 // Instrumentable and are wired by the harness after construction; a run
 // that never calls Instrument is byte-identical to one built before this
-// package existed, and instrumentation draws no randomness of its own
-// except the probe's optional seeded jitter stream (derived via
-// sim.DeriveSeed, never touching model streams).
+// package existed, and instrumentation draws no randomness of its own.
 //
 // The registry is intentionally not goroutine-safe: a simulation is
 // single-threaded, and the parallel experiment harness gives every run its
@@ -26,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"macrochip/internal/core"
 	"macrochip/internal/sim"
 )
 
@@ -103,46 +100,6 @@ func (g *Gauge) Read(now sim.Time) float64 { return g.sample(now) }
 // Series returns the probed time series.
 func (g *Gauge) Series() []Sample { return g.series }
 
-// Histogram is a named log₂-bucketed latency histogram (reusing
-// core.LatencyHistogram, so tail percentiles cost ≤2× resolution). A nil
-// Histogram is a no-op.
-type Histogram struct {
-	name string
-	h    core.LatencyHistogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v sim.Time) {
-	if h == nil {
-		return
-	}
-	h.h.Add(v)
-}
-
-// Name returns the registered name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.Count()
-}
-
-// Percentile estimates the p-th percentile of the observations.
-func (h *Histogram) Percentile(p float64) sim.Time {
-	if h == nil {
-		return 0
-	}
-	return h.h.Percentile(p)
-}
-
 // Registry holds one run's instruments. The zero value of *Registry (nil)
 // is the disabled layer: every registration returns a nil (no-op)
 // instrument and registers nothing.
@@ -150,7 +107,6 @@ type Registry struct {
 	names    map[string]bool
 	counters []*Counter
 	gauges   []*Gauge
-	hists    []*Histogram
 }
 
 // NewRegistry returns an empty enabled registry.
@@ -184,17 +140,6 @@ func (r *Registry) Gauge(name string, sample func(now sim.Time) float64) {
 	r.gauges = append(r.gauges, &Gauge{name: name, sample: sample})
 }
 
-// Histogram registers and returns a named histogram; nil registry → nil.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.claim(name)
-	h := &Histogram{name: name}
-	r.hists = append(r.hists, h)
-	return h
-}
-
 // Counters returns the registered counters sorted by name.
 func (r *Registry) Counters() []*Counter {
 	if r == nil {
@@ -215,22 +160,12 @@ func (r *Registry) Gauges() []*Gauge {
 	return out
 }
 
-// Histograms returns the registered histograms sorted by name.
-func (r *Registry) Histograms() []*Histogram {
-	if r == nil {
-		return nil
-	}
-	out := append([]*Histogram(nil), r.hists...)
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // Len reports the number of registered instruments.
 func (r *Registry) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.counters) + len(r.gauges) + len(r.hists)
+	return len(r.counters) + len(r.gauges)
 }
 
 // sampleAll appends one observation to every gauge and counter series; the
@@ -247,7 +182,7 @@ func (r *Registry) sampleAll(now sim.Time) {
 // Observer bundles the optional instrumentation sinks a component can be
 // wired to. The zero value is fully disabled.
 type Observer struct {
-	// Reg receives counters, gauges, and histograms (nil = disabled).
+	// Reg receives counters and gauges (nil = disabled).
 	Reg *Registry
 	// Trace receives serialization/arbitration/setup spans (nil = disabled).
 	Trace *Tracer

@@ -17,20 +17,14 @@ func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("b/count")
 	r.Gauge("a/gauge", func(now sim.Time) float64 { return float64(now) * 2 })
-	h := r.Histogram("c/hist")
 
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	h.Observe(100)
-	h.Observe(200)
-	if got := h.Count(); got != 2 {
-		t.Fatalf("histogram count = %d, want 2", got)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
 	}
 	if g := r.Gauges(); len(g) != 1 || g[0].Name() != "a/gauge" || g[0].Read(21) != 42 {
 		t.Fatalf("gauges = %v", g)
@@ -54,20 +48,18 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestNilRegistryDisabled(t *testing.T) {
 	var r *Registry
 	c := r.Counter("anything")
-	h := r.Histogram("anything")
 	r.Gauge("anything", nil)
-	if c != nil || h != nil || r.Len() != 0 {
+	if c != nil || r.Len() != 0 {
 		t.Fatal("nil registry returned live instruments")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		h.Observe(10)
 	})
 	if allocs > 0 {
 		t.Fatalf("disabled instruments allocated %.1f per op, want 0", allocs)
 	}
-	if c.Value() != 0 || c.Name() != "" || h.Count() != 0 || h.Percentile(99) != 0 {
+	if c.Value() != 0 || c.Name() != "" {
 		t.Fatal("nil instrument reads are not zero")
 	}
 }
@@ -216,11 +208,9 @@ func (i instrumentable) Instrument(o Observer) { i.f(o) }
 func BenchmarkDisabledInstruments(b *testing.B) {
 	var r *Registry
 	c := r.Counter("x")
-	h := r.Histogram("y")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		h.Observe(sim.Time(i))
 	}
 	if c.Value() != 0 {
 		b.Fatal("nil counter accumulated")

@@ -75,6 +75,42 @@ func TestCacheEntryPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheEntryPutCannotReplace: a published entry cannot be replaced
+// over HTTP. Different bytes answer 409 and count as a conflict; GET and a
+// restarted daemon's handle on the same directory keep serving the first
+// bytes; the first bytes again answer 200.
+func TestCacheEntryPutCannotReplace(t *testing.T) {
+	_, ts, cache := newTestServer(t, nil)
+	url := ts.URL + "/v1/cache/entries/" + entryKey(4).Hex()
+	held := []byte(`{"v":1}`)
+	for _, put := range []struct {
+		body string
+		code int
+	}{{string(held), http.StatusOK}, {`{"v":666}`, http.StatusConflict}, {string(held), http.StatusOK}} {
+		if code, body := putEntry(t, url, []byte(put.body)); code != put.code {
+			t.Fatalf("PUT %s = %d, want %d: %s", put.body, code, put.code, body)
+		}
+	}
+	if code, _, got := get(t, url); code != http.StatusOK || !bytes.Equal(got, held) {
+		t.Fatalf("GET = %d %s, want %s", code, got, held)
+	}
+	restarted, err := expcache.Open(cache.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := restarted.EntryBytes(entryKey(4)); !ok || !bytes.Equal(got, held) {
+		t.Fatalf("after a restart the entry is %s, want %s", got, held)
+	}
+	_, _, doc := get(t, ts.URL+"/v1/cache/stats")
+	var stats struct {
+		Stored     uint64 `json:"entries_stored"`
+		Conflicted uint64 `json:"entries_conflicted"`
+	}
+	if err := json.Unmarshal(doc, &stats); err != nil || stats.Stored != 2 || stats.Conflicted != 1 {
+		t.Fatalf("cache stats = %s, want 2 stored and 1 conflicted", doc)
+	}
+}
+
 // TestCacheEntryErrors pins the route's failure grammar: absent entry 404,
 // malformed key 400, a body that is not a JSON object (null included) 400,
 // disabled cache 503.

@@ -16,7 +16,7 @@ import (
 )
 
 // handleSubmit is POST /v1/experiments: rate-limit, decode, validate,
-// enqueue, 202.
+// enqueue (or answer from the job table, Queue.Submit), 202.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if ok, retry := s.limiter.Allow(clientKey(r)); !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
@@ -194,11 +194,12 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cacheDoc() map[string]any {
 	c := s.Cache()
 	return map[string]any{
-		"enabled":        c != nil,
-		"dir":            c.Dir(),
-		"stats":          c.Stats(),
-		"entries_served": s.entriesServed.Load(),
-		"entries_stored": s.entriesStored.Load(),
+		"enabled":            c != nil,
+		"dir":                c.Dir(),
+		"stats":              c.Stats(),
+		"entries_served":     s.entriesServed.Load(),
+		"entries_stored":     s.entriesStored.Load(),
+		"entries_conflicted": s.entriesConflicted.Load(),
 	}
 }
 
@@ -294,8 +295,9 @@ func (s *Server) handleCacheEntryBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheEntryPut is PUT /v1/cache/entries/{key}: publish one entry
 // into the shared store — the rendezvous write. The body must be a JSON
-// object (the invariant every local writer maintains); entries are
-// content-addressed, so re-publishing a key is harmless.
+// object (the invariant every local writer maintains). A key is published
+// once: the bytes it holds again answer 200, different bytes 409, counted
+// as a conflict, and the entry already served stays.
 func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 	c := s.Cache()
 	if c == nil {
@@ -313,7 +315,12 @@ func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.PublishEntry(key, data); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), "")
+		code := http.StatusBadRequest
+		if errors.Is(err, expcache.ErrConflict) {
+			code = http.StatusConflict
+			s.entriesConflicted.Add(1)
+		}
+		writeError(w, code, err.Error(), "")
 		return
 	}
 	s.entriesStored.Add(1)

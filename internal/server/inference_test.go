@@ -41,33 +41,33 @@ func TestInferenceQuickMatchesHarnessGolden(t *testing.T) {
 	}
 }
 
-// TestInferenceDuplicatePostsCollapse: two identical inference submissions
-// run one simulation per point and return identical bytes — the same
-// single-flight guarantee the other kinds enjoy.
+// TestInferenceDuplicatePostsCollapse: an identical inference submission
+// is answered from the job table with the first job's bytes and no cache
+// lookup, and a config that shares two of its points finds them in the
+// cache, with the first answer's rows.
 func TestInferenceDuplicatePostsCollapse(t *testing.T) {
 	_, ts, cache := newTestServer(t, nil)
-	var bodies [2][]byte
-	for i := range bodies {
-		code, view, raw := postExperiment(t, ts, tinyInference)
-		if code != http.StatusAccepted {
-			t.Fatalf("POST %d = %d: %s", i, code, raw)
-		}
-		code, _, body := get(t, ts.URL+"/v1/experiments/"+view.ID+"/result?wait=true")
-		if code != http.StatusOK {
-			t.Fatalf("GET result %d = %d: %s", i, code, body)
-		}
-		bodies[i] = body
+	_, first := await(t, ts, tinyInference)
+	_, second := await(t, ts, tinyInference)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("identical requests returned different bytes:\n--- a ---\n%s--- b ---\n%s", first, second)
 	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatalf("identical requests returned different bytes:\n--- a ---\n%s--- b ---\n%s", bodies[0], bodies[1])
+	// 2 networks × 1 graph × 1 batch × 1 seq = 2 points, each simulated
+	// once; the resubmission asked the cache for none of them.
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("misses = %d, hits = %d; want 2 and 0 (one simulation per point, the duplicate answered by the job table)",
+			st.Misses, st.Hits)
 	}
-	// 2 networks × 1 graph × 1 batch × 1 seq = 2 points.
-	st := cache.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (one simulation per point)", st.Misses)
+
+	// One more network: its point is new, the other two are cache hits, and
+	// their rows lead the answer as they led the first one.
+	_, wider := await(t, ts, `{"kind":"inference","quick":true,`+
+		`"networks":["point-to-point","two-phase","token-ring"],"graphs":["moe-64-expert"]}`)
+	if st := cache.Stats(); st.Misses != 3 || st.Hits != 2 {
+		t.Fatalf("misses = %d, hits = %d; want 3 and 2 (the two shared points served from cache)", st.Misses, st.Hits)
 	}
-	if st.Hits != 2 {
-		t.Fatalf("hits = %d, want 2 (duplicate served from cache)", st.Hits)
+	if !bytes.HasPrefix(wider, first) || bytes.Count(wider, []byte("\n")) != bytes.Count(first, []byte("\n"))+1 {
+		t.Fatalf("the wider sweep does not extend the first answer by one row:\n--- first ---\n%s--- wider ---\n%s", first, wider)
 	}
 }
 

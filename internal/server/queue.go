@@ -43,6 +43,7 @@ var (
 type job struct {
 	seq      int
 	cfg      ExperimentConfig
+	key      string // memoKey(cfg)
 	status   string
 	errMsg   string
 	created  time.Time
@@ -96,7 +97,8 @@ func timeOrNil(t time.Time) *time.Time {
 //
 // The job table is bounded too: it keeps every queued and running job and
 // the newest keep (4 × depth) terminal ones, evicting the oldest terminal
-// job first.
+// job first. It is also the memo: a config that a retained done job
+// answered is answered again from that job's result, without a run.
 type Queue struct {
 	runner harness.Runner
 	// run executes one job: ExperimentConfig.run, or a substitute in tests.
@@ -111,9 +113,11 @@ type Queue struct {
 
 	mu sync.Mutex
 	// jobs holds the retained jobs by sequence number; finished lists the
-	// retained terminal ones, oldest first.
+	// retained terminal ones, oldest first; memo maps a config's memoKey to
+	// the newest retained done job for it.
 	jobs     map[int]*job
 	finished []int
+	memo     map[string]*job
 	seq      int
 	draining bool
 }
@@ -131,6 +135,7 @@ func newQueue(runner harness.Runner, depth, workers int, log *slog.Logger, now f
 		pending: make(chan *job, depth),
 		stop:    make(chan struct{}),
 		jobs:    map[int]*job{},
+		memo:    map[string]*job{},
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -139,8 +144,14 @@ func newQueue(runner harness.Runner, depth, workers int, log *slog.Logger, now f
 	return q
 }
 
-// Submit enqueues one normalized config, returning the queued job's view.
+// Submit enqueues one normalized config, returning the new job's view. A
+// config that a retained done job answered gets a job that is born done
+// and shares that job's result: it takes no queue slot, so it is accepted
+// even when the queue is full, and it runs nothing. A twin that is still
+// queued or running is not joined; the cache's single-flight layer merges
+// the two runs point by point instead.
 func (q *Queue) Submit(cfg ExperimentConfig) (JobView, error) {
+	key := memoKey(cfg)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
@@ -149,19 +160,37 @@ func (q *Queue) Submit(cfg ExperimentConfig) (JobView, error) {
 	j := &job{
 		seq:     q.seq + 1,
 		cfg:     cfg,
+		key:     key,
 		status:  StatusQueued,
 		created: q.now(),
 		done:    make(chan struct{}),
 	}
-	select {
-	case q.pending <- j:
-	default:
-		return JobView{}, ErrQueueFull
+	held := q.memo[key]
+	if held == nil {
+		select {
+		case q.pending <- j:
+		default:
+			return JobView{}, ErrQueueFull
+		}
 	}
 	q.seq = j.seq
 	q.jobs[j.seq] = j
+	if held != nil {
+		j.res, j.started = held.res, j.created
+		q.finishLocked(j, StatusDone, "", j.created)
+	}
 	return j.viewLocked(), nil
 }
+
+// memoKey names a normalized config in the memo. Go syntax spells every
+// field exactly: strings quoted, floats in their shortest exact form with
+// the sign of zero, and a nil list apart from an empty one, which run
+// reads differently ("batches" left out is one batch, an empty list none).
+// So two configs share a key only if run cannot tell them apart, and since
+// a result is a pure function of its config and ModelSalt, the memo's
+// answer is the bytes a run would give. JSON would not do: omitempty drops
+// a nil and an empty list alike.
+func memoKey(cfg ExperimentConfig) string { return fmt.Sprintf("%#v", cfg) }
 
 // lookup finds the job named id. gone reports an id the queue issued and
 // has since evicted; an id it never issued is neither found nor gone.
@@ -216,14 +245,23 @@ func (q *Queue) Counts() (queued, running, finished int) {
 	return
 }
 
-// finishLocked moves j to a terminal status, wakes its waiters and evicts
-// the oldest terminal jobs past the bound. The caller holds q.mu.
-func (q *Queue) finishLocked(j *job, status, errMsg string) {
-	j.status, j.errMsg, j.finished = status, errMsg, q.now()
+// finishLocked moves j to a terminal status at time at, wakes its waiters,
+// makes a done job the memo's answer for its config and evicts the oldest
+// terminal jobs past the bound, with their memo entries. The caller holds
+// q.mu.
+func (q *Queue) finishLocked(j *job, status, errMsg string, at time.Time) {
+	j.status, j.errMsg, j.finished = status, errMsg, at
 	close(j.done)
+	if status == StatusDone {
+		q.memo[j.key] = j
+	}
 	q.finished = append(q.finished, j.seq)
 	for len(q.finished) > q.keep {
-		delete(q.jobs, q.finished[0])
+		old := q.jobs[q.finished[0]]
+		if q.memo[old.key] == old {
+			delete(q.memo, old.key)
+		}
+		delete(q.jobs, old.seq)
 		q.finished = q.finished[1:]
 	}
 }
@@ -266,10 +304,10 @@ func (q *Queue) execute(j *job) {
 
 	q.mu.Lock()
 	if err != nil {
-		q.finishLocked(j, StatusFailed, err.Error())
+		q.finishLocked(j, StatusFailed, err.Error(), q.now())
 	} else {
 		j.res = res
-		q.finishLocked(j, StatusDone, "")
+		q.finishLocked(j, StatusDone, "", q.now())
 	}
 	elapsed := j.finished.Sub(j.started)
 	status := j.status
@@ -311,7 +349,7 @@ func (q *Queue) Drain(ctx context.Context) error {
 	for {
 		select {
 		case j := <-q.pending:
-			q.finishLocked(j, StatusAborted, "server shut down before the experiment started")
+			q.finishLocked(j, StatusAborted, "server shut down before the experiment started", q.now())
 		default:
 			return err
 		}

@@ -7,9 +7,11 @@
 // worker runs on the same Runner, whose Cache single-flights identical
 // points in-process and shares finished entries on disk, so overlapping
 // requests from many clients collapse into cache hits instead of redundant
-// multi-minute simulations. Because each point is a pure function of
-// (config, derived seed), a cached response is byte-identical to a cold
-// one — the house determinism invariant, extended over HTTP.
+// multi-minute simulations, and a config that a retained finished job
+// answered is answered again from the job table without a run. Because
+// each point is a pure function of (config, derived seed), a cached
+// response is byte-identical to a cold one — the house determinism
+// invariant, extended over HTTP.
 //
 // Production shape: bounded request queue (503 when full), per-client
 // token-bucket rate limiting (429 + Retry-After), panic recovery, request
@@ -71,11 +73,13 @@ type Server struct {
 	handler http.Handler
 	started time.Time
 
-	// entriesServed / entriesStored count the cache rendezvous traffic:
-	// entries handed to remote readers (GET hits) and entries published by
-	// remote writers (successful PUTs).
-	entriesServed atomic.Uint64
-	entriesStored atomic.Uint64
+	// entriesServed / entriesStored / entriesConflicted count the cache
+	// rendezvous traffic: entries handed to remote readers (GET hits),
+	// entries published by remote writers (successful PUTs) and PUTs
+	// refused because the key holds different bytes (409s).
+	entriesServed     atomic.Uint64
+	entriesStored     atomic.Uint64
+	entriesConflicted atomic.Uint64
 }
 
 // New builds a Server and starts its queue workers.

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,7 +160,17 @@ func TestScalingResultMatchesHarnessGolden(t *testing.T) {
 // both responses are byte-identical to what the harness (and therefore
 // cmd/figures) writes for the same config.
 func TestConcurrentIdenticalPostsCollapse(t *testing.T) {
-	_, ts, cache := newTestServer(t, nil)
+	s, ts, cache := newTestServer(t, nil)
+	// Each run waits at the gate until both jobs have started, so neither
+	// is done when the other is submitted: the job table cannot answer the
+	// second, and the two runs meet in the cache point by point.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		<-gate
+		return cfg.run(r)
+	}
 
 	var views [2]JobView
 	for i := range views {
@@ -167,6 +180,10 @@ func TestConcurrentIdenticalPostsCollapse(t *testing.T) {
 		}
 		views[i] = view
 	}
+	for _, view := range views {
+		awaitRunning(t, s, view.ID)
+	}
+	release()
 	var bodies [2][]byte
 	for i, view := range views {
 		code, _, body := get(t, ts.URL+"/v1/experiments/"+view.ID+"/result?wait=true")
@@ -604,6 +621,237 @@ func TestJobTableBound(t *testing.T) {
 	release()
 	if code, _, body := get(t, ts.URL+"/v1/experiments/"+slow.ID+"/result?wait=true"); code != http.StatusOK {
 		t.Fatalf("slow job's result = %d: %s", code, body)
+	}
+}
+
+// await posts body, waits for its result and returns the job's 202 view
+// and CSV body.
+func await(t *testing.T, ts *httptest.Server, body string) (JobView, []byte) {
+	t.Helper()
+	code, view, raw := postExperiment(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST %s = %d: %s", body, code, raw)
+	}
+	code, _, csv := get(t, ts.URL+"/v1/experiments/"+view.ID+"/result?wait=true")
+	if code != http.StatusOK {
+		t.Fatalf("result of %s = %d: %s", view.ID, code, csv)
+	}
+	return view, csv
+}
+
+// countRuns makes s count the experiments its workers run.
+func countRuns(s *Server) *atomic.Int64 {
+	var runs atomic.Int64
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		runs.Add(1)
+		return cfg.run(r)
+	}
+	return &runs
+}
+
+// TestResubmissionAnsweredFromJobTable: a config a retained job answered
+// gets a new job that is born done, with the first job's bodies in every
+// format, a single terminal progress line and no cache lookup.
+func TestResubmissionAnsweredFromJobTable(t *testing.T) {
+	_, ts, cache := newTestServer(t, nil)
+	first, _ := await(t, ts, tinyFigure6)
+	before := cache.Stats()
+
+	code, again, raw := postExperiment(t, ts, tinyFigure6)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmission = %d: %s", code, raw)
+	}
+	if again.ID == first.ID || again.Status != StatusDone || again.Started == nil || again.Finished == nil ||
+		!again.Started.Equal(again.Created) || !again.Finished.Equal(again.Created) {
+		t.Fatalf("resubmission = %s, want a new id, done, created = started = finished", raw)
+	}
+	for _, format := range []string{"csv", "json", "text"} {
+		_, _, want := get(t, ts.URL+"/v1/experiments/"+first.ID+"/result?format="+format)
+		code, _, got := get(t, ts.URL+"/v1/experiments/"+again.ID+"/result?format="+format)
+		if format == "json" {
+			// The document names its own job; the rest must match.
+			want = bytes.Replace(want, []byte(first.ID), []byte(again.ID), 1)
+		}
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s result = %d:\n%s\nwant the first job's:\n%s", format, code, got, want)
+		}
+	}
+	_, _, events := get(t, ts.URL+"/v1/experiments/"+again.ID+"/events")
+	var ev progressEvent
+	if lines := bytes.Count(events, []byte("\n")); lines != 1 || json.Unmarshal(events, &ev) != nil || ev.Job.Status != StatusDone {
+		t.Fatalf("events = %q, want one terminal line", events)
+	}
+	if st := cache.Stats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Fatalf("cache stats moved from %+v to %+v: the resubmission queried the cache", before, st)
+	}
+}
+
+// TestFailedRunIsNotRemembered: a config whose run failed runs again when
+// it is resubmitted, and only its success answers later submissions.
+func TestFailedRunIsNotRemembered(t *testing.T) {
+	s, ts, _ := newTestServer(t, nil)
+	var runs atomic.Int64
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		if runs.Add(1) == 1 {
+			return nil, errors.New("transient failure")
+		}
+		return cfg.run(r)
+	}
+	body := `{"kind":"scaling","grid_sizes":[2]}`
+	code, failed, raw := postExperiment(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d: %s", code, raw)
+	}
+	if code, _, raw := get(t, ts.URL+"/v1/experiments/"+failed.ID+"/result?wait=true"); code != http.StatusConflict {
+		t.Fatalf("failed run's result = %d: %s", code, raw)
+	}
+	await(t, ts, body)
+	if again, _ := await(t, ts, body); again.Status != StatusDone || runs.Load() != 2 {
+		t.Fatalf("runs = %d and the third submission is %s; want 2 runs, the third answered done", runs.Load(), again.Status)
+	}
+}
+
+// TestMemoForgetsEvictedJobs: the memo answers from the newest retained job
+// for a config, so a config asked for again stays answered, and it runs
+// again once every job for it has left the table (QueueDepth 1 keeps four).
+func TestMemoForgetsEvictedJobs(t *testing.T) {
+	s, ts, _ := newTestServer(t, func(c *Config) { c.QueueDepth = 1 })
+	runs := countRuns(s)
+	scaling := func(n int) string { return fmt.Sprintf(`{"kind":"scaling","grid_sizes":[%d]}`, n) }
+	_, want := await(t, ts, scaling(2))
+	await(t, ts, scaling(2))
+	for n := 3; n <= 5; n++ {
+		await(t, ts, scaling(n))
+	}
+	// The first scaling(2) job is evicted; its answer is still retained.
+	if _, got := await(t, ts, scaling(2)); runs.Load() != 4 || !bytes.Equal(got, want) {
+		t.Fatalf("runs = %d, want 4 (the retained answer for scaling(2) reused), and the first bytes:\n%s", runs.Load(), got)
+	}
+	for n := 6; n <= 9; n++ {
+		await(t, ts, scaling(n))
+	}
+	if _, got := await(t, ts, scaling(2)); runs.Load() != 9 || !bytes.Equal(got, want) {
+		t.Fatalf("runs = %d, want 9 (scaling(2) runs again once its jobs are evicted), and the first bytes:\n%s", runs.Load(), got)
+	}
+}
+
+// TestMemoAnswerNeedsNoQueueSlot: with the one worker busy and the one
+// queue slot taken, a new config gets 503 but a remembered one 202 done;
+// once the drain begins, the remembered one gets 503 too.
+func TestMemoAnswerNeedsNoQueueSlot(t *testing.T) {
+	s, ts, _ := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.QueueDepth = 1
+	})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.queue.run = func(cfg ExperimentConfig, r harness.Runner) (*result, error) {
+		if cfg.Kind == "figure6" {
+			<-gate
+		}
+		return cfg.run(r)
+	}
+	known := `{"kind":"scaling","grid_sizes":[2]}`
+	await(t, ts, known)
+	code, running, raw := postExperiment(t, ts, tinyFigure6)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST running = %d: %s", code, raw)
+	}
+	awaitRunning(t, s, running.ID)
+	if code, _, raw := postExperiment(t, ts, `{"kind":"scaling","grid_sizes":[3]}`); code != http.StatusAccepted {
+		t.Fatalf("POST queued = %d: %s", code, raw)
+	}
+	if code, _, raw := postExperiment(t, ts, `{"kind":"scaling","grid_sizes":[4]}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("new config on a full queue = %d, want 503: %s", code, raw)
+	}
+	if code, view, raw := postExperiment(t, ts, known); code != http.StatusAccepted || view.Status != StatusDone {
+		t.Fatalf("remembered config on a full queue = %d: %s, want 202 done", code, raw)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	for !s.queue.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	if code, _, raw := postExperiment(t, ts, known); code != http.StatusServiceUnavailable || !bytes.Contains(raw, []byte("draining")) {
+		t.Fatalf("remembered config while draining = %d: %s, want 503 draining", code, raw)
+	}
+	release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestConcurrentResubmissions: clients that each resubmit one config get
+// the same bytes every time, and once a client has its first answer its
+// later submissions run nothing, so there are at most as many runs as
+// clients. Run with -race, it covers the memo from handlers and workers at
+// once.
+func TestConcurrentResubmissions(t *testing.T) {
+	s, ts, _ := newTestServer(t, nil)
+	runs := countRuns(s)
+	const clients, rounds = 4, 5
+	bodies := make([][]byte, clients*rounds)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(tinyFigure6))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var view JobView
+				err = json.NewDecoder(resp.Body).Decode(&view)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp, err = http.Get(ts.URL + "/v1/experiments/" + view.ID + "/result?wait=true"); err != nil {
+					t.Error(err)
+					return
+				}
+				bodies[c*rounds+i], err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if len(body) == 0 || !bytes.Equal(body, bodies[0]) {
+			t.Fatalf("answer %d differs from answer 0:\n%s\n%s", i, body, bodies[0])
+		}
+	}
+	if n := runs.Load(); n > clients {
+		t.Fatalf("%d runs for %d clients of one config", n, clients)
+	}
+}
+
+// TestMemoKeyExact: configs share a memo key only when every field is the
+// same value, so a list left out and an empty one, which run reads
+// differently, and a zero and a negative zero, which the CSV prints
+// differently, stay apart.
+func TestMemoKeyExact(t *testing.T) {
+	base := ExperimentConfig{Kind: "inference", Seed: 1, Graphs: []string{"prefill"}}
+	same := ExperimentConfig{Kind: "inference", Seed: 1, Graphs: []string{"prefill"}}
+	if memoKey(base) != memoKey(same) {
+		t.Fatalf("equal configs got different keys:\n%s\n%s", memoKey(base), memoKey(same))
+	}
+	emptyBatches := base
+	emptyBatches.Batches = []int{}
+	zero := ExperimentConfig{Kind: "resilience", Seed: 1, Rates: []float64{0}}
+	negZero := ExperimentConfig{Kind: "resilience", Seed: 1, Rates: []float64{math.Copysign(0, -1)}}
+	for _, pair := range [][2]ExperimentConfig{{base, emptyBatches}, {zero, negZero}} {
+		if memoKey(pair[0]) == memoKey(pair[1]) {
+			t.Fatalf("distinct configs share the key %s", memoKey(pair[0]))
+		}
 	}
 }
 

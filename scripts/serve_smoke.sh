@@ -4,9 +4,12 @@
 #
 # Boots the daemon on an ephemeral port with a throwaway cache directory,
 # checks /healthz, runs one tiny scaling experiment and one tiny inference
-# experiment through the full POST → wait → CSV round trip, fetches the
-# scaling job as text and JSON too, re-submits each identical config to
-# prove it comes back as a byte-identical cache hit, requires
+# experiment through the full POST → wait → CSV round trip, and fetches the
+# scaling job as text and JSON too. It proves both ways a repeated question
+# is answered: each identical config, re-submitted, comes back
+# byte-identical from the job table without a cache lookup (Hits and
+# Misses unchanged), and a config that shares points with an earlier one
+# gets those rows from the cache (Hits rise, rows equal). It requires
 # cmd/resilience and cmd/inference to print the daemon's CSV bytes for one
 # config each (and the quick inference sweep to print the committed
 # golden), then shuts down via SIGTERM and requires a clean (exit 0)
@@ -59,13 +62,63 @@ curl -fsS "$base/healthz" | grep -q '"status": "ok"' || {
     exit 1
 }
 
+# submit <config>: POST one experiment and print its job id.
 submit() {
-    curl -fsS -X POST "$base/v1/experiments" \
-        -d '{"kind":"scaling","grid_sizes":[2,4]}' |
+    curl -fsS -X POST "$base/v1/experiments" -d "$1" |
         sed -n 's/.*"id": "\(exp-[0-9]*\)".*/\1/p'
 }
 
-id=$(submit)
+# daemon_csv <config> <file>: the daemon's CSV body for one config.
+daemon_csv() {
+    job=$(submit "$1")
+    [ -n "$job" ] || { echo "serve-smoke: no id for $1" >&2; exit 1; }
+    curl -fsS "$base/v1/experiments/$job/result?wait=true&format=csv" >"$2"
+}
+
+# same <want> <got> <label>
+same() {
+    cmp -s "$1" "$2" || {
+        echo "serve-smoke: $3" >&2
+        diff "$1" "$2" >&2 || true
+        exit 1
+    }
+}
+
+# counter <name>: one of the cache's lookup counters (Hits or Misses).
+counter() {
+    curl -fsS "$base/v1/cache/stats" | sed -n "s/^ *\"$1\": \([0-9]*\).*/\1/p"
+}
+
+# resubmit <config> <first csv> <label>: the identical config again must
+# answer the first CSV's bytes from the job table, asking the cache nothing.
+resubmit() {
+    before="$(counter Hits) $(counter Misses)"
+    daemon_csv "$1" "$tmp/again.csv"
+    same "$2" "$tmp/again.csv" "identical $3 configs returned different CSV bytes"
+    after="$(counter Hits) $(counter Misses)"
+    [ "$after" = "$before" ] || {
+        echo "serve-smoke: identical $3 resubmission queried the cache (hits misses $before -> $after)" >&2
+        exit 1
+    }
+}
+
+# overlap <config> <want> <label>: a config sharing points with an earlier
+# one must lead with those points' rows (the file <want>: the header, then
+# the rows) and serve them from the cache.
+overlap() {
+    hits_before=$(counter Hits)
+    daemon_csv "$1" "$tmp/overlap.csv"
+    head -n "$(wc -l <"$2")" "$tmp/overlap.csv" >"$tmp/overlap-head.csv"
+    same "$2" "$tmp/overlap-head.csv" "$3 rows differ from the earlier answer's"
+    hits_after=$(counter Hits)
+    [ "${hits_after:-0}" -gt "${hits_before:-0}" ] || {
+        echo "serve-smoke: $3 produced no cache hits" >&2
+        exit 1
+    }
+}
+
+scaling='{"kind":"scaling","grid_sizes":[2,4]}'
+id=$(submit "$scaling")
 [ -n "$id" ] || { echo "serve-smoke: submission returned no id" >&2; exit 1; }
 curl -fsS "$base/v1/experiments/$id/result?wait=true&format=csv" >"$tmp/first.csv"
 head -1 "$tmp/first.csv" | grep -q '^n,sites,' || {
@@ -87,29 +140,15 @@ curl -fsS "$base/v1/experiments/$id/result?format=json" | grep -q '"result":' ||
     exit 1
 }
 
-# The identical config again: byte-identical bytes, served from the cache.
-id2=$(submit)
-curl -fsS "$base/v1/experiments/$id2/result?wait=true&format=csv" >"$tmp/second.csv"
-cmp -s "$tmp/first.csv" "$tmp/second.csv" || {
-    echo "serve-smoke: identical configs returned different CSV bytes" >&2
-    exit 1
-}
-curl -fsS "$base/v1/cache/stats" | grep -q '"Hits": [1-9]' || {
-    echo "serve-smoke: duplicate experiment produced no cache hits" >&2
-    exit 1
-}
+resubmit "$scaling" "$tmp/first.csv" scaling
+# Grid size 4 alone: the 4×4 rows of the first answer, from the cache.
+{ head -1 "$tmp/first.csv"; grep '^4,' "$tmp/first.csv"; } >"$tmp/first-4.csv"
+overlap '{"kind":"scaling","grid_sizes":[4]}' "$tmp/first-4.csv" "scaling grid size 4"
 
 # A tiny inference experiment: the operator-graph kind end to end, with the
-# same cache-hit + byte-identity requirements.
-submit_inference() {
-    curl -fsS -X POST "$base/v1/experiments" \
-        -d '{"kind":"inference","quick":true,"networks":["point-to-point"],"graphs":["tensor-parallel-ffn"]}' |
-        sed -n 's/.*"id": "\(exp-[0-9]*\)".*/\1/p'
-}
-
-iid=$(submit_inference)
-[ -n "$iid" ] || { echo "serve-smoke: inference submission returned no id" >&2; exit 1; }
-curl -fsS "$base/v1/experiments/$iid/result?wait=true&format=csv" >"$tmp/inference1.csv"
+# same two answer paths.
+inference='{"kind":"inference","quick":true,"networks":["point-to-point"],"graphs":["tensor-parallel-ffn"]}'
+daemon_csv "$inference" "$tmp/inference1.csv"
 head -1 "$tmp/inference1.csv" | grep -q '^network,graph,batch,' || {
     echo "serve-smoke: unexpected inference CSV:" >&2
     cat "$tmp/inference1.csv" >&2
@@ -119,27 +158,11 @@ grep -q 'tensor-parallel-ffn' "$tmp/inference1.csv" || {
     echo "serve-smoke: inference CSV missing the requested graph" >&2
     exit 1
 }
-
-hits_before=$(curl -fsS "$base/v1/cache/stats" | sed -n 's/.*"Hits": \([0-9]*\).*/\1/p')
-iid2=$(submit_inference)
-curl -fsS "$base/v1/experiments/$iid2/result?wait=true&format=csv" >"$tmp/inference2.csv"
-cmp -s "$tmp/inference1.csv" "$tmp/inference2.csv" || {
-    echo "serve-smoke: identical inference configs returned different CSV bytes" >&2
-    exit 1
-}
-hits_after=$(curl -fsS "$base/v1/cache/stats" | sed -n 's/.*"Hits": \([0-9]*\).*/\1/p')
-[ "${hits_after:-0}" -gt "${hits_before:-0}" ] || {
-    echo "serve-smoke: duplicate inference experiment produced no cache hits" >&2
-    exit 1
-}
-
-# daemon_csv <config> <file>: the daemon's CSV body for one config.
-daemon_csv() {
-    job=$(curl -fsS -X POST "$base/v1/experiments" -d "$1" |
-        sed -n 's/.*"id": "\(exp-[0-9]*\)".*/\1/p')
-    [ -n "$job" ] || { echo "serve-smoke: no id for $1" >&2; exit 1; }
-    curl -fsS "$base/v1/experiments/$job/result?wait=true&format=csv" >"$2"
-}
+resubmit "$inference" "$tmp/inference1.csv" inference
+# One more network: the first answer's point-to-point row leads, from the
+# cache.
+overlap '{"kind":"inference","quick":true,"networks":["point-to-point","two-phase"],"graphs":["tensor-parallel-ffn"]}' \
+    "$tmp/inference1.csv" "inference with one more network"
 
 # cli_csv <file> <command> <flags...>: the CSV one study CLI writes.
 cli_csv() {
@@ -148,15 +171,6 @@ cli_csv() {
     "$tmp/$cmd" "$@" -csv "$out" >"$out.log" 2>&1 || {
         echo "serve-smoke: $cmd $* failed:" >&2
         cat "$out.log" >&2
-        exit 1
-    }
-}
-
-# same <want> <got> <label>
-same() {
-    cmp -s "$1" "$2" || {
-        echo "serve-smoke: $3" >&2
-        diff "$1" "$2" >&2 || true
         exit 1
     }
 }
@@ -183,4 +197,4 @@ if ! wait "$pid"; then
 fi
 pid=""
 
-echo "serve-smoke: ok ($base, 6 experiments, cached re-runs, CLI bytes)"
+echo "serve-smoke: ok ($base, 8 experiments, job-table and cache answers, CLI bytes)"
