@@ -47,10 +47,12 @@ bench-build:
 # through the steady state, beside math/rand's. BenchCell (one figure-7 cell
 # per network) and OpGraphReplay (one prefill replay per network) report the
 # allocs/op of the two application paths, the coherence study and the
-# inference study.
+# inference study; SaturatedLoadPoint (uniform traffic at load 0.95 on three
+# networks, -quick windows) reports the figure-6 path's at its heaviest
+# point.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineScheduleCall|EngineScheduleRun|EngineHold|NewRNG|RNGDraw|DisabledInstruments' -benchtime 1x ./internal/sim ./internal/metrics
-	$(GO) test -run '^$$' -bench 'BenchCell|OpGraphReplay' -benchtime 1x ./internal/harness
+	$(GO) test -run '^$$' -bench 'BenchCell|OpGraphReplay|SaturatedLoadPoint' -benchtime 1x ./internal/harness
 
 # fuzz-smoke runs eight fuzz targets briefly: the distrib frame decoder,
 # the worker's cell-spec decoder, the event queue (random schedules checked

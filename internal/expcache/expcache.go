@@ -519,13 +519,17 @@ func (c *Cache) Prefetch(keys []Key) {
 // stays.
 var ErrConflict = errors.New("expcache: key already holds a different entry")
 
+// ErrInvalidEntry is PublishEntry's answer to bytes that are not a valid
+// entry: the supplier's fault, unlike a publish that fails in the store.
+var ErrInvalidEntry = errors.New("expcache: entry is not a JSON object")
+
 // PublishEntry publishes externally supplied entry bytes — the daemon's
 // PUT path — under a key that holds no entry yet. The bytes must be a JSON
 // object (the invariant every local writer maintains); anything else is
-// rejected before touching the directory. The held bytes again are
-// accepted and change nothing; different bytes are ErrConflict. A file
-// that is not a valid entry does not count as held: it is removed and
-// replaced, as load heals it. The temp file is hard-linked into place,
+// ErrInvalidEntry, rejected before touching the directory. The held bytes
+// again are accepted and change nothing; different bytes are ErrConflict.
+// A file that is not a valid entry does not count as held: it is removed
+// and replaced, as load heals it. The temp file is hard-linked into place,
 // which fails if the entry exists, so of two racing publishers one wins
 // and the other is compared against it.
 func (c *Cache) PublishEntry(key Key, data []byte) error {
@@ -533,7 +537,7 @@ func (c *Cache) PublishEntry(key Key, data []byte) error {
 		return errors.New("expcache: cache disabled")
 	}
 	if !validEntry(data) {
-		return fmt.Errorf("expcache: entry %s: not a JSON object", key.Hex())
+		return fmt.Errorf("%w: %s", ErrInvalidEntry, key.Hex())
 	}
 	if held, ok := c.EntryBytes(key); ok {
 		return sameEntry(key, held, data)

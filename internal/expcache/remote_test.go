@@ -357,7 +357,8 @@ func TestRemoteNullEntryRejected(t *testing.T) {
 }
 
 // TestEntryBytesAndPublishEntry pins the daemon-facing raw-entry API: a
-// published entry round-trips byte-for-byte, invalid JSON is rejected, and
+// published entry round-trips byte-for-byte, invalid JSON is
+// ErrInvalidEntry, and
 // a corrupt on-disk entry is healed (deleted), not served.
 func TestEntryBytesAndPublishEntry(t *testing.T) {
 	c, _ := Open(t.TempDir())
@@ -374,8 +375,8 @@ func TestEntryBytesAndPublishEntry(t *testing.T) {
 		t.Fatalf("EntryBytes = %q, %v; want the published bytes", got, ok)
 	}
 	for _, bad := range []string{"not json", "null", "5", `"s"`, "[1]", `{"a":1} {}`} {
-		if err := c.PublishEntry(key, []byte(bad)); err == nil {
-			t.Fatalf("PublishEntry accepted %q", bad)
+		if err := c.PublishEntry(key, []byte(bad)); !errors.Is(err, ErrInvalidEntry) {
+			t.Fatalf("PublishEntry(%q) = %v, want ErrInvalidEntry", bad, err)
 		}
 	}
 	var nilCache *Cache

@@ -49,6 +49,27 @@ func BenchmarkRunLoadPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkSaturatedLoadPoint times the figure-6 path at its heaviest:
+// uniform traffic at load 0.95 with the -quick windows, on three networks
+// whose saturated queues hold hundreds of thousands of packets. Its
+// allocs/op shows whether queued packets still cost an allocation each;
+// `make bench-smoke` runs it once.
+func BenchmarkSaturatedLoadPoint(b *testing.B) {
+	for _, k := range []networks.Kind{networks.LimitedPtP, networks.TokenRing, networks.CircuitSwitched} {
+		cfg := QuickLoadPointConfig()
+		cfg.Network = k
+		cfg.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}
+		cfg.Load = 0.95
+		cfg.Seed = PointSeed(1, k, "uniform", cfg.Load)
+		b.Run(string(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RunLoadPoint(cfg)
+			}
+		})
+	}
+}
+
 // BenchmarkLoadSweep times a miniature full sweep — all six networks across
 // a four-point load grid, run serially so the number measures single-run
 // dispatch cost rather than scheduler luck.

@@ -70,7 +70,7 @@ func DefaultLoadPointConfig() LoadPointConfig {
 }
 
 // QuickLoadPointConfig is DefaultLoadPointConfig with the short windows
-// of -quick, shared by cmd/figures and the daemon.
+// of -quick, shared by cmd/figures, cmd/report and the daemon.
 func QuickLoadPointConfig() LoadPointConfig {
 	cfg := DefaultLoadPointConfig()
 	cfg.Warmup = 500 * sim.Nanosecond

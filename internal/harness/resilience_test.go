@@ -148,3 +148,31 @@ func TestResilienceCSVIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("unexpected CSV header: %q", serial[:60])
 	}
 }
+
+// TestResiliencePinnedPoints pins five resilience points in a regime the
+// resilience golden lacks. Load 0.6 saturates every network but
+// point-to-point, so a packet whose timeout fires is still queued and is
+// delivered later, beside its retransmission. A 150-ns timeout with two
+// retries is short enough to abort; the quick and default policies never
+// reach their fourth timeout, the one that aborts, inside their windows.
+// Every retried packet comes from the open-loop pool and goes back on
+// delivery, so a packet reused while a network still held it would move
+// these values.
+func TestResiliencePinnedPoints(t *testing.T) {
+	cfg := QuickResilienceConfig()
+	cfg.Load = 0.6
+	cfg.Measure = 500 * sim.Nanosecond
+	cfg.MTTR = 100 * sim.Nanosecond
+	cfg.Retry = traffic.RetryPolicy{Timeout: 150 * sim.Nanosecond, MaxRetries: 2}
+	for _, want := range []ResiliencePoint{
+		{Network: networks.TokenRing, Class: fault.RingDetune, Rate: 1000, Faults: 40, ThroughputGBs: 6799.36, Availability: 0.7163973310279089, MeanLatency: 260119, Dropped: 572, Retries: 81603, Aborts: 14},
+		{Network: networks.CircuitSwitched, Class: fault.DarkLaser, Rate: 1000, Faults: 48, ThroughputGBs: 0, Availability: 0.020473420514241007, MeanLatency: 0, Dropped: 23702, Retries: 266891, Aborts: 3302},
+		{Network: networks.LimitedPtP, Class: fault.RingDetune, Rate: 300, Faults: 13, ThroughputGBs: 7929.856, Availability: 0.9992446217065506, MeanLatency: 168895, Dropped: 119, Retries: 21466, Aborts: 0},
+		{Network: networks.TwoPhase, Class: fault.DarkLaser, Rate: 300, Faults: 13, ThroughputGBs: 11.776, Availability: 0.07157876336030367, MeanLatency: 375201, Dropped: 8421, Retries: 256457, Aborts: 2090},
+		{Network: networks.PointToPoint, Class: fault.RingDetune, Rate: 1000, Faults: 49, ThroughputGBs: 11405.312, Availability: 0.9941711058168482, MeanLatency: 27905, Dropped: 798, Retries: 5987, Aborts: 0},
+	} {
+		if got := RunResiliencePoint(cfg, want.Network, want.Class, want.Rate); got != want {
+			t.Errorf("%s %s rate %g:\n got %+v\nwant %+v", want.Network, want.Class, want.Rate, got, want)
+		}
+	}
+}

@@ -9,11 +9,10 @@
 //
 // The subsystem reuses the existing machinery rather than forking it:
 // transfers ride core.Packet and the closure-free ScheduleCall hot path,
-// retries and timeouts reuse the traffic.OpenLoop RetryPolicy shape,
 // per-class accounting extends core.Stats (ClassTensor/ClassCollective),
 // the fault.Network decorator wraps transparently, and every random
-// stream derives via
-// sim.DeriveSeed — a replay is a pure function of (graph, config, seed).
+// stream derives via sim.DeriveSeed — a replay is a pure function of
+// (graph, config, seed).
 package opgraph
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -143,6 +144,28 @@ func TestCacheEntryErrors(t *testing.T) {
 	}
 	if code, body := putEntry(t, noCache.URL+"/v1/cache/entries/"+missing.Hex(), []byte(`{}`)); code != http.StatusServiceUnavailable {
 		t.Fatalf("disabled-cache PUT = %d: %s", code, body)
+	}
+}
+
+// TestCacheEntryPutStoreFailure: a valid entry that the store fails to
+// write is the server's fault, 500, not a bad request; the invalid bodies
+// of TestCacheEntryErrors stay 400.
+func TestCacheEntryPutStoreFailure(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := expcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestServer(t, func(c *Config) { c.Runner = harness.Runner{Cache: cache} })
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	code, body := putEntry(t, ts.URL+"/v1/cache/entries/"+entryKey(5).Hex(), []byte(`{"mean_ns":1}`))
+	if code != http.StatusInternalServerError {
+		t.Fatalf("PUT into a removed store = %d, want 500: %s", code, body)
+	}
+	if code, body := putEntry(t, ts.URL+"/v1/cache/entries/"+entryKey(5).Hex(), []byte("null")); code != http.StatusBadRequest {
+		t.Fatalf("invalid PUT into a removed store = %d, want 400: %s", code, body)
 	}
 }
 

@@ -229,20 +229,27 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 	default:
 		return cfg, badField("kind", "unknown kind %q (want figure6, study, scaling, resilience or inference)", cfg.Kind)
 	}
+	// A list is set when the body holds it, even empty ([] decodes to a
+	// non-nil slice, null to nil). An empty list is refused: run would
+	// read it unlike an absent one, while the displayed config (omitempty)
+	// shows it absent.
 	for _, l := range []struct {
-		field string
-		set   bool
-		kinds []string
+		field      string
+		set, empty bool
+		kinds      []string
 	}{
-		{"networks", len(cfg.Networks) > 0, []string{"figure6", "resilience", "inference"}},
-		{"loads", len(cfg.Loads) > 0, []string{"figure6"}},
-		{"grid_sizes", len(cfg.GridSizes) > 0, []string{"scaling"}},
-		{"classes", len(cfg.Classes) > 0, []string{"resilience"}},
-		{"rates", len(cfg.Rates) > 0, []string{"resilience"}},
-		{"graphs", len(cfg.Graphs) > 0, []string{"inference"}},
-		{"batches", len(cfg.Batches) > 0, []string{"inference"}},
-		{"seq_lens", len(cfg.SeqLens) > 0, []string{"inference"}},
+		{"networks", cfg.Networks != nil, len(cfg.Networks) == 0, []string{"figure6", "resilience", "inference"}},
+		{"loads", cfg.Loads != nil, len(cfg.Loads) == 0, []string{"figure6"}},
+		{"grid_sizes", cfg.GridSizes != nil, len(cfg.GridSizes) == 0, []string{"scaling"}},
+		{"classes", cfg.Classes != nil, len(cfg.Classes) == 0, []string{"resilience"}},
+		{"rates", cfg.Rates != nil, len(cfg.Rates) == 0, []string{"resilience"}},
+		{"graphs", cfg.Graphs != nil, len(cfg.Graphs) == 0, []string{"inference"}},
+		{"batches", cfg.Batches != nil, len(cfg.Batches) == 0, []string{"inference"}},
+		{"seq_lens", cfg.SeqLens != nil, len(cfg.SeqLens) == 0, []string{"inference"}},
 	} {
+		if l.set && l.empty {
+			return cfg, badField(l.field, "empty list; omit %s for the default", l.field)
+		}
 		if l.set && !slices.Contains(l.kinds, cfg.Kind) {
 			return cfg, badField(l.field, "kind %q does not read %s", cfg.Kind, l.field)
 		}

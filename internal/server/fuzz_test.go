@@ -14,9 +14,10 @@ import (
 // FuzzExperimentConfig checks the submit handler's config decoder
 // (decodeConfig: the strict JSON decode, then normalize). It never panics,
 // a config it accepts normalizes to itself again, and every list in an
-// accepted config is within its documented cap, so no body under the
-// request size limit describes an unbounded number of cells. Each fault
-// rate is within its cap too, so no cell holds an unbounded fault plan.
+// accepted config is non-empty and within its documented cap, so no body
+// under the request size limit describes an unbounded number of cells, and
+// none describes a list its displayed config would omit. Each fault rate
+// is within its cap too, so no cell holds an unbounded fault plan.
 func FuzzExperimentConfig(f *testing.F) {
 	for _, tc := range malformedConfigs {
 		f.Add([]byte(tc.body))
@@ -53,17 +54,21 @@ func FuzzExperimentConfig(f *testing.F) {
 		}
 		for _, l := range []struct {
 			field    string
+			set      bool
 			n, limit int
 		}{
-			{"networks", len(cfg.Networks), netCap},
-			{"loads", len(cfg.Loads), 64},
-			{"grid_sizes", len(cfg.GridSizes), 16},
-			{"classes", len(cfg.Classes), int(fault.NumClasses)},
-			{"rates", len(cfg.Rates), 16},
-			{"graphs", len(cfg.Graphs), len(opgraph.PresetNames())},
-			{"batches", len(cfg.Batches), 8},
-			{"seq_lens", len(cfg.SeqLens), 8},
+			{"networks", cfg.Networks != nil, len(cfg.Networks), netCap},
+			{"loads", cfg.Loads != nil, len(cfg.Loads), 64},
+			{"grid_sizes", cfg.GridSizes != nil, len(cfg.GridSizes), 16},
+			{"classes", cfg.Classes != nil, len(cfg.Classes), int(fault.NumClasses)},
+			{"rates", cfg.Rates != nil, len(cfg.Rates), 16},
+			{"graphs", cfg.Graphs != nil, len(cfg.Graphs), len(opgraph.PresetNames())},
+			{"batches", cfg.Batches != nil, len(cfg.Batches), 8},
+			{"seq_lens", cfg.SeqLens != nil, len(cfg.SeqLens), 8},
 		} {
+			if l.set && l.n == 0 {
+				t.Fatalf("accepted an empty %s list: %s", l.field, data)
+			}
 			if l.n > l.limit {
 				t.Fatalf("accepted %d %s, over the cap of %d: %s", l.n, l.field, l.limit, data)
 			}

@@ -295,9 +295,10 @@ func (s *Server) handleCacheEntryBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheEntryPut is PUT /v1/cache/entries/{key}: publish one entry
 // into the shared store — the rendezvous write. The body must be a JSON
-// object (the invariant every local writer maintains). A key is published
-// once: the bytes it holds again answer 200, different bytes 409, counted
-// as a conflict, and the entry already served stays.
+// object (the invariant every local writer maintains), or the answer is
+// 400. A key is published once: the bytes it holds again answer 200,
+// different bytes 409, counted as a conflict, and the entry already served
+// stays. A store that fails to write the entry answers 500.
 func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 	c := s.Cache()
 	if c == nil {
@@ -314,17 +315,18 @@ func (s *Server) handleCacheEntryPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading entry body: "+err.Error(), "")
 		return
 	}
-	if err := c.PublishEntry(key, data); err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, expcache.ErrConflict) {
-			code = http.StatusConflict
-			s.entriesConflicted.Add(1)
-		}
-		writeError(w, code, err.Error(), "")
-		return
+	switch err := c.PublishEntry(key, data); {
+	case errors.Is(err, expcache.ErrInvalidEntry):
+		writeError(w, http.StatusBadRequest, err.Error(), "")
+	case errors.Is(err, expcache.ErrConflict):
+		s.entriesConflicted.Add(1)
+		writeError(w, http.StatusConflict, err.Error(), "")
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "result store failed: "+err.Error(), "")
+	default:
+		s.entriesStored.Add(1)
+		writeJSON(w, http.StatusOK, map[string]any{"key": key.Hex(), "bytes": len(data)})
 	}
-	s.entriesStored.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"key": key.Hex(), "bytes": len(data)})
 }
 
 // handleDistStats is GET /v1/dist/stats: the attached coordinator's live

@@ -347,6 +347,16 @@ var malformedConfigs = []struct {
 	// One config per body: a second value, or garbage, after the first is
 	// refused rather than ignored.
 	{"trailing data", `{"kind":"scaling","grid_sizes":[2]} {"kind":"nope"} garbage`, ""},
+	// An empty list would run no points (or the default) while the
+	// displayed config, which omits empty lists, shows it absent.
+	{"empty networks", `{"kind":"figure6","pattern":"uniform","networks":[]}`, "networks"},
+	{"empty loads", `{"kind":"figure6","pattern":"uniform","loads":[]}`, "loads"},
+	{"empty grid_sizes", `{"kind":"scaling","grid_sizes":[]}`, "grid_sizes"},
+	{"empty classes", `{"kind":"resilience","classes":[]}`, "classes"},
+	{"empty rates", `{"kind":"resilience","rates":[]}`, "rates"},
+	{"empty graphs", `{"kind":"inference","graphs":[]}`, "graphs"},
+	{"empty batches", `{"kind":"inference","quick":true,"networks":["point-to-point"],"graphs":["moe-64-expert"],"batches":[]}`, "batches"},
+	{"empty seq_lens", `{"kind":"inference","seq_lens":[]}`, "seq_lens"},
 }
 
 // TestMalformedConfigs pins the structured 400 contract for every

@@ -50,15 +50,11 @@ type OpenLoop struct {
 	// retryRNG jitters retransmission backoff; derived from Seed at Start.
 	retryRNG *sim.RNG
 
-	// free recycles delivered packets for retry-free runs: the recycler
-	// handler (the packet's last holder under the delivery contract) pushes
-	// each delivered packet here and send pops instead of allocating, so
-	// the steady-state inject→deliver cycle allocates nothing. Disabled
-	// automatically when Retry is enabled — a timed-out packet may be
-	// retained past delivery by the retransmit bookkeeping, so recycling
-	// would alias live packets. Packets lost to injected faults simply
-	// never return to the list; correctness never depends on its size.
-	free []*core.Packet
+	// packets recycles every packet, retried or not: its delivery handler,
+	// the packet's last holder under the delivery contract, puts it back.
+	// Packets lost to injected faults are never delivered, so they never
+	// come back; correctness never depends on the pool's size.
+	packets sim.Pool[core.Packet]
 }
 
 // Start schedules the first injection for every site. Call before Engine.Run.
@@ -109,25 +105,27 @@ func (s *source) OnEvent(e *sim.Engine, _ sim.EventArg) {
 	}
 }
 
-// send injects one packet, arming the delivery-timeout/retransmit chain
-// when a retry policy is set.
+// send injects one packet from the pool. Under a retry policy the
+// attempt's transmission is the packet's delivery handler, and its timeout
+// is armed after the injection.
 func (o *OpenLoop) send(src, dst geometry.SiteID, attempt int) {
-	if !o.Retry.Enabled() {
-		p := o.getPacket()
-		p.Src, p.Dst = src, dst
-		p.Bytes = o.PacketBytes
-		p.Class = core.ClassData
-		p.Deliver = (*recycler)(o)
-		o.Net.Inject(p)
-		return
+	var t *transmission
+	var h core.DeliverHandler = (*recycler)(o)
+	if o.Retry.Enabled() {
+		t = &transmission{o: o, src: src, dst: dst, attempt: attempt}
+		h = t
 	}
-	t := &transmission{o: o, src: src, dst: dst, attempt: attempt}
-	o.Net.Inject(&core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData, Deliver: t})
-	o.Eng.ScheduleCall(o.backoff(attempt), t, sim.EventArg{})
+	p := o.packets.Get()
+	*p = core.Packet{Src: src, Dst: dst, Bytes: o.PacketBytes, Class: core.ClassData, Deliver: h}
+	o.Net.Inject(p)
+	if t != nil {
+		o.Eng.ScheduleCall(o.backoff(attempt), t, sim.EventArg{})
+	}
 }
 
 // transmission is one attempt of a retried packet: the packet's delivery
-// handler and the attempt's timeout event.
+// handler and the attempt's timeout event. It holds no packet, so a packet
+// delivered after its timeout fired goes back to the pool like any other.
 type transmission struct {
 	o         *OpenLoop
 	src, dst  geometry.SiteID
@@ -135,7 +133,10 @@ type transmission struct {
 	delivered bool
 }
 
-func (t *transmission) OnDeliver(*core.Packet, sim.Time) { t.delivered = true }
+func (t *transmission) OnDeliver(p *core.Packet, _ sim.Time) {
+	t.delivered = true
+	t.o.packets.Put(p)
+}
 
 // OnEvent fires at the timeout: an undelivered packet is sent again, or
 // abandoned once its retries are spent.
@@ -189,31 +190,12 @@ func (o *OpenLoop) Instrument(ob metrics.Observer) {
 	})
 }
 
-// getPacket pops a recycled packet from the free list (cleared to the zero
-// state, so stale IDs/timestamps/hop counts can never leak into a new
-// flight) or allocates when the list is empty.
-func (o *OpenLoop) getPacket() *core.Packet {
-	if n := len(o.free); n > 0 {
-		p := o.free[n-1]
-		o.free[n-1] = nil
-		o.free = o.free[:n-1]
-		*p = core.Packet{}
-		return p
-	}
-	return &core.Packet{}
-}
-
-// recycler is the free list's pointer-shaped core.DeliverHandler: delivery
-// hands the packet over (the networks retain nothing past dispatch), so it
-// goes straight back on the list. The simulation is single-threaded, so no
-// locking is needed.
+// recycler is the delivery handler of a packet sent with no retry policy:
+// delivery hands the packet over (the networks retain nothing past
+// dispatch), so it goes straight back to the pool.
 type recycler OpenLoop
 
-func (r *recycler) OnDeliver(p *core.Packet, _ sim.Time) {
-	o := (*OpenLoop)(r)
-	p.Deliver = nil
-	o.free = append(o.free, p)
-}
+func (r *recycler) OnDeliver(p *core.Packet, _ sim.Time) { r.packets.Put(p) }
 
 // backoff returns attempt k's timeout: Timeout × 2^k plus up to one
 // Timeout of seeded jitter, so correlated losses do not resynchronize

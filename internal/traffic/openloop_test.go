@@ -218,10 +218,12 @@ func TestOpenLoopDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestOpenLoopSteadyStateAllocs(t *testing.T) {
-	// Retry-free runs recycle delivered packets through the free list, so
-	// once the event queue, free list, and histogram reach steady state the
-	// whole inject→deliver cycle allocates nothing per packet.
+// steadyStateAllocs drives a lossless point-to-point open loop at load
+// 0.10 under the given retry policy, warms it up for 4 µs (event queue
+// capacity, pool fill, and past a 1-µs policy's longest first timeout),
+// and returns the allocations and the injected packets per 200-ns window.
+func steadyStateAllocs(t *testing.T, retry traffic.RetryPolicy) (allocs, packets float64) {
+	t.Helper()
 	eng := sim.NewEngine()
 	p := core.DefaultParams()
 	st := core.NewStats(0)
@@ -231,32 +233,57 @@ func TestOpenLoopSteadyStateAllocs(t *testing.T) {
 		Pattern: traffic.Uniform{Grid: p.Grid},
 		Load:    0.10, PacketBytes: 64,
 		Until: 100 * sim.Microsecond, Seed: 17,
+		Retry: retry,
 	}
 	gen.Start()
 	var next sim.Time
-	window := 200 * sim.Nanosecond
 	step := func() {
-		next += window
+		next += 200 * sim.Nanosecond
 		eng.RunUntil(next)
 	}
-	for i := 0; i < 20; i++ { // warm up: queue capacity + free-list fill
+	for i := 0; i < 20; i++ {
 		step()
 	}
-	before := st.Delivered
-	if allocs := testing.AllocsPerRun(100, step); allocs > 0 {
-		t.Fatalf("steady-state open loop allocated %.1f per %v window, want 0", allocs, window)
-	}
-	if st.Delivered == before {
+	const runs = 100
+	injected, delivered := st.Injected, st.Delivered
+	allocs = testing.AllocsPerRun(runs, step)
+	if st.Delivered == delivered {
 		t.Fatal("no traffic flowed during the measurement windows")
+	}
+	if st.Retries != 0 {
+		t.Fatalf("lossless run retried %d packets", st.Retries)
+	}
+	// AllocsPerRun calls step once more before the runs it averages.
+	return allocs, float64(st.Injected-injected) / (runs + 1)
+}
+
+func TestOpenLoopSteadyStateAllocs(t *testing.T) {
+	// Retry-free runs recycle delivered packets through the pool, so once
+	// the event queue, pool, and histogram reach steady state the whole
+	// inject→deliver cycle allocates nothing per packet.
+	if allocs, _ := steadyStateAllocs(t, traffic.RetryPolicy{}); allocs > 0 {
+		t.Fatalf("steady-state open loop allocated %.1f per 200-ns window, want 0", allocs)
+	}
+}
+
+func TestOpenLoopRetryAllocsPerPacket(t *testing.T) {
+	// Under a retry policy every packet still comes from the pool, so each
+	// injected packet costs one allocation, its attempt's transmission, and
+	// no packet.
+	allocs, packets := steadyStateAllocs(t, traffic.RetryPolicy{Timeout: sim.Microsecond, MaxRetries: 3})
+	if perPacket := allocs / packets; perPacket > 1.02 {
+		t.Fatalf("retried open loop allocated %.3f per injected packet (%.1f per 200-ns window), want 1: its transmission",
+			perPacket, allocs)
 	}
 }
 
 func TestOpenLoopRecyclingPreservesResults(t *testing.T) {
-	// The free list must be invisible in the statistics: a retry-free run
-	// (recycled packets) and a retry-enabled run on a lossless, unsaturated
-	// network (every packet freshly allocated, since retries retain
-	// references; the generous timeout never fires) inject the same stream
-	// and deliver with identical latency totals.
+	// A retry policy that never fires changes no statistic: a retry-free
+	// run and a run with a generous timeout on a lossless, unsaturated
+	// network inject the same stream and deliver with identical latency
+	// totals. Both draw every packet from the pool; the harness goldens
+	// and TestResiliencePinnedPoints, which covers retransmitted packets,
+	// pin that recycling changes no result.
 	run := func(retry traffic.RetryPolicy) (uint64, sim.Time, sim.Time) {
 		eng := sim.NewEngine()
 		p := core.DefaultParams()
@@ -273,10 +300,10 @@ func TestOpenLoopRecyclingPreservesResults(t *testing.T) {
 		eng.Run()
 		return st.Delivered, st.MeanLatency(), st.MaxLatency()
 	}
-	dFree, meanFree, maxFree := run(traffic.RetryPolicy{})
-	dAlloc, meanAlloc, maxAlloc := run(traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1})
-	if dFree != dAlloc || meanFree != meanAlloc || maxFree != maxAlloc {
-		t.Fatalf("recycled run (%d, %v, %v) != allocating run (%d, %v, %v)",
-			dFree, meanFree, maxFree, dAlloc, meanAlloc, maxAlloc)
+	dOff, meanOff, maxOff := run(traffic.RetryPolicy{})
+	dOn, meanOn, maxOn := run(traffic.RetryPolicy{Timeout: 100 * sim.Microsecond, MaxRetries: 1})
+	if dOff != dOn || meanOff != meanOn || maxOff != maxOn {
+		t.Fatalf("retry-free run (%d, %v, %v) != run under an idle policy (%d, %v, %v)",
+			dOff, meanOff, maxOff, dOn, meanOn, maxOn)
 	}
 }
