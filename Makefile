@@ -79,8 +79,9 @@ fuzz-smoke:
 
 # serve-smoke boots cmd/macrochipd on an ephemeral port with a throwaway
 # cache, drives tiny experiments through the HTTP API (an identical
-# resubmission must come back byte-identical from the job table without a
-# cache lookup, a config sharing points must get them from the cache),
+# figure-6 or inference resubmission must come back byte-identical from the
+# job table without a cache lookup, a config sharing points must get them
+# from the cache),
 # and requires a clean SIGTERM drain. Skips with a notice when curl is not
 # installed.
 serve-smoke:
@@ -88,8 +89,11 @@ serve-smoke:
 
 # dist-smoke runs a tiny figure-6 panel serially, through a coordinator
 # with two locally spawned macrosim workers, and through a mixed fleet (one
-# spawned worker beside one TCP worker), and requires byte-identical CSV
-# plus proof (the dist summary) that cells actually crossed the wire.
+# spawned worker beside one TCP worker); then the quick figure 7 study and
+# two-network quick resilience and inference sweeps, serially and with two
+# spawned workers, so every cell kind crosses a process boundary. It
+# requires byte-identical CSV plus proof (the dist summary) that cells
+# actually crossed the wire.
 dist-smoke:
 	@sh scripts/dist_smoke.sh
 

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -96,39 +97,24 @@ func main() {
 		fmt.Printf("  router energy     %12.2f %% of total\n", r.RouterEnergyFraction*100)
 		fmt.Printf("  EDP               %12.4g J·s\n", r.EDP)
 	case *pattern != "":
-		var pt macrochip.LoadPoint
-		if *tracePath != "" || *metricsPath != "" {
-			var err error
-			pt, err = runObserved(sys, *network, *pattern, *load, *seed, *tracePath, *metricsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			var err error
-			pt, err = sys.RunLoadPoint(macrochip.Network(*network), *pattern, *load)
-			if err != nil {
-				log.Fatal(err)
-			}
+		if err := runLoadPoint(sys, *network, *pattern, *load, *seed, *tracePath, *metricsPath); err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("pattern %-10s network %s  load %.1f%%\n", *pattern, *network, *load*100)
-		fmt.Printf("  mean latency      %12.1f ns\n", pt.MeanLatencyNS)
-		fmt.Printf("  max latency       %12.1f ns\n", pt.MaxLatencyNS)
-		fmt.Printf("  accepted          %12.1f GB/s (offered %.1f GB/s)\n", pt.ThroughputGBs, pt.OfferedGBs)
-		fmt.Printf("  saturated         %12v\n", pt.Saturated)
-		fmt.Printf("  in flight         %12d\n", pt.InFlight)
 	default:
 		log.Fatal("pass -pattern for raw-packet mode or -workload for benchmark mode")
 	}
 }
 
-// runObserved is the raw-packet run with the observability layer attached:
-// a metrics registry sampled by the periodic probe (written as CSV) and/or
-// a Chrome-trace tracer (written as JSON for Perfetto). Sampling is
-// read-only, so the printed metrics match an unobserved run exactly.
-func runObserved(sys *macrochip.System, network, pattern string, load float64, seed int64, tracePath, metricsPath string) (macrochip.LoadPoint, error) {
+// runLoadPoint is raw-packet mode: one figure-6 load point, printed. The
+// observability layer is attached only when a -metrics-csv or -trace path
+// is given: a metrics registry sampled by the periodic probe (written as
+// CSV) and/or a Chrome-trace tracer (written as JSON for Perfetto).
+// Sampling is read-only, so the printed metrics match an unobserved run
+// exactly.
+func runLoadPoint(sys *macrochip.System, network, pattern string, load float64, seed int64, tracePath, metricsPath string) error {
 	pat, err := traffic.ByName(pattern, sys.Params().Grid)
 	if err != nil {
-		return macrochip.LoadPoint{}, err
+		return err
 	}
 	cfg := harness.DefaultLoadPointConfig()
 	cfg.Params = sys.Params()
@@ -142,36 +128,31 @@ func runObserved(sys *macrochip.System, network, pattern string, load float64, s
 	if tracePath != "" {
 		cfg.Obs.Trace = metrics.NewTracer()
 	}
-	r := harness.RunLoadPoint(cfg)
+	pt := harness.RunLoadPoint(cfg)
 	if metricsPath != "" {
-		if err := writeFile(metricsPath, func(w *os.File) error {
+		if err := writeFile(metricsPath, func(w io.Writer) error {
 			return harness.WriteMetricsCSV(w, cfg.Obs.Reg)
 		}); err != nil {
-			return macrochip.LoadPoint{}, err
+			return err
 		}
 		fmt.Printf("wrote %s (%d instruments)\n", metricsPath, cfg.Obs.Reg.Len())
 	}
 	if tracePath != "" {
-		if err := writeFile(tracePath, func(w *os.File) error {
-			return cfg.Obs.Trace.WriteJSON(w)
-		}); err != nil {
-			return macrochip.LoadPoint{}, err
+		if err := writeFile(tracePath, cfg.Obs.Trace.WriteJSON); err != nil {
+			return err
 		}
 		fmt.Printf("wrote %s (%d events)\n", tracePath, cfg.Obs.Trace.Events())
 	}
-	return macrochip.LoadPoint{
-		Load:          r.Load,
-		MeanLatencyNS: r.MeanLatency.Nanoseconds(),
-		P95LatencyNS:  r.P95Latency.Nanoseconds(),
-		MaxLatencyNS:  r.MaxLatency.Nanoseconds(),
-		ThroughputGBs: r.ThroughputGBs,
-		OfferedGBs:    r.OfferedGBs,
-		Saturated:     r.Saturated,
-		InFlight:      r.InFlight,
-	}, nil
+	fmt.Printf("pattern %-10s network %s  load %.1f%%\n", pattern, network, load*100)
+	fmt.Printf("  mean latency      %12.1f ns\n", pt.MeanLatency.Nanoseconds())
+	fmt.Printf("  max latency       %12.1f ns\n", pt.MaxLatency.Nanoseconds())
+	fmt.Printf("  accepted          %12.1f GB/s (offered %.1f GB/s)\n", pt.ThroughputGBs, pt.OfferedGBs)
+	fmt.Printf("  saturated         %12v\n", pt.Saturated)
+	fmt.Printf("  in flight         %12d\n", pt.InFlight)
+	return nil
 }
 
-func writeFile(path string, emit func(*os.File) error) error {
+func writeFile(path string, emit func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -10,6 +10,8 @@
 //	resilience -rates 0,10,50 -load 0.05         custom rate grid
 //	resilience -csv resilience.csv               also write the CSV
 //
+// Each rate must lie in [0, harness.MaxFaultRate] per site per ms, the
+// daemon's bound; a rate outside it exits 1 before anything is simulated.
 // -quick shrinks the simulation windows for a fast smoke run. The -j,
 // cache, fleet and profile flags are the ones every command shares
 // (internal/runflags); output is byte-identical at any -j, cached or not.
@@ -60,7 +62,7 @@ func main() {
 	if cfg.Classes, err = runflags.List(*classes, fault.ParseClass); err != nil {
 		log.Fatal(err)
 	}
-	r, err := runflags.List(*rates, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	r, err := runflags.List(*rates, parseRate)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,4 +92,17 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
+}
+
+// parseRate parses one -rates item, refusing a rate outside [0,
+// harness.MaxFaultRate] (NaN included).
+func parseRate(s string) (float64, error) {
+	r, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(r >= 0 && r <= harness.MaxFaultRate) {
+		return 0, fmt.Errorf("fault rate %g outside [0, %d] per site per ms", r, harness.MaxFaultRate)
+	}
+	return r, nil
 }

@@ -24,9 +24,6 @@ type Channel struct {
 	// The fault subsystem uses it to model thermally detuned modulator
 	// rings whose usable bandwidth drops mid-run.
 	derate float64
-	// failed marks the channel dark (dead laser source): nothing can be
-	// transmitted until Repair.
-	failed bool
 }
 
 // NewChannel returns a channel of the given bandwidth in gigabytes per
@@ -54,18 +51,6 @@ func (c *Channel) Derate(f float64) {
 
 // DerateFactor reports the active serialization multiplier (1 = nominal).
 func (c *Channel) DerateFactor() float64 { return c.derate }
-
-// Fail marks the channel dark — its laser source is dead — until Repair.
-// The channel does not police reservations itself (models decide whether
-// to drop or queue); Failed is the query hook.
-func (c *Channel) Fail() { c.failed = true }
-
-// Repair clears a Fail. It does not reset derating: failure and detuning
-// are independent fault axes with independent repairs.
-func (c *Channel) Repair() { c.failed = false }
-
-// Failed reports whether the channel is currently dark.
-func (c *Channel) Failed() bool { return c.failed }
 
 // SerializationTime returns the time to clock `bytes` onto the channel at
 // the current (possibly derated) rate.

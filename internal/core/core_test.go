@@ -126,8 +126,8 @@ func TestChannelInvariantNoOverlap(t *testing.T) {
 }
 
 func TestChannelDerate(t *testing.T) {
-	// A derated channel stretches serialization by the factor; repair does
-	// not touch derating (they are independent fault axes).
+	// A derated channel stretches serialization by the factor until it is
+	// derated back to 1.
 	ch := NewChannel(5)
 	base := ch.SerializationTime(64)
 	ch.Derate(4)
@@ -136,10 +136,6 @@ func TestChannelDerate(t *testing.T) {
 	}
 	if ch.DerateFactor() != 4 {
 		t.Fatalf("DerateFactor = %v", ch.DerateFactor())
-	}
-	ch.Repair()
-	if got := ch.SerializationTime(64); got != 4*base {
-		t.Fatalf("Repair reset derating: %v", got)
 	}
 	ch.Derate(1)
 	if got := ch.SerializationTime(64); got != base {
@@ -154,21 +150,6 @@ func TestChannelDerateBelowOnePanics(t *testing.T) {
 		}
 	}()
 	NewChannel(5).Derate(0.5)
-}
-
-func TestChannelFailRepair(t *testing.T) {
-	ch := NewChannel(5)
-	if ch.Failed() {
-		t.Fatal("fresh channel reports failed")
-	}
-	ch.Fail()
-	if !ch.Failed() {
-		t.Fatal("Fail() not visible")
-	}
-	ch.Repair()
-	if ch.Failed() {
-		t.Fatal("Repair() did not clear the failure")
-	}
 }
 
 func TestStatsDropRetryAbortCounters(t *testing.T) {
@@ -216,12 +197,6 @@ func TestStatsLatency(t *testing.T) {
 	}
 	if s.MaxLatency() != 200*sim.Nanosecond {
 		t.Fatalf("max = %v, want 200ns", s.MaxLatency())
-	}
-	if got := float64(s.LatencyStdDev()); math.Abs(got-50000) > 1 {
-		t.Fatalf("stddev = %v, want 50ns", s.LatencyStdDev())
-	}
-	if p1.ID == p2.ID || p1.ID == 0 {
-		t.Fatal("IDs not unique")
 	}
 }
 
@@ -284,13 +259,14 @@ func TestStatsOnDeliverCallback(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins Packet at 64 bytes, the runtime's 64-byte allocation
-// size class: saturated figure-6 points hold hundreds of thousands of
-// packets in flight, and one more field would move every packet to the
-// 80-byte class.
+// TestPacketSize pins Packet at 56 bytes: saturated figure-6 points hold
+// hundreds of thousands of packets in flight. Packets come from pool blocks
+// (sim.Pool) that pack as many as fit one 4-KiB size class, so packet
+// memory follows the packet's size, not a per-packet size class; a field
+// no output reads costs bytes in every block.
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 64 {
-		t.Fatalf("unsafe.Sizeof(Packet{}) = %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Packet{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d bytes, want 56", got)
 	}
 }
 

@@ -13,12 +13,12 @@ func TestPacketQueueMatchesSlice(t *testing.T) {
 	var ref []*Packet
 	for i := 0; i < 20000; i++ {
 		if len(ref) == 0 || rng.Intn(3) != 0 {
-			p := &Packet{ID: uint64(i)}
+			p := &Packet{Bytes: i}
 			q.Push(p)
 			ref = append(ref, p)
 		} else {
 			if got := q.Pop(); got != ref[0] {
-				t.Fatalf("step %d: Pop = packet %d, want %d", i, got.ID, ref[0].ID)
+				t.Fatalf("step %d: Pop = packet %d, want %d", i, got.Bytes, ref[0].Bytes)
 			}
 			ref = ref[1:]
 		}
@@ -28,7 +28,7 @@ func TestPacketQueueMatchesSlice(t *testing.T) {
 	}
 	for len(ref) > 0 {
 		if got := q.Pop(); got != ref[0] {
-			t.Fatalf("drain: Pop = packet %d, want %d", got.ID, ref[0].ID)
+			t.Fatalf("drain: Pop = packet %d, want %d", got.Bytes, ref[0].Bytes)
 		}
 		ref = ref[1:]
 	}

@@ -1,56 +1,11 @@
 package core
 
-// Regression tests for the measurement-correctness sweep: latency variance
-// under a large common offset (Welford), utilization clamping when booked
-// service extends past the sample point, and the Channel reporting APIs the
-// observability gauges read.
+// Regression tests for the measurement-correctness sweep: survivorship
+// accounting, utilization clamping when booked service extends past the
+// sample point, and the Channel reporting APIs the observability gauges
+// read.
 
-import (
-	"testing"
-
-	"macrochip/internal/sim"
-)
-
-// TestLatencyStdDevLargeOffset pins the catastrophic-cancellation fix: every
-// latency shares a huge offset with a tiny spread. The naive
-// sqSum/n − mean² form loses all significant digits of the variance here
-// (float64 keeps ~16 digits; the squares are ~1e30 while the variance is
-// 2.5e5), typically reporting 0 or NaN-adjacent garbage.
-func TestLatencyStdDevLargeOffset(t *testing.T) {
-	s := NewStats(0)
-	const offset = sim.Time(1e15) // ~17 simulated minutes, in ps
-	const spread = sim.Time(500)
-	for i := 0; i < 1000; i++ {
-		p := &Packet{Src: 0, Dst: 1, Bytes: 64}
-		s.StampInjection(p, 0)
-		lat := offset - spread
-		if i%2 == 1 {
-			lat = offset + spread
-		}
-		s.RecordDelivery(p, lat)
-	}
-	if got := s.MeanLatency(); got != offset {
-		t.Fatalf("MeanLatency = %v, want %v", got, offset)
-	}
-	// Half the samples at offset−500, half at +500: population σ = 500.
-	if got := s.LatencyStdDev(); got < spread-1 || got > spread+1 {
-		t.Fatalf("LatencyStdDev = %v, want %v ±1", got, spread)
-	}
-}
-
-// TestLatencyStdDevFewSamples: 0 and 1 samples define no spread.
-func TestLatencyStdDevFewSamples(t *testing.T) {
-	s := NewStats(0)
-	if got := s.LatencyStdDev(); got != 0 {
-		t.Fatalf("LatencyStdDev with 0 samples = %v", got)
-	}
-	p := &Packet{Bytes: 64}
-	s.StampInjection(p, 0)
-	s.RecordDelivery(p, 12345)
-	if got := s.LatencyStdDev(); got != 0 {
-		t.Fatalf("LatencyStdDev with 1 sample = %v", got)
-	}
-}
+import "testing"
 
 // TestStatsInFlight pins the survivorship accounting: injected minus
 // delivered minus dropped, per class and in total.

@@ -78,11 +78,10 @@ type DeliverHandler interface {
 // Packet is one network message. Packets are created by traffic generators
 // or the coherence engine and handed to a Network via Inject; the network
 // calls Deliver exactly once when the last byte arrives at Dst. The fields
-// fill 64 bytes, one allocation size class (pinned by a test): saturated
-// load points hold hundreds of thousands of packets in flight.
+// fill 56 bytes (pinned by a test): saturated load points hold hundreds of
+// thousands of packets in flight, carved from sim.Pool blocks.
+// A field earns its place only if some output reads it.
 type Packet struct {
-	// ID is unique within a run (assigned by the Stats sink at injection).
-	ID uint64
 	// Src and Dst are macrochip sites. Src == Dst is legal and uses the
 	// single-cycle intra-site loop-back (paper §6.2).
 	Src, Dst geometry.SiteID
@@ -91,7 +90,8 @@ type Packet struct {
 	// Class labels the packet for statistics.
 	Class MsgClass
 	// Hops counts electronic forwarding hops taken (limited point-to-point
-	// only); used for router energy accounting.
+	// only). Router energy comes from Stats.RouterBytes; Hops lets a test pin
+	// §4.6's single electronic hop.
 	Hops int32
 	// Born is the injection time, set by the network front-end.
 	Born sim.Time

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"macrochip/internal/sim"
 )
@@ -24,23 +23,15 @@ type Stats struct {
 	// cannot inflate the bandwidth numbers.
 	MeasureEnd sim.Time
 
-	nextID uint64
-
 	Injected     uint64
 	Delivered    uint64
 	MeasuredPkts uint64
 
-	// Latency accumulators over measured packets (ps). The mean comes from
-	// the plain sum; the variance runs on Welford's algorithm (running
-	// mean + M2), because the naive latencySqSum/n − mean² form
-	// catastrophically cancels when latencies sit on a large common offset
-	// with small spread — exactly the regime of picosecond-resolution
-	// timestamps late in a long run.
-	latencySum  float64
-	welfordMean float64
-	welfordM2   float64
-	latencyMax  sim.Time
-	hist        LatencyHistogram
+	// Latency accumulators over measured packets (ps): the sum for the
+	// mean, the maximum, and the histogram for percentiles.
+	latencySum float64
+	latencyMax sim.Time
+	hist       LatencyHistogram
 
 	// Throughput accounting: bytes of measured packets delivered inside the
 	// [WarmupStart, MeasureEnd] window.
@@ -78,11 +69,9 @@ type Stats struct {
 // NewStats returns an empty sink with measurement starting at warmup.
 func NewStats(warmup sim.Time) *Stats { return &Stats{WarmupStart: warmup} }
 
-// StampInjection assigns the packet its ID and birth time. Networks call it
-// at the top of Inject.
+// StampInjection assigns the packet its birth time and counts the
+// injection. Networks call it at the top of Inject.
 func (s *Stats) StampInjection(p *Packet, now sim.Time) {
-	s.nextID++
-	p.ID = s.nextID
 	p.Born = now
 	s.Injected++
 	s.injectedPerClass[p.Class]++
@@ -106,9 +95,6 @@ func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 		s.MeasuredPkts++
 		lat := at - p.Born
 		s.latencySum += float64(lat)
-		d := float64(lat) - s.welfordMean
-		s.welfordMean += d / float64(s.MeasuredPkts)
-		s.welfordM2 += d * (float64(lat) - s.welfordMean)
 		if lat > s.latencyMax {
 			s.latencyMax = lat
 		}
@@ -182,22 +168,6 @@ func (s *Stats) MeanLatency() sim.Time {
 
 // MaxLatency returns the worst measured latency.
 func (s *Stats) MaxLatency() sim.Time { return s.latencyMax }
-
-// LatencyStdDev returns the (population) standard deviation of measured
-// latency, computed with Welford's algorithm: numerically stable even when
-// every latency shares a huge offset with tiny spread, where the naive
-// sum-of-squares form cancels to garbage (pinned by a regression test).
-func (s *Stats) LatencyStdDev() sim.Time {
-	n := float64(s.MeasuredPkts)
-	if n < 2 {
-		return 0
-	}
-	v := s.welfordM2 / n
-	if v < 0 {
-		v = 0
-	}
-	return sim.Time(math.Sqrt(v))
-}
 
 // LatencyPercentile estimates the p-th percentile of measured latency from
 // a log₂-bucketed histogram (≤2× bucket resolution).

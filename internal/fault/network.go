@@ -43,7 +43,8 @@ type Network struct {
 
 	// frontend[s] is the site's modulator front-end channel at nominal
 	// site bandwidth. It only serializes packets while the site is
-	// detuned; Derate/Fail/Repair are the mid-run degradation hooks.
+	// detuned; Derate is the mid-run degradation hook. A dark site's
+	// packets are dropped before its front-end is consulted.
 	frontend []*core.Channel
 
 	// drops counts lost packets by fault class.
@@ -152,16 +153,12 @@ func (n *Network) ActiveFaults() int { return n.active }
 // FailLaser darkens a site's laser source until RepairLaser.
 func (n *Network) FailLaser(s geometry.SiteID) {
 	n.dark[s]++
-	n.frontend[s].Fail()
 	n.active++
 }
 
 // RepairLaser undoes one FailLaser.
 func (n *Network) RepairLaser(s geometry.SiteID) {
 	n.dark[s]--
-	if n.dark[s] == 0 {
-		n.frontend[s].Repair()
-	}
 	n.active--
 }
 

@@ -85,13 +85,10 @@ func (r StudyRow) RouterFraction() float64 {
 // Every (benchmark, network) cell is an independent simulation seeded by
 // CellSeed, so the study's rows are identical at every worker count.
 func RunStudyWith(r Runner, benches []cpu.Benchmark, kinds []networks.Kind, p core.Params, seed int64) []StudyRow {
-	cells := make([]cell[BenchResult], 0, len(benches)*len(kinds))
+	cells := make([]cell[BenchResult, benchCellSpec], 0, len(benches)*len(kinds))
 	for _, b := range benches {
 		for _, k := range kinds {
-			cellSeed := CellSeed(seed, b.Name, k)
-			cells = append(cells, newCell(CellBenchCell, specForBenchCell(b, k, p, cellSeed), func() BenchResult {
-				return RunBenchmark(b, k, p, cellSeed)
-			}))
+			cells = append(cells, newCell(CellBenchCell, specForBenchCell(b, k, p, CellSeed(seed, b.Name, k))))
 		}
 	}
 	results := runCells(r, cells)

@@ -31,8 +31,11 @@ const ModelSalt = "macrochip-sim-v5"
 // native configs resolved by name instead of by value: traffic patterns
 // travel as their Name() (round-tripped through traffic.ByName, pinned by
 // TestCellSpecsRoundTrip) and the observability hook does not travel at
-// all (instrumented points are never cached or distributed — their value
-// is the in-process probe series, not the result struct).
+// all (only RunLoadPoint reads LoadPointConfig.Obs; a study's cells run
+// unobserved). Each spec's run method is the one definition of what its
+// cell computes, so a study's in-process run, its cache miss, its fleet
+// fallback and a worker's decoded cell all call the same method on the
+// same value.
 //
 // The spec's bytes are the cell's whole identity: the cache key is a hash
 // of them (cellKey) and, on a miss, the fleet message carries them, so a
@@ -53,6 +56,15 @@ const (
 	CellResilience = "resilience"
 	CellInference  = "inference"
 )
+
+// cellSpec is a cell's wire spec: its JSON is the cell's identity and run
+// computes the cell. run panics on a spec it cannot run — one that names
+// an unknown pattern, fault class, graph or network — which a study, whose
+// specs come from resolved values, never builds; RunCell turns the panic
+// into the cell's error.
+type cellSpec[T any] interface {
+	run() T
+}
 
 // loadPointSpec is the wire form of one figure-6 load point.
 type loadPointSpec struct {
@@ -79,12 +91,12 @@ func specForLoadPoint(cfg LoadPointConfig) loadPointSpec {
 	}
 }
 
-func (s loadPointSpec) config() (LoadPointConfig, error) {
+func (s loadPointSpec) run() LoadPoint {
 	pat, err := traffic.ByName(s.Pattern, s.Params.Grid)
 	if err != nil {
-		return LoadPointConfig{}, err
+		panic(err)
 	}
-	return LoadPointConfig{
+	return RunLoadPoint(LoadPointConfig{
 		Params:      s.Params,
 		Network:     s.Network,
 		Pattern:     pat,
@@ -93,7 +105,7 @@ func (s loadPointSpec) config() (LoadPointConfig, error) {
 		Warmup:      sim.Time(s.WarmupPS),
 		Measure:     sim.Time(s.MeasurePS),
 		Seed:        s.Seed,
-	}, nil
+	})
 }
 
 // benchCellSpec is the wire form of one (benchmark, network) study cell.
@@ -121,18 +133,19 @@ func specForBenchCell(b cpu.Benchmark, kind networks.Kind, p core.Params, seed i
 	}
 }
 
-func (s benchCellSpec) benchmark() (cpu.Benchmark, error) {
+func (s benchCellSpec) run() BenchResult {
 	pat, err := traffic.ByName(s.Pattern, s.Params.Grid)
 	if err != nil {
-		return cpu.Benchmark{}, err
+		panic(err)
 	}
-	return cpu.Benchmark{
+	b := cpu.Benchmark{
 		Name:         s.Name,
 		MissPerInstr: s.MissPerInstr,
 		Mix:          s.Mix,
 		Pattern:      pat,
 		InstrPerCore: s.InstrPerCore,
-	}, nil
+	}
+	return RunBenchmark(b, s.Network, s.Params, s.Seed)
 }
 
 // resilienceSpec is the wire form of one (network, class, rate) resilience
@@ -169,12 +182,12 @@ func specForResilience(cfg ResilienceConfig, k networks.Kind, c fault.Class, rat
 	}
 }
 
-func (s resilienceSpec) config() (ResilienceConfig, fault.Class, error) {
+func (s resilienceSpec) run() ResiliencePoint {
 	class, err := fault.ParseClass(s.Class)
 	if err != nil {
-		return ResilienceConfig{}, 0, err
+		panic(err)
 	}
-	return ResilienceConfig{
+	cfg := ResilienceConfig{
 		Params:      s.Params,
 		Load:        s.Load,
 		PacketBytes: s.PacketBytes,
@@ -183,7 +196,8 @@ func (s resilienceSpec) config() (ResilienceConfig, fault.Class, error) {
 		MTTR:        sim.Time(s.MTTRPS),
 		Retry:       traffic.RetryPolicy{Timeout: sim.Duration(s.RetryTimeoutPS), MaxRetries: s.RetryMax},
 		Seed:        s.Seed,
-	}, class, nil
+	}
+	return RunResiliencePoint(cfg, s.Network, class, s.Rate)
 }
 
 // inferenceSpec is the wire form of one (network, graph, batch, seq)
@@ -219,23 +233,20 @@ func specForInference(cfg InferenceConfig, k networks.Kind, graph string, batch,
 	return s
 }
 
-func (s inferenceSpec) config() InferenceConfig {
-	return InferenceConfig{
+// run is RunInferencePoint for the cell. A study validates its config
+// before fan-out (InferenceStudyWith), so a run error there is a bug, not
+// bad input.
+func (s inferenceSpec) run() InferencePoint {
+	cfg := InferenceConfig{
 		Params:      s.Params,
 		Custom:      s.Custom,
 		PacketBytes: s.PacketBytes,
 		JitterFrac:  s.JitterFrac,
 		Seed:        s.Seed,
 	}
-}
-
-// runInference is RunInferencePoint for a cell. The config is validated
-// before fan-out (InferenceStudyWith), so a run error here is a bug, not
-// bad input; a worker turns the panic into a cell error.
-func runInference(cfg InferenceConfig, k networks.Kind, graph string, batch, seq int) InferencePoint {
-	pt, err := RunInferencePoint(cfg, k, graph, batch, seq)
+	pt, err := RunInferencePoint(cfg, s.Network, s.Graph, s.Batch, s.Seq)
 	if err != nil {
-		panic(fmt.Sprintf("harness: inference point (%s, %s, %d, %d) failed after validation: %v", k, graph, batch, seq, err))
+		panic(fmt.Sprintf("harness: inference point (%s, %s, %d, %d) failed after validation: %v", s.Network, s.Graph, s.Batch, s.Seq, err))
 	}
 	return pt
 }
@@ -269,46 +280,59 @@ func cellKey(kind string, spec []byte) expcache.Key {
 	return k
 }
 
-// cell is one study point on its way to a result: its kind, its spec
-// marshalled once, the cache key hashed from it once, and how to compute
-// it in-process.
-type cell[T any] struct {
-	kind  string
-	spec  []byte
-	key   expcache.Key
-	local func() T
+// cell is one study point on its way to a result: its kind, its spec, the
+// spec's JSON marshalled once and the cache key hashed from it once.
+type cell[T any, S cellSpec[T]] struct {
+	kind string
+	spec S
+	data []byte
+	key  expcache.Key
 }
 
 // newCell marshals spec for kind and derives its key. A spec holding a NaN
-// or ±Inf float has no JSON form; its cell keeps a nil spec and runs
-// locally, uncached.
-func newCell[T any](kind string, spec any, local func() T) cell[T] {
-	c := cell[T]{kind: kind, local: local}
+// or ±Inf float has no JSON form; its cell keeps nil data and runs
+// in-process, uncached.
+func newCell[T any, S cellSpec[T]](kind string, spec S) cell[T, S] {
+	c := cell[T, S]{kind: kind, spec: spec}
 	if data, err := json.Marshal(spec); err == nil {
-		c.spec, c.key = data, cellKey(kind, data)
+		c.data, c.key = data, cellKey(kind, data)
 	}
 	return c
 }
 
 // run computes the cell behind the cache (nil: uncached) and, on a miss,
 // behind the fleet d (nil: in-process). The lookup key and the worker
-// message are the same spec bytes.
-func (c cell[T]) run(cache *expcache.Cache, d *Coordinator) T {
-	if c.spec == nil {
-		return c.local()
+// message are the same spec bytes. The spec's own run computes the cell
+// whenever the fleet cannot serve it — the coordinator is absent,
+// draining, out of workers, the cell failed remotely, or the result did
+// not decode — so a sweep never depends on remote success for
+// completeness.
+func (c cell[T, S]) run(cache *expcache.Cache, d *Coordinator) T {
+	if c.data == nil {
+		return c.spec.run()
 	}
 	return expcache.Do(cache, c.key, func() T {
-		return distCell(d, c.kind, c.spec, c.local)
+		if d != nil {
+			if value, ok := d.Exec(c.kind, c.data); ok {
+				var v T
+				err := json.Unmarshal(value, &v)
+				if err == nil {
+					return v
+				}
+				d.noteBadValue(c.kind, err)
+			}
+		}
+		return c.spec.run()
 	})
 }
 
 // runCells runs one study's cells on the Runner: every key is prefetched
 // from the remote tier in one batch, then the cells fan out with results
 // slotted by index.
-func runCells[T any](r Runner, cells []cell[T]) []T {
+func runCells[T any, S cellSpec[T]](r Runner, cells []cell[T, S]) []T {
 	keys := make([]expcache.Key, 0, len(cells))
 	for _, c := range cells {
-		if c.spec != nil {
+		if c.data != nil {
 			keys = append(keys, c.key)
 		}
 	}
@@ -318,90 +342,40 @@ func runCells[T any](r Runner, cells []cell[T]) []T {
 	})
 }
 
-// loadPointCell is one figure-6 load point as a cell. An instrumented
-// point gets no spec, so it never consults the cache or the fleet: a
-// cached or remote LoadPoint carries no probe series or trace spans, and
-// serving one would silently disable observability.
-func loadPointCell(cfg LoadPointConfig) cell[LoadPoint] {
-	local := func() LoadPoint { return RunLoadPoint(cfg) }
-	if cfg.Obs.Enabled() {
-		return cell[LoadPoint]{kind: CellLoadPoint, local: local}
-	}
-	return newCell(CellLoadPoint, specForLoadPoint(cfg), local)
-}
-
 // RunCell executes one wire cell through the same cell path the in-process
 // studies use — the worker side of the distributed protocol. The cell is
 // keyed by the spec it decoded, so the worker publishes under the
 // coordinator's key. The Runner's cache is the worker's own; the cell is
 // never redistributed. The returned value is the result struct, ready for
-// canonical JSON encoding.
-func RunCell(r Runner, kind string, spec []byte) (any, error) {
+// canonical JSON encoding. Every failure is the returned error — a spec
+// that does not decode, an unknown kind, or a cell that panics, such as
+// one naming an unknown pattern, class or graph — so a worker survives
+// any single bad cell.
+func RunCell(r Runner, kind string, data []byte) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("cell panicked: %v", p)
+		}
+	}()
 	switch kind {
 	case CellLoadPoint:
-		var s loadPointSpec
-		if err := decodeSpec(spec, &s); err != nil {
-			return nil, err
-		}
-		cfg, err := s.config()
-		if err != nil {
-			return nil, err
-		}
-		return newCell(kind, s, func() LoadPoint { return RunLoadPoint(cfg) }).run(r.Cache, nil), nil
+		return runWire[LoadPoint, loadPointSpec](r, kind, data)
 	case CellBenchCell:
-		var s benchCellSpec
-		if err := decodeSpec(spec, &s); err != nil {
-			return nil, err
-		}
-		b, err := s.benchmark()
-		if err != nil {
-			return nil, err
-		}
-		return newCell(kind, s, func() BenchResult {
-			return RunBenchmark(b, s.Network, s.Params, s.Seed)
-		}).run(r.Cache, nil), nil
+		return runWire[BenchResult, benchCellSpec](r, kind, data)
 	case CellResilience:
-		var s resilienceSpec
-		if err := decodeSpec(spec, &s); err != nil {
-			return nil, err
-		}
-		cfg, class, err := s.config()
-		if err != nil {
-			return nil, err
-		}
-		return newCell(kind, s, func() ResiliencePoint {
-			return RunResiliencePoint(cfg, s.Network, class, s.Rate)
-		}).run(r.Cache, nil), nil
+		return runWire[ResiliencePoint, resilienceSpec](r, kind, data)
 	case CellInference:
-		var s inferenceSpec
-		if err := decodeSpec(spec, &s); err != nil {
-			return nil, err
-		}
-		return newCell(kind, s, func() InferencePoint {
-			return runInference(s.config(), s.Network, s.Graph, s.Batch, s.Seq)
-		}).run(r.Cache, nil), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown cell kind %q", kind)
+		return runWire[InferencePoint, inferenceSpec](r, kind, data)
 	}
+	return nil, fmt.Errorf("harness: unknown cell kind %q", kind)
 }
 
-// distCell dispatches one marshalled cell to the coordinator fleet and
-// falls back to local when the fleet cannot serve it — the coordinator is
-// absent, draining, out of workers, the cell failed remotely, or the
-// result did not decode; the sweep never depends on remote success for
-// completeness.
-func distCell[T any](d *Coordinator, kind string, spec []byte, local func() T) T {
-	if d == nil {
-		return local()
+// runWire decodes one kind's spec and runs it as a cell behind the
+// Runner's cache.
+func runWire[T any, S cellSpec[T]](r Runner, kind string, data []byte) (any, error) {
+	var s S
+	if err := decodeSpec(data, &s); err != nil {
+		return nil, err
 	}
-	value, ok := d.Exec(kind, spec)
-	if !ok {
-		return local()
-	}
-	var v T
-	if err := json.Unmarshal(value, &v); err != nil {
-		d.noteBadValue(kind, err)
-		return local()
-	}
-	return v
+	return newCell(kind, s).run(r.Cache, nil), nil
 }

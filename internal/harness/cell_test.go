@@ -15,10 +15,10 @@ import (
 	"macrochip/internal/workload"
 )
 
-// cachedLoadPoint is RunLoadPoint behind the cache and the Runner's fleet,
-// bypassing both for instrumented configs: one figure-6 cell on its own.
+// cachedLoadPoint is RunLoadPoint behind the cache and the Runner's fleet:
+// one figure-6 cell on its own.
 func cachedLoadPoint(r Runner, cfg LoadPointConfig) LoadPoint {
-	return loadPointCell(cfg).run(r.Cache, r.Dist)
+	return newCell(CellLoadPoint, specForLoadPoint(cfg)).run(r.Cache, r.Dist)
 }
 
 // unknownFieldSpec is a load-point spec carrying a field this build does
@@ -105,6 +105,41 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		if got, want := mustMarshal(t, v), mustMarshal(t, want); !bytes.Equal(got, want) {
 			t.Errorf("%s round-trip: %s != %s", tc.name, got, want)
 		}
+	}
+}
+
+// TestRunCellBadNamesAreErrors pins that RunCell answers a spec it cannot
+// run with an error instead of a panic, for every kind: a worker reports
+// the cell and keeps serving, and an in-process caller gets the same
+// answer.
+func TestRunCellBadNamesAreErrors(t *testing.T) {
+	cases := cellSpecCases()
+	badPattern := cases[0].spec.(loadPointSpec)
+	badPattern.Pattern = "no-such-pattern"
+	badNetwork := cases[0].spec.(loadPointSpec)
+	badNetwork.Network = "no-such-network"
+	badBench := cases[1].spec.(benchCellSpec)
+	badBench.Pattern = "no-such-pattern"
+	badClass := cases[2].spec.(resilienceSpec)
+	badClass.Class = "no-such-class"
+	badGraph := cases[3].spec.(inferenceSpec)
+	badGraph.Graph = "no-such-graph"
+	for _, tc := range []struct {
+		name, kind string
+		spec       any
+	}{
+		{"pattern", CellLoadPoint, badPattern},
+		{"network", CellLoadPoint, badNetwork},
+		{"bench pattern", CellBenchCell, badBench},
+		{"class", CellResilience, badClass},
+		{"graph", CellInference, badGraph},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := RunCell(Serial, tc.kind, mustMarshal(t, tc.spec))
+			if err == nil || v != nil {
+				t.Fatalf("RunCell = %v, %v; want an error and no value", v, err)
+			}
+		})
 	}
 }
 
@@ -285,6 +320,6 @@ func BenchmarkCellKey(b *testing.B) {
 	cfg := benchLoadPointConfig(networks.PointToPoint)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		keySink = loadPointCell(cfg).key
+		keySink = newCell(CellLoadPoint, specForLoadPoint(cfg)).key
 	}
 }

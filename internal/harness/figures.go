@@ -81,7 +81,7 @@ func Figure6PanelWith(r Runner, base LoadPointConfig, pattern string, kinds []ne
 // figure6Panels runs the (pattern, network, load) grid as one flat list of
 // load-point cells and slots the results back into one panel per pattern.
 func figure6Panels(r Runner, base LoadPointConfig, pats []traffic.Pattern, kinds []networks.Kind, loadsFor func(pattern string) []float64) []Figure6Panel {
-	cells := []cell[LoadPoint]{}
+	cells := []cell[LoadPoint, loadPointSpec]{}
 	for _, pat := range pats {
 		for _, k := range kinds {
 			for _, load := range loadsFor(pat.Name()) {
@@ -90,7 +90,7 @@ func figure6Panels(r Runner, base LoadPointConfig, pats []traffic.Pattern, kinds
 				cfg.Pattern = pat
 				cfg.Load = load
 				cfg.Seed = PointSeed(base.Seed, k, pat.Name(), load)
-				cells = append(cells, loadPointCell(cfg))
+				cells = append(cells, newCell(CellLoadPoint, specForLoadPoint(cfg)))
 			}
 		}
 	}

@@ -240,14 +240,12 @@ func InferenceStudyWith(r Runner, cfg InferenceConfig) ([]InferencePoint, error)
 		kinds = networks.Six()
 	}
 	graphs, batches, seqs := cfg.graphs(), cfg.batches(), cfg.seqLens()
-	cells := make([]cell[InferencePoint], 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
+	cells := make([]cell[InferencePoint, inferenceSpec], 0, len(kinds)*len(graphs)*len(batches)*len(seqs))
 	for _, k := range kinds {
 		for _, g := range graphs {
 			for _, b := range batches {
 				for _, s := range seqs {
-					cells = append(cells, newCell(CellInference, specForInference(cfg, k, g, b, s), func() InferencePoint {
-						return runInference(cfg, k, g, b, s)
-					}))
+					cells = append(cells, newCell(CellInference, specForInference(cfg, k, g, b, s)))
 				}
 			}
 		}

@@ -29,7 +29,9 @@ type LoadPointConfig struct {
 	// Obs, when enabled, wires the observability layer into the network and
 	// generator; a registry is sampled every Measure/64. Sampling is
 	// read-only, so instrumented results are byte-identical to
-	// uninstrumented ones (pinned by a test).
+	// uninstrumented ones (pinned by a test). Only RunLoadPoint reads it: a
+	// cell's spec carries no observer, so the figure-6 studies run their
+	// points unobserved.
 	Obs metrics.Observer
 }
 

@@ -41,6 +41,13 @@ type ResilienceConfig struct {
 	Seed  int64
 }
 
+// MaxFaultRate bounds each resilience fault rate, in faults per site per
+// simulated ms: 12.5× the largest default rate, 80, so at the daemon's
+// 1-ms window cap a one-class plan holds at most 64,000 events per cell.
+// The daemon refuses a rate outside [0, MaxFaultRate] and cmd/resilience
+// exits on one before simulating.
+const MaxFaultRate = 1000
+
 // DefaultResilienceConfig returns a sweep that stresses all six networks
 // under all three fault classes at increasing rates.
 func DefaultResilienceConfig() ResilienceConfig {
@@ -158,13 +165,11 @@ func ResilienceStudyWith(r Runner, cfg ResilienceConfig) []ResiliencePoint {
 	if classes == nil {
 		classes = fault.AllClasses()
 	}
-	cells := make([]cell[ResiliencePoint], 0, len(kinds)*len(classes)*len(cfg.Rates))
+	cells := make([]cell[ResiliencePoint, resilienceSpec], 0, len(kinds)*len(classes)*len(cfg.Rates))
 	for _, k := range kinds {
 		for _, c := range classes {
 			for _, rate := range cfg.Rates {
-				cells = append(cells, newCell(CellResilience, specForResilience(cfg, k, c, rate), func() ResiliencePoint {
-					return RunResiliencePoint(cfg, k, c, rate)
-				}))
+				cells = append(cells, newCell(CellResilience, specForResilience(cfg, k, c, rate)))
 			}
 		}
 	}

@@ -50,24 +50,12 @@ func ScaledParams(n int) core.Params {
 // ScalingStudyWith quantifies §6.4's scalability argument across macrochip
 // sizes — how waveguide counts, switch counts, and laser power grow for
 // each architecture as the grid scales — on the Runner: each grid size is
-// an independent analysis, so the sizes fan out across the pool.
+// an independent analysis, so the sizes fan out across the pool. A row is
+// closed-form arithmetic, a few microseconds, cheaper than deriving a cache
+// key for it, so rows never take the cell path: the Runner's cache and
+// fleet are not consulted.
 func ScalingStudyWith(r Runner, ns []int) []ScalingRow {
-	return runIndexed(r, len(ns), func(i int) ScalingRow {
-		return cachedScalingRow(r, ns[i])
-	})
-}
-
-// cachedScalingRow is scalingRow behind the cache. The row is a pure
-// analysis of ScaledParams(n), so n and that parameter block are its whole
-// identity. Scaling rows are closed-form arithmetic — microseconds, no
-// simulation — so they are never worth a network round trip and always
-// compute locally.
-func cachedScalingRow(r Runner, n int) ScalingRow {
-	spec := struct {
-		N      int         `json:"n"`
-		Params core.Params `json:"params"`
-	}{n, ScaledParams(n)}
-	return newCell("scalingrow", spec, func() ScalingRow { return scalingRow(n) }).run(r.Cache, nil)
+	return runIndexed(r, len(ns), func(i int) ScalingRow { return scalingRow(ns[i]) })
 }
 
 // RenderScaling renders the scaling study as text: one header line per

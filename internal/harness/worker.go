@@ -110,10 +110,10 @@ func ServeWorker(in io.Reader, out io.Writer, r Runner, name string, depth int, 
 }
 
 // executeCell runs one cell to a terminal reply: a result message with the
-// canonical JSON value, or an error message carrying the failure (panics
-// included — a worker must survive any single bad cell).
+// canonical JSON value, or an error message carrying the failure (RunCell
+// turns panics into errors — a worker must survive any single bad cell).
 func executeCell(r Runner, m distrib.Msg) distrib.Msg {
-	v, err := runCellSafe(r, m.Kind, m.Spec)
+	v, err := RunCell(r, m.Kind, m.Spec)
 	if err != nil {
 		return distrib.Msg{Type: distrib.TypeError, ID: m.ID, Error: err.Error()}
 	}
@@ -122,15 +122,4 @@ func executeCell(r Runner, m distrib.Msg) distrib.Msg {
 		return distrib.Msg{Type: distrib.TypeError, ID: m.ID, Error: fmt.Sprintf("encoding result: %v", err)}
 	}
 	return distrib.Msg{Type: distrib.TypeResult, ID: m.ID, Value: data}
-}
-
-// runCellSafe converts a panicking cell (e.g. a post-validation inference
-// failure) into an error reply instead of a dead worker.
-func runCellSafe(r Runner, kind string, spec []byte) (v any, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("cell panicked: %v", p)
-		}
-	}()
-	return RunCell(r, kind, spec)
 }

@@ -82,11 +82,6 @@ type ExperimentConfig struct {
 // window is 8 µs, two orders of magnitude under the cap.
 const maxWindowNS = 1e6
 
-// maxRate bounds each resilience fault rate, in faults per site per
-// simulated ms: 12.5× the largest default rate, 80, so at the window cap a
-// one-class plan holds at most 64,000 events per cell.
-const maxRate = 1000
-
 // ConfigError is a request-validation failure; Field names the offending
 // JSON field when known. Handlers render it as a structured 400 body.
 type ConfigError struct {
@@ -186,8 +181,8 @@ func (cfg ExperimentConfig) normalize() (ExperimentConfig, error) {
 			return cfg, badField("rates", "at most 16 rates per request")
 		}
 		for _, r := range cfg.Rates {
-			if r < 0 || r > maxRate {
-				return cfg, badField("rates", "fault rate %g outside [0, %g] per site per ms", r, float64(maxRate))
+			if r < 0 || r > harness.MaxFaultRate {
+				return cfg, badField("rates", "fault rate %g outside [0, %d] per site per ms", r, harness.MaxFaultRate)
 			}
 		}
 		if cfg.Load < 0 || cfg.Load > 1 {

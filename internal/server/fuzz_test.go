@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"macrochip/internal/fault"
+	"macrochip/internal/harness"
 	"macrochip/internal/networks"
 	"macrochip/internal/opgraph"
 )
@@ -74,8 +75,8 @@ func FuzzExperimentConfig(f *testing.F) {
 			}
 		}
 		for _, r := range cfg.Rates {
-			if r > maxRate {
-				t.Fatalf("accepted rate %g, over the cap of %d: %s", r, maxRate, data)
+			if r > harness.MaxFaultRate {
+				t.Fatalf("accepted rate %g, over the cap of %d: %s", r, harness.MaxFaultRate, data)
 			}
 		}
 	})

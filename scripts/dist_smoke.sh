@@ -12,6 +12,11 @@
 #      worker (`macrosim -connect`) against a listening coordinator, the
 #      way the coordinator's own cores join a remote fleet
 #
+# Then it sends every other cell kind through two spawned workers: the
+# figure 7–10 study (`figures -fig 7 -quick`), the resilience study and the
+# inference study (each `-quick` on point-to-point and two-phase), each run
+# serially and again with `-dist-workers 2`.
+#
 # Every run gets its own fresh cache directory and every CSV must be
 # byte-identical to the serial one. Each coordinator's stderr summary must
 # show cells actually completed by the fleet (in the mixed run, by each of
@@ -24,8 +29,7 @@ tmp=$(mktemp -d)
 cleanup() { rm -rf "$tmp"; }
 trap cleanup EXIT
 
-$GO build -o "$tmp/figures" ./cmd/figures
-$GO build -o "$tmp/macrosim" ./cmd/macrosim
+$GO build -o "$tmp/" ./cmd/figures ./cmd/macrosim ./cmd/resilience ./cmd/inference
 
 run_figures() {
     # $1 = output dir, $2 = cache dir, rest = extra flags
@@ -131,4 +135,37 @@ require_worker_cells() {
 completed_proc=$(require_worker_cells 'proc-0' "spawned")
 completed_tcp=$(require_worker_cells 'macrosim-[0-9]*' "TCP")
 
-echo "dist-smoke: ok (pipe depth 1: $completed_d1 cells, depth 8: $completed_d8 cells, mixed: $completed_mixed cells = proc-0 $completed_proc + TCP $completed_tcp, all byte-identical CSV)"
+# kind_pair <label> <csv file> <command> <flags...>: the command serially
+# and with two spawned workers, each on a fresh cache; the CSVs must be
+# byte-identical and the workers must complete cells. figures takes a CSV
+# directory, the other commands a file.
+kind_pair() {
+    label=$1 csv=$2 bin=$3
+    shift 3
+    for side in serial dist; do
+        dir="$tmp/$label-$side"
+        mkdir -p "$dir"
+        out="$dir/$csv"
+        [ "$bin" = figures ] && out="$dir"
+        fleet=""
+        [ "$side" = dist ] && fleet="-dist-workers 2 -dist-exec $tmp/macrosim -dist-wait 2"
+        # shellcheck disable=SC2086 # $fleet is a word list
+        "$tmp/$bin" "$@" $fleet -cache-dir "$tmp/cache-$label-$side" -csv "$out" \
+            >"$dir.stdout" 2>"$dir.stderr" || {
+            echo "dist-smoke: $label $side run failed" >&2
+            cat "$dir.stderr" >&2
+            exit 1
+        }
+    done
+    cmp -s "$tmp/$label-serial/$csv" "$tmp/$label-dist/$csv" || {
+        echo "dist-smoke: $label distributed CSV differs from serial" >&2
+        diff "$tmp/$label-serial/$csv" "$tmp/$label-dist/$csv" >&2 || true
+        exit 1
+    }
+    require_completed "$tmp/$label-dist.stderr" "$label"
+}
+completed_study=$(kind_pair study study.csv figures -fig 7 -quick)
+completed_resilience=$(kind_pair resilience resilience.csv resilience -quick -networks point-to-point,two-phase)
+completed_inference=$(kind_pair inference inference.csv inference -quick -networks point-to-point,two-phase)
+
+echo "dist-smoke: ok (pipe depth 1: $completed_d1 cells, depth 8: $completed_d8 cells, mixed: $completed_mixed cells = proc-0 $completed_proc + TCP $completed_tcp; study $completed_study, resilience $completed_resilience, inference $completed_inference cells over two workers; all byte-identical CSV)"

@@ -3,13 +3,14 @@
 # `make serve-smoke` (part of `make check`).
 #
 # Boots the daemon on an ephemeral port with a throwaway cache directory,
-# checks /healthz, runs one tiny scaling experiment and one tiny inference
-# experiment through the full POST → wait → CSV round trip, and fetches the
-# scaling job as text and JSON too. It proves both ways a repeated question
-# is answered: each identical config, re-submitted, comes back
-# byte-identical from the job table without a cache lookup (Hits and
-# Misses unchanged), and a config that shares points with an earlier one
-# gets those rows from the cache (Hits rise, rows equal). It requires
+# checks /healthz, runs one tiny scaling experiment, one tiny figure-6
+# panel and one tiny inference experiment through the full POST → wait →
+# CSV round trip, and fetches the scaling job as text and JSON too. Scaling
+# rows are arithmetic and never reach the cache, so the cache proofs use
+# the figure-6 and inference configs: each identical config, re-submitted,
+# comes back byte-identical from the job table without a cache lookup
+# (Hits and Misses unchanged), and a config that shares points with an
+# earlier one gets those rows from the cache (Hits rise, rows equal). It requires
 # cmd/resilience and cmd/inference to print the daemon's CSV bytes for one
 # config each (and the quick inference sweep to print the committed
 # golden), then shuts down via SIGTERM and requires a clean (exit 0)
@@ -140,10 +141,18 @@ curl -fsS "$base/v1/experiments/$id/result?format=json" | grep -q '"result":' ||
     exit 1
 }
 
-resubmit "$scaling" "$tmp/first.csv" scaling
-# Grid size 4 alone: the 4×4 rows of the first answer, from the cache.
-{ head -1 "$tmp/first.csv"; grep '^4,' "$tmp/first.csv"; } >"$tmp/first-4.csv"
-overlap '{"kind":"scaling","grid_sizes":[4]}' "$tmp/first-4.csv" "scaling grid size 4"
+# A tiny figure-6 panel: the load-point cells through both answer paths.
+figure6='{"kind":"figure6","quick":true,"pattern":"uniform","networks":["point-to-point"],"loads":[0.02,0.05]}'
+daemon_csv "$figure6" "$tmp/figure6.csv"
+head -1 "$tmp/figure6.csv" | grep -q '^pattern,network,load_pct,' || {
+    echo "serve-smoke: unexpected figure-6 CSV:" >&2
+    cat "$tmp/figure6.csv" >&2
+    exit 1
+}
+resubmit "$figure6" "$tmp/figure6.csv" figure6
+# One more load: the first answer's two rows lead, from the cache.
+overlap '{"kind":"figure6","quick":true,"pattern":"uniform","networks":["point-to-point"],"loads":[0.02,0.05,0.075]}' \
+    "$tmp/figure6.csv" "figure6 with one more load"
 
 # A tiny inference experiment: the operator-graph kind end to end, with the
 # same two answer paths.
@@ -197,4 +206,4 @@ if ! wait "$pid"; then
 fi
 pid=""
 
-echo "serve-smoke: ok ($base, 8 experiments, job-table and cache answers, CLI bytes)"
+echo "serve-smoke: ok ($base, 9 experiments, job-table and cache answers, CLI bytes)"
