@@ -47,7 +47,7 @@ bench-build:
 # through the steady state, beside math/rand's. BenchCell (one figure-7 cell
 # per network) and OpGraphReplay (one prefill replay per network) report the
 # allocs/op of the two application paths, the coherence study and the
-# inference study; SaturatedLoadPoint (uniform traffic at load 0.95 on three
+# inference study; SaturatedLoadPoint (uniform traffic at load 0.95 on four
 # networks, -quick windows) reports the figure-6 path's at its heaviest
 # point.
 bench-smoke:

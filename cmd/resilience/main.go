@@ -10,8 +10,10 @@
 //	resilience -rates 0,10,50 -load 0.05         custom rate grid
 //	resilience -csv resilience.csv               also write the CSV
 //
-// Each rate must lie in [0, harness.MaxFaultRate] per site per ms, the
-// daemon's bound; a rate outside it exits 1 before anything is simulated.
+// Each rate must lie in [0, harness.MaxFaultRate] per site per ms, -load in
+// [0, 1] and -mttr must not be negative, the daemon's bounds; a value
+// outside them (NaN included) exits 1 before anything is simulated. A zero
+// -load or -mttr selects the default.
 // -quick shrinks the simulation windows for a fast smoke run. The -j,
 // cache, fleet and profile flags are the ones every command shares
 // (internal/runflags); output is byte-identical at any -j, cached or not.
@@ -21,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 
@@ -49,6 +52,15 @@ func main() {
 		cfg = harness.QuickResilienceConfig()
 	}
 	cfg.Seed = *seed
+	if !(*load >= 0 && *load <= 1) {
+		log.Fatalf("load %g outside [0, 1]", *load)
+	}
+	if *mttrUS < 0 {
+		log.Fatal("negative MTTR")
+	}
+	if math.IsNaN(*mttrUS) {
+		log.Fatal("MTTR is NaN")
+	}
 	if *load > 0 {
 		cfg.Load = *load
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -197,6 +198,58 @@ func TestStatsLatency(t *testing.T) {
 	}
 	if s.MaxLatency() != 200*sim.Nanosecond {
 		t.Fatalf("max = %v, want 200ns", s.MaxLatency())
+	}
+}
+
+// TestStatsMeanLatencyOrderFree: the mean does not depend on the order
+// deliveries are recorded in, even where a float sum of the same latencies
+// rounds (partial sums past 2⁵³ ps), so recording a delivery when it is
+// scheduled cannot move it.
+func TestStatsMeanLatencyOrderFree(t *testing.T) {
+	lats := []sim.Time{1 << 53, 1, 1, 1, 1}
+	mean := func(order ...int) sim.Time {
+		s := NewStats(0)
+		for _, i := range order {
+			p := &Packet{Bytes: 64}
+			s.StampInjection(p, 0)
+			s.RecordDelivery(p, lats[i])
+		}
+		return s.MeanLatency()
+	}
+	want := sim.Time((1<<53 + 4) / 5)
+	if fwd, rev := mean(0, 1, 2, 3, 4), mean(4, 3, 2, 1, 0); fwd != want || rev != want {
+		t.Fatalf("mean %d ps recorded largest first, %d ps largest last; want %d ps", fwd, rev, want)
+	}
+}
+
+// TestStatsDeliverAfter: with Horizon zero a delivery is a kernel event;
+// with Horizon set it is recorded at once, at the time it lands, when it
+// lands at or before the horizon, and dropped when it lands later, as
+// RunUntil(Horizon) leaves its event undispatched.
+func TestStatsDeliverAfter(t *testing.T) {
+	const start, horizon = 10 * sim.Nanosecond, 100 * sim.Nanosecond
+	delays := []sim.Duration{0, 30 * sim.Nanosecond, horizon - start, horizon - start + 1}
+	wantAt := []sim.Time{start, start + 30*sim.Nanosecond, horizon}
+	for _, h := range []sim.Time{0, horizon} {
+		eng := sim.NewEngine()
+		s := NewStats(0)
+		s.Horizon = h
+		var at []sim.Time
+		record := deliverFn(func(_ *Packet, when sim.Time) { at = append(at, when) })
+		eng.RunUntil(start)
+		for _, d := range delays {
+			p := &Packet{Bytes: 64, Deliver: record}
+			s.StampInjection(p, eng.Now())
+			s.DeliverAfter(eng, d, p)
+		}
+		eng.RunUntil(horizon)
+		if !slices.Equal(at, wantAt) || s.Delivered != 3 || s.InFlight() != 1 {
+			t.Fatalf("horizon %v: delivered %d at %v (in flight %d), want 3 at %v (1)", h, s.Delivered, at, s.InFlight(), wantAt)
+		}
+		events, recorded, pending := eng.Executed(), s.Recorded, eng.Pending()
+		if h == 0 && (events != 3 || recorded != 0 || pending != 1) || h > 0 && (events != 0 || recorded != 3 || pending != 0) {
+			t.Fatalf("horizon %v: %d events, %d recorded, %d pending", h, events, recorded, pending)
+		}
 	}
 }
 

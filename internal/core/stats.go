@@ -22,14 +22,28 @@ type Stats struct {
 	// not toward accepted throughput, so the post-injection drain phase
 	// cannot inflate the bandwidth numbers.
 	MeasureEnd sim.Time
+	// Horizon, when positive, is the time at which the run ends: the
+	// deadline of the engine's RunUntil, past which nothing is dispatched.
+	// DeliverAfter then records each delivery when it is scheduled instead
+	// of filing an event for it. Set it only when nothing reads the sink
+	// before the run ends, and when every packet's Deliver handler ignores
+	// when it runs (it is called at scheduling time, with the delivery's
+	// own timestamp). Zero keeps one kernel event per delivery.
+	Horizon sim.Time
+	// Recorded counts the deliveries DeliverAfter recorded without an
+	// event. The engine's dispatch count plus Recorded equals what the
+	// same run dispatches with Horizon zero.
+	Recorded uint64
 
 	Injected     uint64
 	Delivered    uint64
 	MeasuredPkts uint64
 
 	// Latency accumulators over measured packets (ps): the sum for the
-	// mean, the maximum, and the histogram for percentiles.
-	latencySum float64
+	// mean, the maximum, and the histogram for percentiles. Each is
+	// independent of the order deliveries are recorded in; the sum is an
+	// integer for that reason, since a float sum past 2⁵³ ps rounds.
+	latencySum sim.Time
 	latencyMax sim.Time
 	hist       LatencyHistogram
 
@@ -77,11 +91,31 @@ func (s *Stats) StampInjection(p *Packet, now sim.Time) {
 	s.injectedPerClass[p.Class]++
 }
 
-// OnEvent implements sim.Handler: a scheduled delivery event for the packet
-// in arg.Ptr. Every network's hot path schedules deliveries through this
-// single handler (eng.ScheduleCall(delay, stats, sim.EventArg{Ptr: p})), so
-// the per-packet "record delivery later" pattern costs no closure. The
-// packet is handed over at dispatch: the handler must be the last holder.
+// DeliverAfter delivers p delay from now; networks hand every packet
+// whose arrival needs no further model step to it. With Horizon zero it
+// schedules the delivery event (s.OnEvent). With Horizon set it records a
+// delivery that lands at or before the horizon at once, at the time it
+// lands, and counts it in Recorded; one that lands later is dropped, as
+// RunUntil(Horizon) would leave its event undispatched. Either way p is
+// handed over: the caller reads what it needs from p first.
+func (s *Stats) DeliverAfter(e *sim.Engine, delay sim.Duration, p *Packet) {
+	if s.Horizon <= 0 {
+		e.ScheduleCall(delay, s, sim.EventArg{Ptr: p})
+		return
+	}
+	if delay < 0 {
+		panic(fmt.Sprintf("core: negative delivery delay %v", delay))
+	}
+	if delay <= s.Horizon-e.Now() {
+		s.Recorded++
+		s.RecordDelivery(p, e.Now()+delay)
+	}
+}
+
+// OnEvent implements sim.Handler: the delivery event DeliverAfter
+// schedules for the packet in arg.Ptr when Horizon is zero, so a delivery
+// costs no closure. The packet is handed over at dispatch: the handler
+// must be the last holder.
 func (s *Stats) OnEvent(e *sim.Engine, arg sim.EventArg) {
 	s.RecordDelivery(arg.Ptr.(*Packet), e.Now())
 }
@@ -94,7 +128,7 @@ func (s *Stats) RecordDelivery(p *Packet, at sim.Time) {
 	if p.Born >= s.WarmupStart {
 		s.MeasuredPkts++
 		lat := at - p.Born
-		s.latencySum += float64(lat)
+		s.latencySum += lat
 		if lat > s.latencyMax {
 			s.latencyMax = lat
 		}
@@ -163,7 +197,7 @@ func (s *Stats) MeanLatency() sim.Time {
 	if s.MeasuredPkts == 0 {
 		return 0
 	}
-	return sim.Time(s.latencySum / float64(s.MeasuredPkts))
+	return sim.Time(float64(s.latencySum) / float64(s.MeasuredPkts))
 }
 
 // MaxLatency returns the worst measured latency.

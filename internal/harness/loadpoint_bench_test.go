@@ -51,11 +51,13 @@ func BenchmarkRunLoadPoint(b *testing.B) {
 
 // BenchmarkSaturatedLoadPoint times the figure-6 path at its heaviest:
 // uniform traffic at load 0.95 with the -quick windows, on three networks
-// whose saturated queues hold hundreds of thousands of packets. Its
-// allocs/op shows whether queued packets still cost an allocation each;
+// whose saturated queues hold hundreds of thousands of packets, and on
+// point-to-point, whose pending events at that point were all deliveries
+// until deliveries were recorded when scheduled. Its allocs/op shows
+// whether queued packets or pending deliveries still cost allocations;
 // `make bench-smoke` runs it once.
 func BenchmarkSaturatedLoadPoint(b *testing.B) {
-	for _, k := range []networks.Kind{networks.LimitedPtP, networks.TokenRing, networks.CircuitSwitched} {
+	for _, k := range []networks.Kind{networks.LimitedPtP, networks.TokenRing, networks.CircuitSwitched, networks.PointToPoint} {
 		cfg := QuickLoadPointConfig()
 		cfg.Network = k
 		cfg.Pattern = traffic.Uniform{Grid: cfg.Params.Grid}

@@ -29,7 +29,10 @@ type LoadPointConfig struct {
 	// Obs, when enabled, wires the observability layer into the network and
 	// generator; a registry is sampled every Measure/64. Sampling is
 	// read-only, so instrumented results are byte-identical to
-	// uninstrumented ones (pinned by a test). Only RunLoadPoint reads it: a
+	// uninstrumented ones (pinned by a test). An observed run keeps one
+	// kernel event per delivery, since its gauges and dispatch hook read
+	// the run while it goes; an unobserved one records each delivery when
+	// it is scheduled (core.Stats.Horizon). Only RunLoadPoint reads it: a
 	// cell's spec carries no observer, so the figure-6 studies run their
 	// points unobserved.
 	Obs metrics.Observer
@@ -54,9 +57,11 @@ type LoadPoint struct {
 	// column is large — report it rather than pretending the sample is
 	// complete.
 	InFlight uint64
-	// Events is the number of kernel events the simulation dispatched — the
-	// denominator of the events/sec throughput the benchmark baseline
-	// tracks. Not written to the figure-6 CSV.
+	// Events is the number of kernel events the simulation dispatched plus
+	// the deliveries it recorded without an event, which equals what the
+	// run dispatches with one event per delivery (an observed run) — the
+	// denominator of the events/sec throughput the benchmarks report. Not
+	// written to the figure-6 CSV.
 	Events uint64
 }
 
@@ -85,7 +90,16 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 	eng := sim.NewEngine()
 	stats := core.NewStats(cfg.Warmup)
 	end := cfg.Warmup + cfg.Measure
+	// Run past the injection horizon so in-flight packets drain enough for
+	// stable statistics, then cut off: a saturated network would never
+	// drain completely.
+	horizon := cfg.Warmup + 2*cfg.Measure
 	stats.MeasureEnd = end
+	if !cfg.Obs.Enabled() {
+		// Nothing reads the sink before RunUntil returns, and the
+		// generator's packet recycler ignores when it runs.
+		stats.Horizon = horizon
+	}
 	net := networks.MustNew(cfg.Network, eng, cfg.Params, stats)
 	gen := &traffic.OpenLoop{
 		Eng:         eng,
@@ -108,10 +122,7 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 			metrics.NewProbe(eng, cfg.Obs.Reg, cfg.Measure/64).Start(end + cfg.Measure)
 		}
 	}
-	// Run past the injection horizon so in-flight packets drain enough for
-	// stable statistics, then cut off: a saturated network would never
-	// drain completely.
-	eng.RunUntil(cfg.Warmup + 2*cfg.Measure)
+	eng.RunUntil(horizon)
 	offered := cfg.Load * cfg.Params.SiteBandwidthGBs * float64(cfg.Params.Grid.Sites())
 	thru := stats.ThroughputGBs()
 	return LoadPoint{
@@ -124,7 +135,7 @@ func RunLoadPoint(cfg LoadPointConfig) LoadPoint {
 		Saturated:     thru < 0.90*offered,
 		Delivered:     stats.Delivered,
 		InFlight:      stats.InFlight(),
-		Events:        eng.Executed(),
+		Events:        eng.Executed() + stats.Recorded,
 	}
 }
 

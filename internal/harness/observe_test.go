@@ -50,6 +50,32 @@ func TestInstrumentedRunIdentical(t *testing.T) {
 	}
 }
 
+// TestRecordedDeliveriesMatchEvents pins the exactness of recording
+// deliveries when they are scheduled: an unobserved point (deliveries
+// recorded, core.Stats.Horizon) must equal the same point observed by a
+// tracer alone, which keeps one kernel event per delivery, installs a
+// dispatch hook and schedules no probe events. Every field must match,
+// Events included, on every network and pattern at the lowest and the
+// highest load of the pattern's figure-6 range.
+func TestRecordedDeliveriesMatchEvents(t *testing.T) {
+	base := quickCfg()
+	for _, kind := range networks.Six() {
+		for _, pat := range traffic.All(base.Params.Grid) {
+			loads := Figure6Loads(pat.Name())
+			for _, load := range []float64{loads[0], loads[len(loads)-1]} {
+				cfg := base
+				cfg.Network, cfg.Pattern, cfg.Load = kind, pat, load
+				cfg.Seed = PointSeed(base.Seed, kind, pat.Name(), load)
+				recorded := RunLoadPoint(cfg)
+				cfg.Obs = metrics.Observer{Trace: metrics.NewTracer()}
+				if events := RunLoadPoint(cfg); recorded != events {
+					t.Errorf("%s %s load %g:\nrecorded %+v\nevents   %+v", kind, pat.Name(), load, recorded, events)
+				}
+			}
+		}
+	}
+}
+
 // TestSaturatedPointInFlight pins the survivorship-bias fix: a load point
 // driven far past a network's capacity must report both saturation and a
 // non-zero count of never-delivered packets.

@@ -122,7 +122,7 @@ func (n *Network) Inject(p *core.Packet) {
 	now := n.eng.Now()
 	n.stats.StampInjection(p, now)
 	if p.Src == p.Dst {
-		n.eng.ScheduleCall(n.intraDelay, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, n.intraDelay, p)
 		return
 	}
 	s := int(p.Src)
@@ -163,10 +163,13 @@ func (n *Network) startCircuit(p *core.Packet) {
 		n.tr.Span(tk, "arb", "setup", now, dataStart)
 		n.tr.Span(tk, "chan", "data", dataStart, dataEnd)
 	}
-	n.eng.ScheduleCall(dataEnd+prop-now, n.stats, sim.EventArg{Ptr: p})
+	// DeliverAfter hands p over, and may run its handler before returning:
+	// read the source first.
+	src := p.Src
+	n.stats.DeliverAfter(n.eng, dataEnd+prop-now, p)
 	// The circuit engine frees once the data has left the source; the
 	// teardown flits chase the tail of the data.
-	n.eng.ScheduleCall(dataEnd-now, (*releaseH)(n), sim.EventArg{A: uint64(p.Src)})
+	n.eng.ScheduleCall(dataEnd-now, (*releaseH)(n), sim.EventArg{A: uint64(src)})
 }
 
 // releaseH frees a circuit engine at the source gateway in arg.A — the

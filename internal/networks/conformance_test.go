@@ -278,6 +278,70 @@ func TestConformanceHandOff(t *testing.T) {
 	})
 }
 
+// scribble is a delivery handler that overwrites every field of each
+// packet it gets, as a handler reusing the packet at once may, and counts
+// the packets.
+type scribble struct {
+	sites int
+	got   int
+}
+
+func (s *scribble) OnDeliver(p *core.Packet, _ sim.Time) {
+	s.got++
+	*p = core.Packet{
+		Src: geometry.SiteID((int(p.Src) + 1) % s.sites), Dst: geometry.SiteID((int(p.Dst) + 1) % s.sites),
+		Bytes: p.Bytes + 1, Class: core.ClassAck, Hops: p.Hops + 1, Born: p.Born + 1,
+	}
+}
+
+// TestConformanceRecordedHandOff pins the hand-off contract where a sink
+// with a Horizon records each delivery when it is scheduled: the handler
+// has run, and rewritten the packet, before DeliverAfter returns. Three
+// sites inject bursts of different sizes to several destinations, their
+// own site included; the run must deliver and measure the same packets as
+// the event path.
+func TestConformanceRecordedHandOff(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind networks.Kind) {
+		const horizon = 100 * sim.Microsecond
+		run := func(h sim.Time) *core.Stats {
+			eng := sim.NewEngine()
+			p := core.DefaultParams()
+			st := core.NewStats(0)
+			st.Horizon = h
+			net := networks.MustNew(kind, eng, p, st)
+			sites := p.Grid.Sites()
+			sc := &scribble{sites: sites}
+			eng.ScheduleCall(0, call(func() {
+				for i, burst := range []int{16, 48, 80} {
+					src := 9 * i
+					for j := 0; j < burst; j++ {
+						dst := (src + 7*(j%5)) % sites
+						net.Inject(&core.Packet{Src: geometry.SiteID(src), Dst: geometry.SiteID(dst), Bytes: 64, Deliver: sc})
+					}
+				}
+			}), sim.EventArg{})
+			eng.RunUntil(horizon)
+			if uint64(sc.got) != st.Delivered {
+				t.Fatalf("handler saw %d deliveries, stats %d", sc.got, st.Delivered)
+			}
+			return st
+		}
+		ev, rec := run(0), run(horizon)
+		if ev.Delivered != ev.Injected {
+			t.Fatalf("event path delivered %d of %d by %v", ev.Delivered, ev.Injected, horizon)
+		}
+		if rec.Recorded == 0 {
+			t.Fatal("no delivery recorded when scheduled")
+		}
+		if rec.Delivered != ev.Delivered || rec.MeanLatency() != ev.MeanLatency() ||
+			rec.MaxLatency() != ev.MaxLatency() || rec.LatencyPercentile(95) != ev.LatencyPercentile(95) {
+			t.Fatalf("recorded path delivered %d (mean %v, max %v, p95 %v), event path %d (mean %v, max %v, p95 %v)",
+				rec.Delivered, rec.MeanLatency(), rec.MaxLatency(), rec.LatencyPercentile(95),
+				ev.Delivered, ev.MeanLatency(), ev.MaxLatency(), ev.LatencyPercentile(95))
+		}
+	})
+}
+
 // TestConformanceUnknownKind: the factory rejects unknown names.
 func TestConformanceUnknownKind(t *testing.T) {
 	eng := sim.NewEngine()

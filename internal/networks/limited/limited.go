@@ -89,7 +89,7 @@ func (n *Network) Inject(p *core.Packet) {
 	n.stats.StampInjection(p, now)
 	switch {
 	case p.Src == p.Dst:
-		n.eng.ScheduleCall(n.intraDelay, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, n.intraDelay, p)
 	case n.IsPeer(p.Src, p.Dst):
 		n.sendLeg(p, p.Src, p.Dst, true)
 	default:
@@ -157,7 +157,7 @@ func (n *Network) sendLeg(p *core.Packet, a, b geometry.SiteID, final bool) {
 		n.tr.Span(n.siteTrack[a], "chan", "serialize", start, end)
 	}
 	if final {
-		n.eng.ScheduleCall(arrive-now, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, arrive-now, p)
 	}
 }
 

@@ -68,12 +68,12 @@ func (n *Network) Stats() *core.Stats { return n.stats }
 
 // Inject implements core.Network: the packet serializes on its dedicated
 // channel and arrives one propagation delay after its last byte leaves.
-// Deliveries schedule through the Stats handler (closure-free hot path).
+// Deliveries go through Stats.DeliverAfter.
 func (n *Network) Inject(p *core.Packet) {
 	now := n.eng.Now()
 	n.stats.StampInjection(p, now)
 	if p.Src == p.Dst {
-		n.eng.ScheduleCall(n.intraDelay, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, n.intraDelay, p)
 		return
 	}
 	start, end := n.chans[p.Src][p.Dst].Reserve(now, p.Bytes)
@@ -82,7 +82,7 @@ func (n *Network) Inject(p *core.Packet) {
 	if n.tr != nil {
 		n.tr.Span(n.siteTrack[p.Src], "chan", "serialize", start, end)
 	}
-	n.eng.ScheduleCall(arrive-now, n.stats, sim.EventArg{Ptr: p})
+	n.stats.DeliverAfter(n.eng, arrive-now, p)
 }
 
 // Instrument implements metrics.Instrumentable: per-channel utilization

@@ -117,7 +117,7 @@ func (n *Network) Inject(p *core.Packet) {
 	now := n.eng.Now()
 	n.stats.StampInjection(p, now)
 	if p.Src == p.Dst {
-		n.eng.ScheduleCall(n.intraDelay, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, n.intraDelay, p)
 		return
 	}
 	d := int(p.Dst)
@@ -214,7 +214,7 @@ func (n *Network) grant(d int, epoch uint64) {
 			n.tr.Span(src, "arb", "token-wait", p.Born, launch)
 			n.tr.Span(src, "chan", "tx", launch, launch+ser)
 		}
-		n.eng.ScheduleCall(arrive-now, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, arrive-now, p)
 	}
 	if q.Len() == 0 {
 		n.busy[d][w/64] &^= 1 << (w % 64)

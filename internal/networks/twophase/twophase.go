@@ -160,7 +160,7 @@ func (n *Network) Inject(p *core.Packet) {
 	now := n.eng.Now()
 	n.stats.StampInjection(p, now)
 	if p.Src == p.Dst {
-		n.eng.ScheduleCall(n.intraDelay, n.stats, sim.EventArg{Ptr: p})
+		n.stats.DeliverAfter(n.eng, n.intraDelay, p)
 		return
 	}
 	cq := n.cols[p.Src][n.p.Grid.Col(p.Dst)]
